@@ -7,8 +7,9 @@ geometric tails, and germ tables come from exact linear algebra.
 
 from .errors import (AmbiguousNilpotent, BallTooSmall, DivisionByZero,
                      GermlabError, GridTooLarge, InconsistentSystem,
-                     InsufficientPrecision, NotRegular, OutsideDomain,
-                     PoolDeficient, RankDeficient, SpecMismatch, TailUnstable)
+                     InsufficientPrecision, InvariantViolated, NotRegular,
+                     OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch,
+                     TailUnstable)
 from .padic import (FieldConfig, PadicScalar, QuadExtDescriptor, SquareClass,
                     arith, hilbert_symbol, is_norm, legendre, padic_sqrt,
                     scalar_from_rational, square_class, val_p, valuation)

@@ -56,3 +56,7 @@ class InconsistentSystem(GermlabError):
 
 class PoolDeficient(GermlabError):
     """Function pool spans fewer than five independent nilpotent vectors."""
+
+
+class InvariantViolated(GermlabError):
+    """An exact re-check of a computed object failed: a defect, not bad input."""

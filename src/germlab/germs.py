@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InconsistentSystem, PoolDeficient, RankDeficient
+from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
+                     RankDeficient)
 from .linalg import nullspace, rank, solve_consistent
 from .lcfunc import LCFunction, depth_r_family, h_combination, indicator_lattice, unit_ball
 from .orbital import IntegralResult, nilpotent_vector, ss_orbital
@@ -199,8 +200,9 @@ def construct_Hr_Omega(r: int, omega: OrbitLabel,
         if f is None:
             continue
         nv = nilpotent_vector(f)
-        assert all(nv[om] == (Fraction(1) if om == omega else Fraction(0))
-                   for om in ORBIT_ORDER)
+        if any(nv[om] != (1 if om == omega else 0) for om in ORBIT_ORDER):
+            raise InvariantViolated(f"combination #{idx} for {omega!r} has "
+                                    "nilpotent vector off the target orbit")
         out.append((f"H{r}({omega!r})#{idx}", f))
     return out
 
@@ -266,8 +268,8 @@ def verify_claim(r: int, pool: Sequence[Tuple[str, LCFunction]],
             hs.append((f"h[{name}]", h_combination(f, om.dim)))
     reports = []
     for hname, h in hs:
-        nv = nilpotent_vector(h)
-        assert all(v == 0 for v in nv.values())
+        if any(v != 0 for v in nilpotent_vector(h).values()):
+            raise InvariantViolated(f"{hname} has a nonzero nilpotent vector")
         for xname, X in X_grid:
             k = classify(X)
             lhs = ss_orbital(X, h).value

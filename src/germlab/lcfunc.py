@@ -3,8 +3,9 @@
 An LCFunction is a finite rational combination of indicators of cosets
 Y + g_{v,n}.  Canonicalization refines every cell to the standard lattice
 p^N sl2(O) at a common level N, producing disjoint product cells in the
-(a, b, c) coordinates; that form drives exact evaluation, invariance
-certificates and the stratified integration engine.
+(a, b, c) coordinates; that form drives exact evaluation and invariance
+certificates.  The integration engine needs no refinement: it moves each
+cell to the base vertex by Ad(g_v^{-1}) (see integration_cells).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import OutsideDomain
 from .padic import INF, FieldConfig, PadicScalar, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, cayley_inv
-from .tree import (BASE, LatticeDescriptor, TreeVertex, basis_matrix, cartan,
-                   distance, mp_lattice)
+from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, basis_matrix,
+                   cartan, distance, mp_lattice)
 
 Rat = Fraction
 
@@ -207,34 +208,21 @@ class LCFunction:
         out._canonical_level = N
         return out
 
-    def integration_cells(self) -> List[Tuple[Fraction, Tuple[Fraction, Fraction, Fraction], int]]:
-        """Product cells (coeff, (alpha, beta, chi), cell_level) for the engine.
+    def integration_cells(self) -> List[Tuple[Fraction, Tuple[Fraction, Fraction, Fraction],
+                                              int, TreeVertex]]:
+        """One base-vertex cell (coeff, (alpha, beta, chi), n, v) per term.
 
-        Base-vertex cells pass through at their own level; off-base cells are
-        refined just enough (level n + d) to become standard cosets.  The
-        refinement count grows like q^(3 d(vertex, base)), so a budget guard
-        rejects far-flung cells instead of hanging.
+        The term coeff * 1_{Y + g_{v,n}} is moved to the base vertex by
+        Ad(g_v^{-1}): its cell is Ad(g_v^{-1})Y + p^n sl2(O), with the centre
+        reduced mod p^n.  The engine integrates it against the orbit moved by
+        the same Ad(g_v^{-1}), so no cell is refined, however far v lies.
         """
-        from .errors import GridTooLarge
-        total = 0
-        for _, cell in self.terms:
-            d = distance(self.cfg, BASE, cell.vertex)
-            total += self.cfg.p ** (3 * d)
-        if total > 500_000:
-            raise GridTooLarge(
-                f"integration refinement needs {total} cells; move cells nearer "
-                "the base vertex or reduce p")
-        out = []
         p = self.cfg.p
+        out = []
         for coeff, cell in self.terms:
-            if cell.vertex == BASE:
-                n = cell.level
-                a0, b0, c0 = cell.center.exact_entries()
-                out.append((coeff, (mod_pk(a0, p, n), mod_pk(b0, p, n), mod_pk(c0, p, n)), n))
-            else:
-                n = cell.level + distance(self.cfg, BASE, cell.vertex)
-                for cf, key in _refine_cell(self.cfg, coeff, cell, n):
-                    out.append((cf, key, n))
+            n = cell.level
+            moved = ad_to_base(self.cfg, cell.vertex, *cell.center.exact_entries())
+            out.append((coeff, tuple(mod_pk(e, p, n) for e in moved), n, cell.vertex))
         return out
 
     def equals(self, other: "LCFunction") -> bool:

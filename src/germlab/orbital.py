@@ -8,8 +8,10 @@ integrals carry the extra factor q^floor(val(s)/2) = |u|_floor^{-1}, which
 makes the substitution covariance  I_{c X}(f) = I_X(f_c)  an exact identity
 of the engine for c = zeta^2 (and any even-valuation c).
 
-A canonicalized function is a sum of product cells
-a in alpha + p^N O,  b in beta + p^N O,  c in chi + p^N O.  For each cell the
+The engine reads a function as a sum of product cells
+a in alpha + p^N O,  b in beta + p^N O,  c in chi + p^N O, one per term: a
+coset of g_{v,N} is moved to the base vertex by Ad(g_v^{-1}) together with
+the orbit (LCFunction.integration_cells, _engine).  For each cell the
 b-integral collapses, per valuation stratum, to at most (q-1)/2 quadratic
 congruence measures
 
@@ -31,8 +33,10 @@ from .errors import (GridTooLarge, InsufficientPrecision, NotRegular,
                      TailUnstable)
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
                     hensel_sqrt, leading_digit, legendre, mod_pk, val_p)
-from .sl2 import (ALL_ORBITS, OrbitLabel, Sl2Element, ZERO_ORBIT, classify)
+from .sl2 import (ALL_ORBITS, ElementClass, OrbitLabel, Sl2Element, ZERO_ORBIT,
+                  classify, rep_nilpotent)
 from .lcfunc import LCFunction
+from .tree import BASE, ad_to_base
 
 
 @dataclass(frozen=True)
@@ -245,20 +249,39 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     raise TailUnstable("stratum blocks did not match a geometric pattern")
 
 
-def _prepare_cells(f: LCFunction):
+def _orbit_rule(cfg: FieldConfig, k: ElementClass) -> BClassRule:
+    """The b-class rule of the orbit of a nilpotent or regular element."""
+    if k.kind == "nilpotent":
+        return BClassRule.nilpotent(cfg, k.label.cls)
+    if k.is_split:
+        return BClassRule.split(cfg)
+    return BClassRule.elliptic(cfg, k.torus, k.ss_tag)
+
+
+def _engine(cfg: FieldConfig, s: Fraction, X: Sl2Element, rule: BClassRule,
+            f: LCFunction, prefactor: Fraction) -> IntegralResult:
+    """Integral of f over the orbit of X, whose b-class rule is `rule`.
+
+    A cell moved from vertex v to the base vertex is integrated against
+    Ad(g_v^{-1})X.  That keeps s and the chart measure; only the b-class rule
+    can change (the norm tag, or the nilpotent class lambda -> lambda p^m), so
+    it is looked up once per vertex.
+    """
+    p = cfg.p
     cells = f.integration_cells()
-    M = f.support_bound()
-    return cells, M
-
-
-def _engine(cfg: FieldConfig, s: Fraction, rule: BClassRule, f: LCFunction,
-            prefactor: Fraction) -> IntegralResult:
-    cells, M = _prepare_cells(f)
+    # tail-start hint: how far the moved cells reach outside sl2(O)
+    M = max([0] + [-min(n, *(val_p(e, p) for e in key)) for _, key, n, _ in cells])
+    entries = X.exact_entries()
+    rules = {BASE: rule}
     total = Fraction(0)
     v0_max = 0
     tails = set()
-    for coeff, key, n in cells:
-        val, v0, tail = _cell_integral(cfg, s, rule, key, n, M)
+    for coeff, key, n, v in cells:
+        rule_v = rules.get(v)
+        if rule_v is None:
+            moved = Sl2Element.from_rationals(cfg, *ad_to_base(cfg, v, *entries))
+            rule_v = rules[v] = _orbit_rule(cfg, classify(moved))
+        val, v0, tail = _cell_integral(cfg, s, rule_v, key, n, M)
         total += coeff * val
         v0_max = max(v0_max, v0)
         tails.add(tail)
@@ -277,13 +300,9 @@ def ss_orbital(X: Sl2Element, f: LCFunction) -> IntegralResult:
         raise InsufficientPrecision("the engine needs exact rational entries")
     a, b, c = X.exact_entries()
     s = a * a + b * c  # -det
-    if k.is_split:
-        rule = BClassRule.split(cfg)
-    else:
-        rule = BClassRule.elliptic(cfg, k.torus, k.ss_tag)
     vs = int(val_p(s, cfg.p))
     prefactor = cfg.qpow(vs // 2)  # |u|^{-1}, floored to stay rational
-    return _engine(cfg, s, rule, f, prefactor)
+    return _engine(cfg, s, X, _orbit_rule(cfg, k), f, prefactor)
 
 
 def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
@@ -293,7 +312,7 @@ def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
         return IntegralResult(f.at_zero(), 0, "point", True,
                               Normalization(cfg).fingerprint())
     rule = BClassRule.nilpotent(cfg, label.cls)
-    return _engine(cfg, Fraction(0), rule, f, Fraction(1))
+    return _engine(cfg, Fraction(0), rep_nilpotent(cfg, label), rule, f, Fraction(1))
 
 
 def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:
@@ -342,10 +361,7 @@ def _oracle_rule(target, f: LCFunction):
     if not k.is_regular:
         raise NotRegular("oracle target must be regular or a nilpotent label")
     a, b, c = target.exact_entries()
-    s = a * a + b * c
-    rule = (BClassRule.split(cfg) if k.is_split
-            else BClassRule.elliptic(cfg, k.torus, k.ss_tag))
-    return s, rule
+    return a * a + b * c, _orbit_rule(cfg, k)
 
 
 def _interval_ameas(cfg: FieldConfig, alpha: Fraction, N: int,
@@ -482,7 +498,7 @@ def tree_oracle_compare(cfg: FieldConfig):
     torus label and every later case of that label must reproduce it.
     """
     from .lcfunc import indicator_lattice
-    from .tree import BASE, tree_count_oracle
+    from .tree import tree_count_oracle
     calib: Dict[str, Fraction] = {}
     rows = []
     ok = True

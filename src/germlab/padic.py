@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import DivisionByZero, InsufficientPrecision
@@ -210,7 +211,7 @@ class FieldConfig:
     def zeta(self) -> Fraction:
         return Fraction(self.p)
 
-    @property
+    @cached_property
     def eps(self) -> int:
         return smallest_nonsquare_unit(self.p)
 
@@ -480,13 +481,11 @@ class PadicScalar:
         p = self.cfg.p
         v = int(self.valuation())
         if self.kind == "exact":
-            r = rational_sqrt(self.fr) or rational_sqrt(-self.fr)
+            r = rational_sqrt(self.fr)
             if r is not None:
                 if leading_digit(r, p) > (p - 1) // 2:
                     r = -r
-                # only accept an exact root if it actually squares to fr
-                if r * r == self.fr:
-                    return PadicScalar.exact(self.cfg, r)
+                return PadicScalar.exact(self.cfg, r)
             n = self.cfg.precision
         else:
             n = self.n

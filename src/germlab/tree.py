@@ -81,6 +81,20 @@ def distance(cfg: FieldConfig, v: TreeVertex, w: TreeVertex) -> int:
     return int(dm - 2 * mins)
 
 
+def ad_to_base(cfg: FieldConfig, v: TreeVertex, a, b, c):
+    """Entries (a', b', c') of Ad(g_v^{-1}) ((a, b), (c, -a)) = g_v^{-1} X g_v.
+
+    Takes Fractions or PadicScalars.  It moves g_{v,n} onto p^n sl2(O); on the
+    chart of an orbit it reads (a, b) -> (a + b x, p^m b), which keeps det and
+    the invariant measure da db/|b|.
+    """
+    x, pm = v.x, Fraction(cfg.p) ** v.m
+    if isinstance(a, PadicScalar):  # convert once, not once per product
+        x, pm = PadicScalar.exact(cfg, x), PadicScalar.exact(cfg, pm)
+    a2 = a + b * x
+    return a2, b * pm, (c - x * a - x * a2) / pm
+
+
 @dataclass(frozen=True)
 class LatticeDescriptor:
     """g_{v,n} = Ad(g_v)(p^n sl2(O)) for a vertex v and level n."""
@@ -91,17 +105,7 @@ class LatticeDescriptor:
 
     def _conjugated_entries(self, X: Sl2Element):
         """Entries of Ad(g_v^{-1}) X as PadicScalars."""
-        cfg = self.cfg
-        v = self.vertex
-        x = PadicScalar.exact(cfg, v.x)
-        pm = PadicScalar.exact(cfg, Fraction(cfg.p) ** v.m)
-        # g = ((1,0),(x,pm)), g^{-1} = ((1,0),(-x/pm, 1/pm))
-        a, b, c = X.a, X.b, X.c
-        # M = g^{-1} X g
-        a2 = a + b * x
-        b2 = b * pm
-        c2 = (c - x * a - x * a2) / pm
-        return a2, b2, c2
+        return ad_to_base(self.cfg, self.vertex, X.a, X.b, X.c)
 
     def min_level(self, X: Sl2Element):
         """Largest n with X in g_{v,n}; INF for X = 0."""
@@ -131,19 +135,7 @@ def act(cfg: FieldConfig, g: GroupElement, v: TreeVertex) -> TreeVertex:
     # columns of M = g * g_v generate the image lattice
     c1 = (g11 * b11 + g12 * b21, g21 * b11 + g22 * b21)
     c2 = (g11 * b12 + g12 * b22, g21 * b12 + g22 * b22)
-    p = cfg.p
-    v1 = val_p(c1[0], p)
-    v2 = val_p(c2[0], p)
-    if v2 < v1:
-        c1, c2 = c2, c1
-        v1, v2 = v2, v1
-    # clear the top entry of the second column, then scale column 1 to (1, x)
-    if c2[0] != 0:
-        t = c2[0] / c1[0]
-        c2 = (Fraction(0), c2[1] - t * c1[1])
-    xq = c1[1] / c1[0]
-    delta = c2[1] / c1[0]
-    return make_vertex(cfg, int(val_p(delta, p)), xq)
+    return _lattice_class(cfg, (c1, c2))
 
 
 def depth_via_tree(cfg: FieldConfig, X: Sl2Element, R: int):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem, LCFunction,
-                     PoolDeficient, RankDeficient, REG_EPS, REG_ONE, REG_PI,
-                     Sl2Element, ZERO_ORBIT, ad, construct_Hr_Omega,
+from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
+                     InvariantViolated, LCFunction, PoolDeficient,
+                     RankDeficient, REG_EPS, REG_ONE, REG_PI, Sl2Element,
+                     ZERO_ORBIT, ad, construct_Hr_Omega,
                      default_basis, default_pool, extract_germs,
                      extract_germs_auto, h_combination, homogeneity_extend,
                      indicator_lattice, kernel_combinations, make_vertex,
@@ -164,6 +165,26 @@ class TestHrOmega:
         pool = [("a", unit_ball(CFG)), ("b", indicator_lattice(CFG, BASE, 1))]
         with pytest.raises(PoolDeficient):
             construct_Hr_Omega(0, REG_ONE, pool)
+
+
+class TestInvariantChecks:
+    """The re-checks raise a GermlabError, so python -O keeps them."""
+
+    def test_construct_Hr_Omega_rejects_an_off_target_combination(self, monkeypatch):
+        from germlab import germs
+        solve = germs.solve_consistent
+        # solving for the next orbit in ORBIT_ORDER misses the requested one
+        monkeypatch.setattr(germs, "solve_consistent",
+                            lambda A, y: solve(A, y[-1:] + y[:-1]))
+        with pytest.raises(InvariantViolated):
+            construct_Hr_Omega(0, REG_ONE, default_pool(CFG, 0))
+
+    def test_verify_claim_rejects_a_nonzero_nilpotent_vector(self, monkeypatch):
+        from germlab import germs
+        # without the dilation combination, h keeps its single-orbit vector
+        monkeypatch.setattr(germs, "h_combination", lambda f, d: f)
+        with pytest.raises(InvariantViolated):
+            verify_claim(0, default_pool(CFG, 0), [])
 
 
 class TestClaim:

@@ -40,6 +40,17 @@ class TestConfig:
         assert CFG3.eps == 2
         assert CFG7.eps == 3
 
+    def test_eps_is_searched_once(self, monkeypatch):
+        from germlab import padic
+        calls = []
+        search = padic.smallest_nonsquare_unit
+        monkeypatch.setattr(padic, "smallest_nonsquare_unit",
+                            lambda p: calls.append(p) or search(p))
+        cfg = FieldConfig(11)
+        assert (cfg.eps, cfg.eps) == (2, 2)
+        assert calls == [11]
+        assert cfg == FieldConfig(11) and hash(cfg) == hash(FieldConfig(11))
+
     def test_zeta_is_p(self):
         assert CFG5.zeta == 5
         assert valuation(exact(CFG5, 5)) == 1
@@ -141,6 +152,13 @@ class TestSqrt:
     def test_perfect_square_canonical_branch(self):
         r = padic_sqrt(exact(CFG5, 4))
         assert r.exact_value() == 2  # leading digit 2 <= (p-1)/2
+
+    def test_exact_non_rational_square_gets_hensel_root(self):
+        # -4 is a square in Q5 but not in Q: the root is a Hensel lift
+        x = exact(CFG5, -4)
+        r = padic_sqrt(x)
+        assert not r.is_exact
+        assert (r * r).agrees_with(x)
 
     def test_odd_valuation_has_no_root(self):
         assert padic_sqrt(exact(CFG5, 5)) is None
