@@ -21,14 +21,13 @@ from .padic import FieldConfig, SquareClass
 from .sl2 import (ALL_ORBITS, Sl2Element, classify, depth, in_g_nil_r,
                   random_conjugate, rep_elliptic)
 from .tree import BASE, make_vertex
-from .lcfunc import (LCFunction, indicator_lattice, lcfunction_from_json,
-                     unit_ball)
+from .lcfunc import (LCFunction, h_combination, indicator_lattice,
+                     lcfunction_from_json, unit_ball)
 from .orbital import (Normalization, brute_force_cell_oracle,
-                      nilpotent_orbital, nilpotent_vector, ss_orbital,
-                      tree_oracle_compare)
-from .germs import (CSV_HEADER, default_basis, default_pool, extract_germs,
-                    homogeneity_extend, reports_to_csv, reports_to_json,
-                    verify_claim, verify_theorem)
+                      nilpotent_orbital, ss_orbital, tree_oracle_compare)
+from .germs import (construct_Hr_Omega, default_basis, default_pool,
+                    extract_germs, homogeneity_extend, reports_to_csv,
+                    verify_claim, verify_scaling, verify_theorem)
 
 
 @dataclass
@@ -99,36 +98,34 @@ def parse_f_spec(cfg: FieldConfig, spec: str) -> LCFunction:
         from .sl2 import OrbitLabel, rep_nilpotent
         Y = rep_nilpotent(cfg, OrbitLabel("regular", cls))
         return indicator_lattice(cfg, BASE, int(k), center=Y)
-    data = json.loads(s if s.startswith("[") else open(s).read())
-    return lcfunction_from_json(cfg, data)
+    if not s.startswith("["):
+        with open(s) as fh:
+            s = fh.read()
+    return lcfunction_from_json(cfg, json.loads(s))
+
+
+def _write(text: str, rc: RunConfig, filename: str, to_stdout: bool) -> None:
+    """Write a report into --out, or else print it when `to_stdout`."""
+    if rc.out:
+        os.makedirs(rc.out, exist_ok=True)
+        path = os.path.join(rc.out, filename)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    elif to_stdout:
+        sys.stdout.write(text)
 
 
 def _emit(doc: dict, rc: RunConfig, name: str) -> None:
     doc = {"config": rc.as_dict(),
            "normalization": Normalization(rc.field()).fingerprint(), **doc}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if rc.out:
-        os.makedirs(rc.out, exist_ok=True)
-        path = os.path.join(rc.out, f"{name}.json")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", rc, f"{name}.json", True)
 
 
 def _emit_csv(rows_csv: str, rc: RunConfig, name: str) -> None:
     header = (f"# config: {json.dumps(rc.as_dict(), sort_keys=True)} "
               f"normalization: {Normalization(rc.field()).fingerprint()}\n")
-    text = header + rows_csv
-    if rc.out:
-        os.makedirs(rc.out, exist_ok=True)
-        path = os.path.join(rc.out, f"{name}.csv")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {path}")
-    elif rc.fmt == "csv":
-        sys.stdout.write(text)
+    _write(header + rows_csv, rc, f"{name}.csv", rc.fmt == "csv")
 
 
 def cmd_nilpotent(rc: RunConfig, f_spec: str) -> int:
@@ -179,102 +176,115 @@ def _standard_grid(cfg: FieldConfig, r: int, seed: int, strict: bool
     return [(n, X) for n, X in out if in_g_nil_r(X, r, strict=strict)]
 
 
-def _theorem_family(cfg: FieldConfig, r: int):
+def _theorem_family(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
     pool = default_pool(cfg, r)
-    fam = list(pool)
-    fam.append(("combo-a", 2 * pool[0][1] - 3 * pool[1][1]))
-    fam.append(("combo-b", pool[2][1] + pool[5][1]))
-    from .lcfunc import h_combination
-    fam.append(("h-comb", h_combination(pool[1][1], 2)))
-    return pool, fam
+    return pool + [("combo-a", 2 * pool[0][1] - 3 * pool[1][1]),
+                   ("combo-b", pool[2][1] + pool[5][1]),
+                   ("h-comb", h_combination(pool[1][1], 2))]
+
+
+def _report_expansion(rc: RunConfig, suite: str, reports, gated: bool) -> int:
+    """CSV and JSON reports of an expansion suite; 1 if a checked row fails.
+
+    With `gated`, only gating rows are checked and the JSON counts them;
+    otherwise every row is checked.
+    """
+    checked = [x for x in reports if x.gating] if gated else reports
+    fails = [x for x in checked if not x.passed]
+    name = f"{suite}-r{rc.r}"
+    doc = {"suite": suite, "r": rc.r, "rows": len(reports), "failures": len(fails),
+           "failing_rows": [x.csv_row() for x in fails]}
+    if gated:
+        doc["gated"] = len(checked)
+    _emit_csv(reports_to_csv(reports), rc, name)
+    _emit(doc, rc, name)
+    return 1 if fails else 0
+
+
+def _verify_claim(rc: RunConfig) -> int:
+    cfg = rc.field()
+    grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
+    reports = verify_claim(rc.r, default_pool(cfg, rc.r), grid)
+    return _report_expansion(rc, "claim", reports, gated=False)
+
+
+def _verify_scaling(rc: RunConfig) -> int:
+    cfg = rc.field()
+    pool = default_pool(cfg, rc.r)
+    grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
+    rows = []
+    ok = True
+    for om in ALL_ORBITS:
+        for name, f in construct_Hr_Omega(rc.r, om, pool):
+            for xn, X in grid:
+                good = verify_scaling(rc.r, om, f, X)
+                ok = ok and good
+                rows.append({"f": name, "X": xn, "dim": om.dim, "pass": good})
+    _emit({"suite": "scaling", "r": rc.r, "rows": rows}, rc, f"scaling-r{rc.r}")
+    return 0 if ok else 1
+
+
+def _verify_theorem(rc: RunConfig) -> int:
+    cfg = rc.field()
+    grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
+    reports = verify_theorem(rc.r, _theorem_family(cfg, rc.r), grid)
+    return _report_expansion(rc, "theorem", reports, gated=True)
+
+
+def _verify_homogeneity(rc: RunConfig) -> int:
+    cfg = rc.field()
+    basis = default_basis(cfg)
+    bases = [("split", Sl2Element.from_rationals(cfg, cfg.p**2, 0, 0)),
+             ("unram", rep_elliptic(cfg, cfg.eps * cfg.p**4, tag=True)),
+             ("ram", rep_elliptic(cfg, cfg.p**5, tag=True))]
+    rows = []
+    ok = True
+    for name, X in bases:
+        t = extract_germs(X, basis)
+        t2 = extract_germs(X.scale(cfg.zeta**2), basis)
+        good = t2.same_values(homogeneity_extend(t, 1))
+        ok = ok and good
+        rows.append({"base": name, "pass": good})
+    _emit({"suite": "homogeneity", "rows": rows}, rc, "homogeneity")
+    return 0 if ok else 1
+
+
+def _verify_oracles(rc: RunConfig) -> int:
+    cfg = rc.field()
+    ball = unit_ball(cfg)
+    f1 = indicator_lattice(cfg, BASE, 1)
+    targets = [
+        ("split-d0", Sl2Element.from_rationals(cfg, 1, 0, 0)),
+        ("split-d1", Sl2Element.from_rationals(cfg, cfg.p, 0, 0)),
+        ("unram-d0", rep_elliptic(cfg, cfg.eps, tag=True)),
+        ("ram-d1of2", rep_elliptic(cfg, cfg.p, tag=True)),
+    ]
+    # (target label, f label, target, f, engine integral over the target's orbit)
+    cases = [(name, fn, X, f, ss_orbital) for name, X in targets
+             for fn, f in (("unit-ball", ball), ("mp:(0,0):1", f1))]
+    cases += [(repr(om), "unit-ball", om, ball, nilpotent_orbital) for om in ALL_ORBITS]
+    rows = []
+    ok = True
+    for name, fn, target, f, engine in cases:
+        eng = engine(target, f).value
+        orc = brute_force_cell_oracle(target, f)
+        good = orc.agrees_with(eng)
+        ok = ok and good
+        rows.append({"target": name, "f": fn, "engine": str(eng),
+                     "oracle": str(orc.value), "exact": orc.exact, "pass": good})
+    tree_rows, tree_ok = tree_oracle_compare(cfg)
+    ok = ok and tree_ok
+    _emit({"suite": "oracles", "rows": rows, "tree": tree_rows}, rc, "oracles")
+    return 0 if ok else 1
+
+
+SUITES = {"claim": _verify_claim, "scaling": _verify_scaling,
+          "theorem": _verify_theorem, "homogeneity": _verify_homogeneity,
+          "oracles": _verify_oracles}
 
 
 def cmd_verify(rc: RunConfig, suite: str) -> int:
-    cfg = rc.field()
-    r = rc.r
-    if suite == "theorem":
-        pool, fam = _theorem_family(cfg, r)
-        grid = _standard_grid(cfg, r, rc.seed, rc.depth_strict)
-        reports = verify_theorem(r, fam, grid)
-        gated = [x for x in reports if x.gating]
-        fails = [x for x in gated if not x.passed]
-        _emit_csv(reports_to_csv(reports), rc, f"theorem-r{r}")
-        _emit({"suite": "theorem", "r": r, "rows": len(reports),
-               "gated": len(gated), "failures": len(fails),
-               "failing_rows": [x.csv_row() for x in fails]}, rc, f"theorem-r{r}")
-        return 1 if fails else 0
-    if suite == "claim":
-        pool = default_pool(cfg, r)
-        grid = _standard_grid(cfg, r, rc.seed, rc.depth_strict)
-        reports = verify_claim(r, pool, grid)
-        fails = [x for x in reports if not x.passed]
-        _emit_csv(reports_to_csv(reports), rc, f"claim-r{r}")
-        _emit({"suite": "claim", "r": r, "rows": len(reports),
-               "failures": len(fails),
-               "failing_rows": [x.csv_row() for x in fails]}, rc, f"claim-r{r}")
-        return 1 if fails else 0
-    if suite == "scaling":
-        from .germs import construct_Hr_Omega, verify_scaling
-        pool = default_pool(cfg, r)
-        grid = _standard_grid(cfg, r, rc.seed, rc.depth_strict)
-        rows = []
-        ok = True
-        for om in ALL_ORBITS:
-            for name, f in construct_Hr_Omega(r, om, pool):
-                for xn, X in grid:
-                    good = verify_scaling(r, om, f, X)
-                    ok = ok and good
-                    rows.append({"f": name, "X": xn, "dim": om.dim, "pass": good})
-        _emit({"suite": "scaling", "r": r, "rows": rows}, rc, f"scaling-r{r}")
-        return 0 if ok else 1
-    if suite == "homogeneity":
-        basis = default_basis(cfg)
-        bases = [("split", Sl2Element.from_rationals(cfg, cfg.p**2, 0, 0)),
-                 ("unram", rep_elliptic(cfg, cfg.eps * cfg.p**4, tag=True)),
-                 ("ram", rep_elliptic(cfg, cfg.p**5, tag=True))]
-        rows = []
-        ok = True
-        for name, X in bases:
-            t = extract_germs(X, basis)
-            t2 = extract_germs(X.scale(cfg.zeta**2), basis)
-            good = t2.same_values(homogeneity_extend(t, 1))
-            ok = ok and good
-            rows.append({"base": name, "pass": good})
-        _emit({"suite": "homogeneity", "rows": rows}, rc, "homogeneity")
-        return 0 if ok else 1
-    if suite == "oracles":
-        cfg = rc.field()
-        ball = unit_ball(cfg)
-        f1 = indicator_lattice(cfg, BASE, 1)
-        rows = []
-        ok = True
-        targets = [
-            ("split-d0", Sl2Element.from_rationals(cfg, 1, 0, 0)),
-            ("split-d1", Sl2Element.from_rationals(cfg, cfg.p, 0, 0)),
-            ("unram-d0", rep_elliptic(cfg, cfg.eps, tag=True)),
-            ("ram-d1of2", rep_elliptic(cfg, cfg.p, tag=True)),
-        ]
-        for name, X in targets:
-            for fn, f in (("unit-ball", ball), ("mp:(0,0):1", f1)):
-                eng = ss_orbital(X, f).value
-                orc = brute_force_cell_oracle(X, f)
-                good = orc.agrees_with(eng)
-                ok = ok and good
-                rows.append({"target": name, "f": fn, "engine": str(eng),
-                             "oracle": str(orc.value), "exact": orc.exact,
-                             "pass": good})
-        for om in ALL_ORBITS:
-            eng = nilpotent_orbital(om, ball).value
-            orc = brute_force_cell_oracle(om, ball)
-            good = orc.agrees_with(eng)
-            ok = ok and good
-            rows.append({"target": repr(om), "f": "unit-ball", "engine": str(eng),
-                         "oracle": str(orc.value), "exact": orc.exact, "pass": good})
-        tree_rows, tree_ok = tree_oracle_compare(cfg)
-        ok = ok and tree_ok
-        _emit({"suite": "oracles", "rows": rows, "tree": tree_rows}, rc, "oracles")
-        return 0 if ok else 1
-    raise ValueError(f"unknown suite {suite!r}")
+    return SUITES[suite](rc)
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -311,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_ver, suppress=True)
-    p_ver.add_argument("suite", choices=("claim", "scaling", "theorem",
-                                         "homogeneity", "oracles"))
+    p_ver.add_argument("suite", choices=tuple(SUITES))
     p_ver.add_argument("--r", type=int, default=0)
     return ap
 

@@ -90,6 +90,22 @@ class ExpansionReport:
 CSV_HEADER = ["f_id", "X_id", "torus", "depth", "r", "lhs", "rhs", "residual", "pass"]
 
 
+def _nilpotent_matrix(pool: Sequence[Tuple[str, LCFunction]]) -> List[List[Fraction]]:
+    """One row (I_Omega(f))_Omega per pool member, columns in ORBIT_ORDER."""
+    return [[nv[om] for om in ORBIT_ORDER]
+            for nv in (nilpotent_vector(f) for _, f in pool)]
+
+
+def _combination(coeffs: Sequence[Fraction],
+                 pool: Sequence[Tuple[str, LCFunction]]) -> Optional[LCFunction]:
+    """sum_i c_i f_i over the nonzero coefficients; None when all vanish."""
+    f = None
+    for c, (_, g) in zip(coeffs, pool):
+        if c != 0:
+            f = c * g if f is None else f + c * g
+    return f
+
+
 def default_basis(cfg: FieldConfig) -> List[Tuple[str, LCFunction]]:
     """Rank-5 extraction basis: the unit ball, its dilate, four nilpotent cells."""
     from .sl2 import rep_nilpotent, REG_ONE, REG_EPS, REG_PI, REG_EPSPI
@@ -109,21 +125,15 @@ def extract_germs(X: Sl2Element, basis: Sequence[Tuple[str, LCFunction]],
     the first five and every held-out function must have zero residual,
     otherwise the system is reported inconsistent (X too shallow for some f).
     """
-    M = []
-    y = []
-    names = []
-    for name, f in basis:
-        nv = nilpotent_vector(f)
-        M.append([nv[om] for om in ORBIT_ORDER])
-        y.append(ss_orbital(X, f).value)
-        names.append(name)
+    M = _nilpotent_matrix(basis)
+    y = [ss_orbital(X, f).value for _, f in basis]
     if rank(M) < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
     x = solve_consistent(M, y)
     if x is None:
         raise InconsistentSystem("nonzero residual over the basis")
     values = {om: x[i] for i, om in enumerate(ORBIT_ORDER)}
-    table = GermTable(X, values, provenance=list(names))
+    table = GermTable(X, values, provenance=[name for name, _ in basis])
     for name, f in held_out:
         nv = nilpotent_vector(f)
         lhs = ss_orbital(X, f).value
@@ -176,13 +186,9 @@ def construct_Hr_Omega(r: int, omega: OrbitLabel,
     built from particular solutions of A^T x = e_omega (translated by kernel
     vectors for variety); every output is re-verified.
     """
-    A = []
-    for _, f in pool:
-        nv = nilpotent_vector(f)
-        A.append([nv[om] for om in ORBIT_ORDER])
-    if rank(A) < 5:
+    AT = list(zip(*_nilpotent_matrix(pool)))  # one row per orbit
+    if rank(AT) < 5:
         raise PoolDeficient("pool spans fewer than 5 independent nilpotent vectors")
-    AT = [[A[i][j] for i in range(len(A))] for j in range(5)]
     target = [Fraction(1) if om == omega else Fraction(0) for om in ORBIT_ORDER]
     x0 = solve_consistent(AT, target)
     if x0 is None:
@@ -191,12 +197,7 @@ def construct_Hr_Omega(r: int, omega: OrbitLabel,
     combos = [x0] + [[a + b for a, b in zip(x0, kv)] for kv in kernel[:2]]
     out = []
     for idx, coeffs in enumerate(combos):
-        f = None
-        for c, (_, g) in zip(coeffs, pool):
-            if c == 0:
-                continue
-            term = c * g
-            f = term if f is None else f + term
+        f = _combination(coeffs, pool)
         if f is None:
             continue
         nv = nilpotent_vector(f)
@@ -237,19 +238,10 @@ def default_pool(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
 
 def kernel_combinations(pool: Sequence[Tuple[str, LCFunction]]) -> List[Tuple[str, LCFunction]]:
     """Pool combinations with identically vanishing nilpotent vector."""
-    A = []
-    for _, f in pool:
-        nv = nilpotent_vector(f)
-        A.append([nv[om] for om in ORBIT_ORDER])
-    AT = [[A[i][j] for i in range(len(A))] for j in range(5)]
+    AT = list(zip(*_nilpotent_matrix(pool)))  # one row per orbit
     out = []
     for idx, kv in enumerate(nullspace(AT)):
-        f = None
-        for c, (_, g) in zip(kv, pool):
-            if c == 0:
-                continue
-            term = c * g
-            f = term if f is None else f + term
+        f = _combination(kv, pool)
         if f is not None and not f.is_zero:
             out.append((f"ker#{idx}", f))
     return out
@@ -296,16 +288,17 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
     the domain of the group-side transfer) are gated; shallower rows are
     contrast rows and only recorded.
     """
+    nil_vecs = [nilpotent_vector(f) for _, f in family]
     reports = []
     for xname, X in X_grid:
         table = extract_germs_auto(X, basis=basis)
         k = classify(X)
         d = depth(X)
-        for fname, f in family:
+        for (fname, f), nv in zip(family, nil_vecs):
             rf = f.proxy_depth()
             expected = (not isinstance(d, Deep)) and d >= rf and is_top_nilpotent(X)
             lhs = ss_orbital(X, f).value
-            rhs = table.expansion_rhs(nilpotent_vector(f))
+            rhs = table.expansion_rhs(nv)
             reports.append(ExpansionReport(
                 f_id=fname, x_id=xname, torus=k.torus_kind(), depth=d, r=rf,
                 lhs=lhs, rhs=rhs, expected=expected))

@@ -316,12 +316,8 @@ def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
 
 
 def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:
-    """All five nilpotent orbital integrals of f (cached on the function)."""
-    cached = getattr(f, "_nilvec", None)
-    if cached is None:
-        cached = {om: nilpotent_orbital(om, f).value for om in ALL_ORBITS}
-        f._nilvec = cached
-    return cached
+    """All five nilpotent orbital integrals (I_Omega(f))_Omega of f."""
+    return {om: nilpotent_orbital(om, f).value for om in ALL_ORBITS}
 
 
 # -- brute-force oracle ------------------------------------------------------

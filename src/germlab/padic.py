@@ -277,7 +277,9 @@ class PadicScalar:
         self.u = u
         self.n = n
         if kind == "approx":
-            assert n >= 1 and u % cfg.p != 0
+            if n < 1 or u % cfg.p == 0:
+                raise ValueError("an approximate scalar needs n >= 1 digits "
+                                 "and a unit u")
             self.u = u % cfg.p**n
 
     # -- constructors -------------------------------------------------

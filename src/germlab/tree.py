@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import BallTooSmall, InsufficientPrecision, NotRegular
-from .padic import (INF, FieldConfig, PadicScalar, mod_pk, rational_sqrt,
-                    val_p)
+from .padic import INF, FieldConfig, mod_pk, rational_sqrt, val_p
 from .sl2 import GroupElement, Sl2Element, classify
 
 
@@ -84,13 +83,11 @@ def distance(cfg: FieldConfig, v: TreeVertex, w: TreeVertex) -> int:
 def ad_to_base(cfg: FieldConfig, v: TreeVertex, a, b, c):
     """Entries (a', b', c') of Ad(g_v^{-1}) ((a, b), (c, -a)) = g_v^{-1} X g_v.
 
-    Takes Fractions or PadicScalars.  It moves g_{v,n} onto p^n sl2(O); on the
+    Takes exact rational entries.  It moves g_{v,n} onto p^n sl2(O); on the
     chart of an orbit it reads (a, b) -> (a + b x, p^m b), which keeps det and
     the invariant measure da db/|b|.
     """
     x, pm = v.x, Fraction(cfg.p) ** v.m
-    if isinstance(a, PadicScalar):  # convert once, not once per product
-        x, pm = PadicScalar.exact(cfg, x), PadicScalar.exact(cfg, pm)
     a2 = a + b * x
     return a2, b * pm, (c - x * a - x * a2) / pm
 
@@ -103,14 +100,13 @@ class LatticeDescriptor:
     vertex: TreeVertex
     level: int
 
-    def _conjugated_entries(self, X: Sl2Element):
-        """Entries of Ad(g_v^{-1}) X as PadicScalars."""
-        return ad_to_base(self.cfg, self.vertex, X.a, X.b, X.c)
-
     def min_level(self, X: Sl2Element):
-        """Largest n with X in g_{v,n}; INF for X = 0."""
-        a2, b2, c2 = self._conjugated_entries(X)
-        return min(a2.valuation(), b2.valuation(), c2.valuation())
+        """Largest n with X in g_{v,n}; INF for X = 0.
+
+        Raises InsufficientPrecision unless X is known exactly.
+        """
+        moved = ad_to_base(self.cfg, self.vertex, *X.exact_entries())
+        return min(val_p(t, self.cfg.p) for t in moved)
 
     def contains(self, X: Sl2Element) -> bool:
         return self.min_level(X) >= self.level

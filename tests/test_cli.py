@@ -1,10 +1,13 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from germlab.cli import main, parse_f_spec, parse_x_spec
-from germlab import FieldConfig
+from germlab import (FieldConfig, indicator_lattice, lcfunction_to_json,
+                     make_vertex)
+from germlab.tree import BASE
 
 CFG = FieldConfig(5)
 
@@ -32,6 +35,13 @@ class TestParsers:
         assert f.terms[0][1].vertex.m == 1
         g = parse_f_spec(CFG, "nil:pi:2")
         assert g.terms[0][1].center.b.exact_value() == 5
+
+    def test_f_spec_json_file_roundtrip(self, tmp_path):
+        f = (indicator_lattice(CFG, BASE, 1)
+             + Fraction(1, 2) * indicator_lattice(CFG, make_vertex(CFG, 1, 0), 1))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(lcfunction_to_json(f)))
+        assert parse_f_spec(CFG, str(path)).equals(f)
 
 
 class TestNilpotentCommand:
@@ -91,11 +101,12 @@ class TestVerifyCommand:
         assert first[0].startswith("# config:")
         assert first[1] == "f_id,X_id,torus,depth,r,lhs,rhs,residual,pass"
 
-    def test_determinism_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("suite", ["claim", "theorem"])
+    def test_determinism_byte_identical(self, tmp_path, capsys, suite):
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        run(capsys, "--out", str(d1), "verify", "claim", "--r", "0")
-        run(capsys, "--out", str(d2), "verify", "claim", "--r", "0")
-        for name in ("claim-r0.json", "claim-r0.csv"):
+        run(capsys, "--out", str(d1), "verify", suite, "--r", "0")
+        run(capsys, "--out", str(d2), "verify", suite, "--r", "0")
+        for name in (f"{suite}-r0.json", f"{suite}-r0.csv"):
             b1 = (d1 / name).read_bytes()
             b2 = (d2 / name).read_bytes()
             assert b1 == b2

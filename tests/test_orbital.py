@@ -70,6 +70,13 @@ class TestNilpotentAnchors:
             for om in ALL_ORBITS:
                 assert nv[om] == a * nf[om] + b * ng[om]
 
+    def test_vector_is_pure(self):
+        f = unit_ball(CFG) + indicator_lattice(CFG, make_vertex(CFG, 1, 0), 1)
+        before = dict(vars(f))
+        first = nilpotent_vector(f)
+        assert vars(f) == before
+        assert nilpotent_vector(f) == first
+
     def test_dilated_example(self):
         f = unit_ball(CFG).dilate(CFG.zeta**2)
         assert nilpotent_orbital(REG_ONE, f).value == Fraction(25, 2)

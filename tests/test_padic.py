@@ -123,6 +123,10 @@ class TestArith:
     def test_valuation_of_zero_is_infinite(self):
         assert valuation(PadicScalar.zero(CFG5)) == INF
 
+    def test_approx_rejects_a_non_unit(self):
+        with pytest.raises(ValueError):
+            PadicScalar.approx(CFG5, 0, 5, 3)
+
 
 class TestSquareClass:
     def test_examples(self):
