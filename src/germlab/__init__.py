@@ -5,11 +5,10 @@ p-adic precision, integrals are stratified coset sums with certified
 geometric tails, and germ tables come from exact linear algebra.
 """
 
-from .errors import (AmbiguousNilpotent, BallTooSmall, DivisionByZero,
-                     GermlabError, GridTooLarge, InconsistentSystem,
-                     InsufficientPrecision, InvariantViolated, NotRegular,
-                     OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch,
-                     TailUnstable)
+from .errors import (BallTooSmall, DivisionByZero, GermlabError, GridTooLarge,
+                     InconsistentSystem, InsufficientPrecision,
+                     InvariantViolated, NotRegular, OutsideDomain,
+                     PoolDeficient, RankDeficient, SpecMismatch, TailUnstable)
 from .padic import (FieldConfig, PadicScalar, QuadExtDescriptor, SquareClass,
                     arith, hilbert_symbol, is_norm, legendre, padic_sqrt,
                     scalar_from_rational, square_class, val_p, valuation)

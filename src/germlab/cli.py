@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import (GermlabError, GridTooLarge, InsufficientPrecision,
-                     NotRegular, TailUnstable)
+from .errors import GermlabError, GridTooLarge, NotRegular, TailUnstable
 from .padic import FieldConfig, SquareClass
 from .sl2 import (ALL_ORBITS, Sl2Element, classify, depth, in_g_nil_r,
                   random_conjugate, rep_elliptic)
@@ -283,10 +282,6 @@ SUITES = {"claim": _verify_claim, "scaling": _verify_scaling,
           "oracles": _verify_oracles}
 
 
-def cmd_verify(rc: RunConfig, suite: str) -> int:
-    return SUITES[suite](rc)
-
-
 def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
     # the same flags are accepted before and after the subcommand; the
     # subcommand copies use SUPPRESS so they never clobber parsed values
@@ -313,16 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_nil = sub.add_parser("nilpotent", help="five nilpotent orbital integrals")
     _add_common(p_nil, suppress=True)
     p_nil.add_argument("--f", required=True, help="f-spec (unit-ball|zero|mp:..|nil:..|JSON)")
+    p_nil.set_defaults(run=lambda rc, ns: cmd_nilpotent(rc, ns.f))
 
     p_orb = sub.add_parser("orbital", help="semisimple orbital integral")
     _add_common(p_orb, suppress=True)
     p_orb.add_argument("--X", required=True, help='X-spec ("diag(1,-1)" or [[a,b],[c,-a]])')
     p_orb.add_argument("--f", required=True)
+    p_orb.set_defaults(run=lambda rc, ns: cmd_orbital(rc, ns.X, ns.f))
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_ver, suppress=True)
     p_ver.add_argument("suite", choices=tuple(SUITES))
     p_ver.add_argument("--r", type=int, default=0)
+    p_ver.set_defaults(run=lambda rc, ns: SUITES[ns.suite](rc))
     return ap
 
 
@@ -340,17 +338,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("warning: p=3 is allowed but small residue characteristic is "
                   "outside the comfortable regime; default test prime is 5",
                   file=sys.stderr)
-        if ns.command == "nilpotent":
-            return cmd_nilpotent(rc, ns.f)
-        if ns.command == "orbital":
-            return cmd_orbital(rc, ns.X, ns.f)
-        if ns.command == "verify":
-            return cmd_verify(rc, ns.suite)
-        return 2
+        return ns.run(rc, ns)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NotRegular, TailUnstable, GridTooLarge, InsufficientPrecision) as exc:
+    except (NotRegular, TailUnstable, GridTooLarge) as exc:
         print(f"computational error: {exc}", file=sys.stderr)
         return 3
     except GermlabError as exc:

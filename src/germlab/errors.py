@@ -18,10 +18,6 @@ class DivisionByZero(GermlabError, ZeroDivisionError):
     """Division by (exact or certified) zero."""
 
 
-class AmbiguousNilpotent(GermlabError):
-    """det is zero to working precision but the element is not exactly presented."""
-
-
 class OutsideDomain(GermlabError):
     """Argument lies outside the domain of the map (e.g. Cayley on non-nilpotent)."""
 

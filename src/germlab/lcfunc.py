@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import OutsideDomain
-from .padic import INF, FieldConfig, PadicScalar, mod_pk, val_p
+from .padic import INF, FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, cayley_inv
 from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, basis_matrix,
                    cartan, distance, mp_lattice)
@@ -128,8 +128,7 @@ class LCFunction:
         out = 0
         for _, cell in self.terms:
             d = distance(self.cfg, BASE, cell.vertex)
-            ent = min((x.valuation() for x in
-                       (cell.center.a, cell.center.b, cell.center.c)), default=INF)
+            ent = min(val_p(x, self.cfg.p) for x in cell.center.exact_entries())
             lat = cell.level - d
             lo = min(ent, lat)
             out = max(out, int(-lo) if lo is not INF and lo < 0 else 0)
@@ -151,7 +150,7 @@ class LCFunction:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, X: Sl2Element) -> Fraction:
-        if self._canonical is not None and X.is_exact:
+        if self._canonical is not None:
             # disjoint standard cells: a single dict lookup
             p = self.cfg.p
             N = self._canonical_level
@@ -233,7 +232,7 @@ class LCFunction:
 
     def dilate(self, c) -> "LCFunction":
         """f_c with f_c(X) = f(cX): cells scale by c^{-1}, levels drop by val(c)."""
-        c = c.exact_value() if isinstance(c, PadicScalar) else Fraction(c)
+        c = Fraction(c)
         if c == 0:
             raise ValueError("dilation scalar must be invertible")
         vc = int(val_p(c, self.cfg.p))

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (GridTooLarge, InsufficientPrecision, NotRegular,
-                     TailUnstable)
+from .errors import GridTooLarge, NotRegular, TailUnstable
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
                     hensel_sqrt, leading_digit, legendre, mod_pk, val_p)
 from .sl2 import (ALL_ORBITS, ElementClass, OrbitLabel, Sl2Element, ZERO_ORBIT,
@@ -296,8 +295,6 @@ def ss_orbital(X: Sl2Element, f: LCFunction) -> IntegralResult:
     k = classify(X)
     if not k.is_regular:
         raise NotRegular("ss_orbital needs a regular semisimple element")
-    if not X.is_exact:
-        raise InsufficientPrecision("the engine needs exact rational entries")
     a, b, c = X.exact_entries()
     s = a * a + b * c  # -det
     vs = int(val_p(s, cfg.p))

@@ -13,16 +13,14 @@ group elements; it is Ad-equivariant and sends 0 to the identity.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (AmbiguousNilpotent, InsufficientPrecision, OutsideDomain,
-                     SpecMismatch)
-from .padic import (INF, FieldConfig, PadicScalar, QuadExtDescriptor,
-                    SquareClass, val_p)
+from .errors import OutsideDomain, SpecMismatch
+from .padic import (FieldConfig, PadicScalar, QuadExtDescriptor, SquareClass,
+                    square_class_of_rational, val_p)
 
 
 class Deep:
@@ -83,38 +81,33 @@ DIM_NILPOTENT_CONE = 2
 
 
 class Sl2Element:
-    """Trace-zero 2x2 matrix ((a, b), (c, -a)) over PadicScalar."""
+    """Trace-zero 2x2 matrix ((a, b), (c, -a)) with exact rational entries."""
 
     __slots__ = ("cfg", "a", "b", "c")
 
-    def __init__(self, cfg: FieldConfig, a: PadicScalar, b: PadicScalar, c: PadicScalar):
+    def __init__(self, cfg: FieldConfig, a, b, c):
         self.cfg = cfg
-        self.a, self.b, self.c = a, b, c
+        self.a, self.b, self.c = Fraction(a), Fraction(b), Fraction(c)
 
     @classmethod
     def from_rationals(cls, cfg: FieldConfig, a, b, c) -> "Sl2Element":
-        E = lambda x: PadicScalar.exact(cfg, Fraction(x))
-        return cls(cfg, E(a), E(b), E(c))
+        return cls(cfg, a, b, c)
 
     @classmethod
     def zero(cls, cfg: FieldConfig) -> "Sl2Element":
-        return cls.from_rationals(cfg, 0, 0, 0)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.a.is_exact and self.b.is_exact and self.c.is_exact
+        return cls(cfg, 0, 0, 0)
 
     def exact_entries(self) -> tuple:
-        return (self.a.exact_value(), self.b.exact_value(), self.c.exact_value())
+        return (self.a, self.b, self.c)
 
-    def det(self) -> PadicScalar:
+    def det(self) -> Fraction:
         return -(self.a * self.a) - self.b * self.c
 
     def is_zero_elt(self) -> bool:
-        return self.a.is_zero and self.b.is_zero and self.c.is_zero
+        return not (self.a or self.b or self.c)
 
     def scale(self, t) -> "Sl2Element":
-        s = PadicScalar.exact(self.cfg, Fraction(t)) if not isinstance(t, PadicScalar) else t
+        s = Fraction(t)
         return Sl2Element(self.cfg, self.a * s, self.b * s, self.c * s)
 
     def __add__(self, other: "Sl2Element") -> "Sl2Element":
@@ -129,61 +122,47 @@ class Sl2Element:
     def __eq__(self, other):
         if not isinstance(other, Sl2Element):
             return NotImplemented
-        return self.a == other.a and self.b == other.b and self.c == other.c
+        return self.exact_entries() == other.exact_entries()
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        return hash(self.exact_entries())
 
     def __repr__(self):
-        return f"[[{self.a!r},{self.b!r}],[{self.c!r},-a]]"
+        return f"Sl2Element({self.matrix_str()})"
 
     def matrix_str(self) -> str:
-        def s(x: PadicScalar) -> str:
-            return str(x.exact_value()) if x.is_exact else x.serialize()
-        return f"[[{s(self.a)},{s(self.b)}],[{s(self.c)},{s(-self.a)}]]"
+        return f"[[{self.a},{self.b}],[{self.c},{-self.a}]]"
 
 
 class GroupElement:
-    """2x2 matrix over PadicScalar with determinant 1 (verified on build)."""
+    """2x2 matrix with exact rational entries and determinant 1 (checked on build)."""
 
     __slots__ = ("cfg", "m")
 
     def __init__(self, cfg: FieldConfig, entries):
         self.cfg = cfg
-        self.m = tuple(tuple(row) for row in entries)
+        self.m = tuple(tuple(Fraction(x) for x in row) for row in entries)
         d = self.det()
-        one = PadicScalar.exact(cfg, 1)
-        if d.is_exact:
-            if d.exact_value() != 1:
-                raise ValueError(f"determinant {d.exact_value()} != 1")
-        elif not d.agrees_with(one):
-            raise ValueError("determinant differs from 1 within known digits")
+        if d != 1:
+            raise ValueError(f"determinant {d} != 1")
 
     @classmethod
     def from_rationals(cls, cfg: FieldConfig, rows) -> "GroupElement":
-        E = lambda x: PadicScalar.exact(cfg, Fraction(x))
-        return cls(cfg, [[E(x) for x in row] for row in rows])
+        return cls(cfg, rows)
 
     @classmethod
     def identity(cls, cfg: FieldConfig) -> "GroupElement":
-        return cls.from_rationals(cfg, [[1, 0], [0, 1]])
+        return cls(cfg, [[1, 0], [0, 1]])
 
-    def det(self) -> PadicScalar:
+    def det(self) -> Fraction:
         (a, b), (c, d) = self.m
         return a * d - b * c
 
-    def trace(self) -> PadicScalar:
+    def trace(self) -> Fraction:
         return self.m[0][0] + self.m[1][1]
 
-    def entry(self, i: int, j: int) -> PadicScalar:
+    def entry(self, i: int, j: int) -> Fraction:
         return self.m[i][j]
-
-    @property
-    def is_exact(self) -> bool:
-        return all(x.is_exact for row in self.m for x in row)
-
-    def exact_entries(self) -> tuple:
-        return tuple(tuple(x.exact_value() for x in row) for row in self.m)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         A, B = self.m, other.m
@@ -197,13 +176,11 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return all(self.m[i][j] == other.m[i][j] for i in range(2) for j in range(2))
+        return self.m == other.m
 
     def matrix_str(self) -> str:
-        def s(x: PadicScalar) -> str:
-            return str(x.exact_value()) if x.is_exact else x.serialize()
         (a, b), (c, d) = self.m
-        return f"[[{s(a)},{s(b)}],[{s(c)},{s(d)}]]"
+        return f"[[{a},{b}],[{c},{d}]]"
 
     def __repr__(self):
         return f"GroupElement({self.matrix_str()})"
@@ -237,23 +214,18 @@ def classify(X: Sl2Element) -> ElementClass:
     """Regular semisimple / nilpotent / zero, with torus type and orbit tags."""
     if X.is_zero_elt():
         return ElementClass("zero", label=ZERO_ORBIT)
-    try:
-        d = X.det()
-    except InsufficientPrecision:
-        if not X.is_exact:
-            raise AmbiguousNilpotent(
-                "det vanishes to precision but the element is not exactly presented")
-        raise
-    if d.is_zero:
-        tag_src = X.b if not X.b.is_zero else -X.c
-        return ElementClass("nilpotent", label=OrbitLabel("regular", tag_src.square_class()))
-    mdet = -d
-    cls = mdet.square_class()
+    p = X.cfg.p
+    tag_src = X.b if X.b else -X.c
+    mdet = -X.det()
+    if mdet == 0:
+        return ElementClass("nilpotent",
+                            label=OrbitLabel("regular", square_class_of_rational(tag_src, p)))
+    cls = square_class_of_rational(mdet, p)
     if cls == SquareClass.ONE:
-        return ElementClass("regular", torus="split", u=mdet.sqrt())
+        return ElementClass("regular", torus="split",
+                            u=PadicScalar.exact(X.cfg, mdet).sqrt())
     ext = QuadExtDescriptor(cls)
-    tag_src = X.b if not X.b.is_zero else -X.c
-    return ElementClass("regular", torus=ext, ss_tag=tag_src.is_norm(ext))
+    return ElementClass("regular", torus=ext, ss_tag=ext.is_norm_rational(tag_src, X.cfg))
 
 
 def depth(X: Sl2Element):
@@ -261,7 +233,7 @@ def depth(X: Sl2Element):
     k = classify(X)
     if k.kind in ("zero", "nilpotent"):
         return DEEP
-    return Fraction(int(X.det().valuation()), 2)
+    return Fraction(val_p(X.det(), X.cfg.p), 2)
 
 
 def in_g_r(X: Sl2Element, r, strict: bool = False) -> bool:
@@ -273,8 +245,7 @@ def in_g_r(X: Sl2Element, r, strict: bool = False) -> bool:
 
 def is_top_nilpotent(X: Sl2Element) -> bool:
     """True iff both eigenvalues have positive valuation (val(det) > 0)."""
-    v = X.det().valuation()
-    return v > 0
+    return val_p(X.det(), X.cfg.p) > 0
 
 
 def in_g_nil_r(X: Sl2Element, r, strict: bool = False) -> bool:
@@ -286,11 +257,9 @@ def cayley(X: Sl2Element) -> GroupElement:
     """phi(X) = ((1 - det/4) I + X) / (1 + det/4); requires X in g_nil."""
     if not is_top_nilpotent(X):
         raise OutsideDomain("Cayley map needs a topologically nilpotent argument")
-    D = X.det()
-    one = PadicScalar.exact(X.cfg, 1)
-    quarter = PadicScalar.exact(X.cfg, Fraction(1, 4))
-    F = one - quarter * D
-    G = one + quarter * D
+    d4 = X.det() / 4
+    F = 1 - d4
+    G = 1 + d4
     return GroupElement(X.cfg, [[(F + X.a) / G, X.b / G],
                                 [X.c / G, (F - X.a) / G]])
 
@@ -298,17 +267,11 @@ def cayley(X: Sl2Element) -> GroupElement:
 def cayley_inv(g: GroupElement) -> Sl2Element:
     """Inverse Cayley map: X = (4g - 2 tr(g) I) / det(g + 1)."""
     t = g.trace()
-    two = PadicScalar.exact(g.cfg, 2)
-    tm2 = t - two
-    if not (tm2.is_zero or tm2.valuation() > 0):
+    if val_p(t - 2, g.cfg.p) <= 0:
         raise OutsideDomain("inverse Cayley needs a topologically unipotent argument")
-    one = PadicScalar.exact(g.cfg, 1)
-    delta = (g.entry(0, 0) + one) * (g.entry(1, 1) + one) - g.entry(0, 1) * g.entry(1, 0)
-    four = PadicScalar.exact(g.cfg, 4)
-    a = (four * g.entry(0, 0) - two * t) / delta
-    b = (four * g.entry(0, 1)) / delta
-    c = (four * g.entry(1, 0)) / delta
-    return Sl2Element(g.cfg, a, b, c)
+    (g11, g12), (g21, g22) = g.m
+    delta = (g11 + 1) * (g22 + 1) - g12 * g21
+    return Sl2Element(g.cfg, (4 * g11 - 2 * t) / delta, 4 * g12 / delta, 4 * g21 / delta)
 
 
 def ad(g: GroupElement, X: Sl2Element) -> Sl2Element:
@@ -363,7 +326,6 @@ def rep_split(cfg: FieldConfig, u) -> Sl2Element:
 def rep_elliptic(cfg: FieldConfig, s, tag: bool = True) -> Sl2Element:
     """((0, b0), (s/b0, 0)) with -det = s; b0 picked to realize the norm tag."""
     s = Fraction(s)
-    from .padic import square_class_of_rational
     cls = square_class_of_rational(s, cfg.p)
     if cls == SquareClass.ONE:
         raise SpecMismatch("-det is a square; this torus is split")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import BallTooSmall, InsufficientPrecision, NotRegular
+from .errors import BallTooSmall, NotRegular
 from .padic import INF, FieldConfig, mod_pk, rational_sqrt, val_p
 from .sl2 import GroupElement, Sl2Element, classify
 
@@ -101,10 +101,7 @@ class LatticeDescriptor:
     level: int
 
     def min_level(self, X: Sl2Element):
-        """Largest n with X in g_{v,n}; INF for X = 0.
-
-        Raises InsufficientPrecision unless X is known exactly.
-        """
+        """Largest n with X in g_{v,n}; INF for X = 0."""
         moved = ad_to_base(self.cfg, self.vertex, *X.exact_entries())
         return min(val_p(t, self.cfg.p) for t in moved)
 
@@ -124,9 +121,7 @@ def mp_lattice(cfg: FieldConfig, v: TreeVertex, n: int) -> LatticeDescriptor:
 
 def act(cfg: FieldConfig, g: GroupElement, v: TreeVertex) -> TreeVertex:
     """Canonical coordinates of g . v (class of g applied to the lattice)."""
-    if not g.is_exact:
-        raise InsufficientPrecision("tree action needs exact group entries")
-    (g11, g12), (g21, g22) = g.exact_entries()
+    (g11, g12), (g21, g22) = g.m
     (b11, b12), (b21, b22) = basis_matrix(cfg, v)
     # columns of M = g * g_v generate the image lattice
     c1 = (g11 * b11 + g12 * b21, g21 * b11 + g22 * b21)

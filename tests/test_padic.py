@@ -7,7 +7,8 @@ from germlab import (DivisionByZero, FieldConfig, InsufficientPrecision,
                      PadicScalar, QuadExtDescriptor, SquareClass, arith,
                      hilbert_symbol, is_norm, padic_sqrt, scalar_from_rational,
                      square_class, val_p, valuation)
-from germlab.padic import INF, legendre, mod_pk, unit_mod_pk
+from germlab.padic import (INF, legendre, mod_pk, square_class_of_rational,
+                           unit_mod_pk)
 
 CFG5 = FieldConfig(5)
 CFG3 = FieldConfig(3)
@@ -249,6 +250,24 @@ class TestIsNorm:
                 lhs = is_norm(ext, exact(CFG5, x * y))
                 assert lhs == (is_norm(ext, exact(CFG5, x))
                                == is_norm(ext, exact(CFG5, y)))
+
+
+class TestRationalHelpers:
+    """The Fraction helpers that `classify` reads agree with PadicScalar."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_agree_with_scalar_predicates(self, p):
+        cfg = FieldConfig(p)
+        exts = [QuadExtDescriptor(c)
+                for c in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI)]
+        for den in (1, p, p * p, 2, 3 * p):
+            for num in range(-60, 61):
+                if num == 0:
+                    continue
+                x = Fraction(num, den)
+                assert square_class_of_rational(x, p) == exact(cfg, x).square_class()
+                for ext in exts:
+                    assert ext.is_norm_rational(x, cfg) == exact(cfg, x).is_norm(ext)
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ from germlab import (DEEP, FieldConfig, GroupElement, OutsideDomain,
                      cayley_inv, classify, depth, in_g_nil_r, in_g_r,
                      is_top_nilpotent, random_sl2, rep_elliptic,
                      rep_nilpotent, rep_split, standard_representative)
+from germlab.padic import val_p
 from germlab.sl2 import ALL_ORBITS, DIM_NILPOTENT_CONE
 from germlab.tree import BASE, depth_via_tree
 
@@ -127,8 +128,8 @@ class TestCayley:
         u = Fraction(5)
         g = cayley(M(u, 0, 0))
         want = (1 + u / 2) / (1 - u / 2)
-        assert g.entry(0, 0).exact_value() == want
-        assert g.entry(1, 1).exact_value() == 1 / want
+        assert g.entry(0, 0) == want
+        assert g.entry(1, 1) == 1 / want
 
     def test_det_one_and_roundtrip(self):
         rng = random.Random(24)
@@ -138,7 +139,7 @@ class TestCayley:
             if not is_top_nilpotent(X):
                 continue
             g = cayley(X)
-            assert g.det().exact_value() == 1
+            assert g.det() == 1
             back = cayley_inv(g)
             assert back == X
 
@@ -165,11 +166,23 @@ class TestCayley:
                 for i in range(2):
                     for j in range(2):
                         d = g.entry(i, j) - one.entry(i, j)
-                        assert d.is_zero or d.valuation() >= r
+                        assert d == 0 or val_p(d, 5) >= r
 
     def test_outside_domain(self):
         with pytest.raises(OutsideDomain):
             cayley(M(1, 0, 0))
+
+    def test_inverse_outside_domain(self):
+        # trace 5/2: tr - 2 = 1/2 is a unit, so g is not topologically unipotent
+        g = GroupElement.from_rationals(CFG, [[2, 0], [0, Fraction(1, 2)]])
+        with pytest.raises(OutsideDomain):
+            cayley_inv(g)
+
+
+class TestGroupElement:
+    def test_determinant_must_be_one(self):
+        with pytest.raises(ValueError):
+            GroupElement.from_rationals(CFG, [[2, 0], [0, 1]])
 
 
 class TestAd:
@@ -182,13 +195,13 @@ class TestAd:
         for _ in range(100):
             X = M(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
             g = random_sl2(CFG, rng)
-            assert ad(g, X).det().exact_value() == X.det().exact_value()
+            assert ad(g, X).det() == X.det()
 
 
 class TestRepresentatives:
     def test_nilpotent_reps(self):
         X = rep_nilpotent(CFG, REG_PI)
-        assert X.b.exact_value() == 5
+        assert X.b == 5
         assert classify(X).label == REG_PI
         assert rep_nilpotent(CFG, ZERO_ORBIT).is_zero_elt()
 
@@ -204,15 +217,15 @@ class TestRepresentatives:
                 X = rep_elliptic(CFG, s, tag=tag)
                 k = classify(X)
                 assert k.ss_tag is tag
-                assert (-X.det().exact_value()) == s
+                assert -X.det() == s
 
     def test_elliptic_rejects_square(self):
         with pytest.raises(SpecMismatch):
             rep_elliptic(CFG, 4)
 
     def test_dispatch(self):
-        assert standard_representative(CFG, REG_PI).b.exact_value() == 5
+        assert standard_representative(CFG, REG_PI).b == 5
         assert classify(standard_representative(CFG, ("split", 2))).is_split
-        assert standard_representative(CFG, ("elliptic", 2, True)).b.exact_value() == 1
+        assert standard_representative(CFG, ("elliptic", 2, True)).b == 1
         with pytest.raises(SpecMismatch):
             standard_representative(CFG, "bogus")
