@@ -1,43 +1,37 @@
 #!/usr/bin/env python3
-"""Tour of exact Q_p arithmetic: precision tracking, square classes, norms.
+"""Tour of the p-adic facts read off exact rationals: valuations, digits,
+square classes, Hensel roots and norms.
 
 Run:  python3 demos/demo_padic_arithmetic.py
 """
 
 from fractions import Fraction
 
-from germlab import (FieldConfig, InsufficientPrecision, PadicScalar,
-                     QuadExtDescriptor, SquareClass, padic_sqrt,
-                     scalar_from_rational, square_class)
+from germlab import FieldConfig, QuadExtDescriptor, SquareClass, val_p
+from germlab.padic import hensel_sqrt, mod_pk, square_class_of_rational, unit_mod_pk
 
 cfg = FieldConfig(5)
-print(f"Field: Q_{cfg.p}, uniformizer zeta = {cfg.zeta}, "
-      f"nonsquare unit eps = {cfg.eps}, working digits = {cfg.precision}")
+p = cfg.p
+print(f"Field: Q_{p}, uniformizer zeta = {cfg.zeta}, nonsquare unit eps = {cfg.eps}")
 
-# Exact scalars remember their rational value, so cancellation is exact.
-x = scalar_from_rational(7, 10, cfg)
-print(f"\n7/10 in Q_5:  valuation {x.valuation()},  digits {x.digits(6)}")
-print("serialized:", x.serialize())
-
-y = x - x
-print("x - x is exact zero:", y.is_zero)
-
-# Approximate scalars carry a digit window; arithmetic never inflates it.
-a = PadicScalar.approx(cfg, 0, 1, 3)           # 1 + O(5^3)
-b = PadicScalar.exact(cfg, -1 + 5**3 * 2)      # -1 + 2*5^3
-try:
-    a + b
-except InsufficientPrecision as e:
-    print("adding 1+O(5^3) to -1+2*5^3:", e)
+# Every number is an exact Fraction; its p-adic data is read off on demand.
+x = Fraction(7, 10)
+u = unit_mod_pk(x, p, 6)
+digits = [u // p**i % p for i in range(6)]
+print(f"\n7/10 in Q_5:  valuation {val_p(x, p)},  unit digits {tuple(digits)}")
+for k in (0, 1, 3):
+    print(f"7/10 mod 5^{k}: {mod_pk(x, p, k)}")
+print("valuation of 0:", val_p(0, p))
 
 # Square classes: the four-element group F*/(F*)^2.
 for v in (4, 2, 5, 10, -1):
-    print(f"square class of {v}:", square_class(scalar_from_rational(v, 1, cfg)).value)
+    print(f"square class of {v}:", square_class_of_rational(v, p).value)
 
-# Hensel square roots with a canonical branch.
-r = padic_sqrt(scalar_from_rational(6, 1, cfg))
-print("\nsqrt(6) in Q_5:", r.serialize())
-print("check (sqrt 6)^2 agrees with 6:", (r * r).agrees_with(scalar_from_rational(6, 1, cfg)))
+# Hensel square roots of units with a canonical branch (leading digit <= 2).
+k = 12
+r = hensel_sqrt(6, p, k)
+print(f"\nsqrt(6) mod 5^{k} = {r}, leading digit {r % p}")
+print(f"check r^2 = 6 mod 5^{k}:", (r * r - 6) % p**k == 0)
 
 # Norm groups of the three quadratic extensions.
 for cls in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI):

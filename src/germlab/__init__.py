@@ -1,17 +1,17 @@
 """Exact p-adic orbital integrals and germ expansions for sl2(Q_p), p odd.
 
-Everything is computed in exact rational arithmetic: scalars carry their
-p-adic precision, integrals are stratified coset sums with certified
+Everything is computed in exact rational arithmetic: matrix entries are
+Fractions whose p-adic data (valuation, digits, square class, norm tags)
+`padic` reads, integrals are stratified coset sums with certified
 geometric tails, and germ tables come from exact linear algebra.
 """
 
-from .errors import (BallTooSmall, DivisionByZero, GermlabError, GridTooLarge,
-                     InconsistentSystem, InsufficientPrecision,
-                     InvariantViolated, NotRegular, OutsideDomain,
-                     PoolDeficient, RankDeficient, SpecMismatch, TailUnstable)
-from .padic import (FieldConfig, PadicScalar, QuadExtDescriptor, SquareClass,
-                    arith, hilbert_symbol, is_norm, legendre, padic_sqrt,
-                    scalar_from_rational, square_class, val_p, valuation)
+from .errors import (BallTooSmall, GermlabError, GridTooLarge,
+                     InconsistentSystem, InvariantViolated, NotRegular,
+                     OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch,
+                     TailUnstable)
+from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
+                    hilbert_symbol, legendre, val_p)
 from .sl2 import (ALL_ORBITS, DEEP, DIM_NILPOTENT_CONE, Deep, ElementClass,
                   GroupElement, OrbitLabel, REG_EPS, REG_EPSPI, REG_ONE,
                   REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley, cayley_inv,

@@ -32,7 +32,6 @@ from .germs import (construct_Hr_Omega, default_basis, default_pool,
 @dataclass
 class RunConfig:
     p: int
-    precision: int
     r: int
     seed: int
     fmt: str
@@ -40,7 +39,7 @@ class RunConfig:
     out: Optional[str]
 
     def field(self) -> FieldConfig:
-        return FieldConfig(self.p, self.precision)
+        return FieldConfig(self.p)
 
     def as_dict(self) -> dict:
         """The configuration embedded in reports; the output directory is
@@ -287,9 +286,6 @@ def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
     # subcommand copies use SUPPRESS so they never clobber parsed values
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     ap.add_argument("--p", type=int, default=d(5), help="odd prime (default 5)")
-    ap.add_argument("--precision", type=int,
-                    default=d(int(os.environ.get("GERMLAB_PRECISION", "12"))),
-                    help="working digits (env GERMLAB_PRECISION)")
     ap.add_argument("--seed", type=int, default=d(0))
     ap.add_argument("--format", dest="fmt", choices=("json", "csv"), default=d("json"))
     ap.add_argument("--depth-strict", action="store_true",
@@ -330,9 +326,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    rc = RunConfig(p=ns.p, precision=ns.precision, r=getattr(ns, "r", 0),
-                   seed=ns.seed, fmt=ns.fmt, depth_strict=ns.depth_strict,
-                   out=ns.out)
+    rc = RunConfig(p=ns.p, r=getattr(ns, "r", 0), seed=ns.seed, fmt=ns.fmt,
+                   depth_strict=ns.depth_strict, out=ns.out)
     try:
         if ns.p == 3:
             print("warning: p=3 is allowed but small residue characteristic is "

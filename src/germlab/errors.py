@@ -1,21 +1,13 @@
 """Exception types shared across the library.
 
-Every predicate that cannot be decided from the digits at hand raises
-InsufficientPrecision instead of guessing; every certified computation that
-fails its certificate raises instead of returning an uncertified value.
+Arithmetic is exact, so no predicate is ever undecided; every certified
+computation that fails its certificate raises instead of returning an
+uncertified value.
 """
 
 
 class GermlabError(Exception):
     """Base class for all library errors."""
-
-
-class InsufficientPrecision(GermlabError):
-    """Too few known digits to decide the requested predicate."""
-
-
-class DivisionByZero(GermlabError, ZeroDivisionError):
-    """Division by (exact or certified) zero."""
 
 
 class OutsideDomain(GermlabError):

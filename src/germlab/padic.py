@@ -1,14 +1,9 @@
-"""Exact arithmetic in Q_p (p odd) with tracked precision.
+"""p-adic facts about rationals viewed inside Q_p (p odd).
 
-Scalars are either exact rationals (viewed inside Q_p), exact zero, or
-finite-precision cosets p^v*(u + p^n O).  Arithmetic on exact scalars stays
-exact, so integer cancellation produces exact zero; arithmetic touching an
-approximate scalar propagates precision pessimistically and raises
-InsufficientPrecision when all known digits cancel.
-
-The module also provides the rational-number helpers (valuation, canonical
-reduction mod p^k, Legendre symbol, Hensel square roots, Hilbert symbol)
-that the rest of the library uses directly on Fractions.
+Every number is an exact `Fraction`; this module reads its p-adic data:
+valuation, canonical reduction mod p^k, leading digit, Legendre symbol,
+Hensel square roots of units, the Hilbert symbol, the four square classes
+of Q_p* and the norm groups of the three quadratic extensions.
 """
 
 from __future__ import annotations
@@ -19,8 +14,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
-
-from .errors import DivisionByZero, InsufficientPrecision
 
 INF = math.inf
 
@@ -188,10 +181,13 @@ def square_class_of_rational(x: Rat, p: int) -> SquareClass:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """The field Q_p with a working precision (count of base-p digits).
+    """The field Q_p.
 
     zeta (the uniformizer) is p itself; eps is the smallest positive
     nonsquare unit mod p, so labels are deterministic across runs.
+    `precision` is read by nothing in germlab: every computation is exact.
+    It stays, with its check, only because the benchmark builds
+    `FieldConfig(p, 12)`; the benchmark change of ROADMAP E removes it.
     """
 
     p: int
@@ -257,312 +253,3 @@ class QuadExtDescriptor:
         if self.disc_class == SquareClass.EPSPI:
             sign *= (-1) ** v
         return sign
-
-
-class PadicScalar:
-    """An element of Q_p known either exactly or to finitely many digits.
-
-    A 'known' scalar with valuation v, unit u and n digits represents the
-    coset p^v*u + p^(v+n)*O.  Exact scalars carry their rational value and can
-    produce digits to any precision, so exact cancellation is detected.
-    """
-
-    __slots__ = ("cfg", "kind", "fr", "v", "u", "n")
-
-    def __init__(self, cfg: FieldConfig, kind: str, fr=None, v=None, u=None, n=None):
-        self.cfg = cfg
-        self.kind = kind  # 'zero' | 'exact' | 'approx'
-        self.fr = fr
-        self.v = v
-        self.u = u
-        self.n = n
-        if kind == "approx":
-            if n < 1 or u % cfg.p == 0:
-                raise ValueError("an approximate scalar needs n >= 1 digits "
-                                 "and a unit u")
-            self.u = u % cfg.p**n
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, cfg: FieldConfig) -> "PadicScalar":
-        return cls(cfg, "zero")
-
-    @classmethod
-    def exact(cls, cfg: FieldConfig, x: Rat) -> "PadicScalar":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(cfg)
-        return cls(cfg, "exact", fr=x)
-
-    @classmethod
-    def approx(cls, cfg: FieldConfig, v: int, u: int, n: Optional[int] = None) -> "PadicScalar":
-        n = cfg.precision if n is None else n
-        return cls(cfg, "approx", v=v, u=u, n=n)
-
-    # -- basic views --------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind in ("zero", "exact")
-
-    def exact_value(self) -> Fraction:
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "exact":
-            return self.fr
-        raise InsufficientPrecision("scalar is not known exactly")
-
-    def valuation(self):
-        """Exact valuation; +inf for exact zero."""
-        if self.kind == "zero":
-            return INF
-        if self.kind == "exact":
-            return val_p(self.fr, self.cfg.p)
-        return self.v
-
-    @property
-    def digits_known(self) -> int:
-        return self.cfg.precision if self.is_exact else self.n
-
-    def _window_end(self):
-        """Position e such that the value is known modulo p^e O."""
-        if self.is_exact:
-            return INF
-        return self.v + self.n
-
-    def _rep(self) -> Fraction:
-        """A rational representative of the coset."""
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "exact":
-            return self.fr
-        p = self.cfg.p
-        return Fraction(self.u) * (Fraction(p) ** self.v)
-
-    def digits(self, n: Optional[int] = None) -> tuple:
-        """Base-p digits of the unit part (u0 != 0)."""
-        if self.kind == "zero":
-            return ()
-        n = self.digits_known if n is None else min(n, self.digits_known)
-        p = self.cfg.p
-        if self.kind == "exact":
-            u = unit_mod_pk(self.fr, p, n)
-        else:
-            u = self.u % p**n
-        out = []
-        for _ in range(n):
-            u, r = divmod(u, p)
-            out.append(r)
-        return tuple(out)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other) -> "PadicScalar":
-        if isinstance(other, PadicScalar):
-            return other
-        return PadicScalar.exact(self.cfg, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_exact and other.is_exact:
-            return PadicScalar.exact(self.cfg, self.exact_value() + other.exact_value())
-        if self.kind == "zero":
-            return other
-        if other.kind == "zero":
-            return self
-        e = min(self._window_end(), other._window_end())
-        r = self._rep() + other._rep()
-        v = val_p(r, self.cfg.p)
-        if v >= e:
-            raise InsufficientPrecision("addition cancelled all known digits")
-        n = int(e - v)
-        return PadicScalar.approx(self.cfg, v, unit_mod_pk(r, self.cfg.p, n), n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.kind == "zero":
-            return self
-        if self.kind == "exact":
-            return PadicScalar.exact(self.cfg, -self.fr)
-        return PadicScalar.approx(self.cfg, self.v, self.cfg.p**self.n - self.u, self.n)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.kind == "zero" or other.kind == "zero":
-            return PadicScalar.zero(self.cfg)
-        if self.is_exact and other.is_exact:
-            return PadicScalar.exact(self.cfg, self.fr * other.fr)
-        n = min(self.digits_known if self.kind == "approx" else INF,
-                other.digits_known if other.kind == "approx" else INF)
-        n = int(n)
-        p = self.cfg.p
-        u = unit_mod_pk(self._rep(), p, n) * unit_mod_pk(other._rep(), p, n)
-        return PadicScalar.approx(self.cfg, int(self.valuation() + other.valuation()),
-                                  u % p**n, n)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.kind == "zero":
-            raise DivisionByZero("division by exact zero")
-        if self.kind == "zero":
-            return self
-        if self.is_exact and other.is_exact:
-            return PadicScalar.exact(self.cfg, self.fr / other.fr)
-        n = min(self.digits_known if self.kind == "approx" else INF,
-                other.digits_known if other.kind == "approx" else INF)
-        n = int(n)
-        p = self.cfg.p
-        m = p**n
-        u = unit_mod_pk(self._rep(), p, n) * pow(unit_mod_pk(other._rep(), p, n), -1, m)
-        return PadicScalar.approx(self.cfg, int(self.valuation() - other.valuation()),
-                                  u % m, n)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __eq__(self, other):
-        if not isinstance(other, PadicScalar):
-            try:
-                other = self._coerce(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        if self.is_exact and other.is_exact:
-            return self.exact_value() == other.exact_value()
-        if self.kind == "approx" and other.kind == "approx":
-            return (self.v, self.u, self.n) == (other.v, other.u, other.n)
-        return False
-
-    def __hash__(self):
-        if self.is_exact:
-            return hash(self.exact_value())
-        return hash((self.v, self.u, self.n))
-
-    def agrees_with(self, other: "PadicScalar") -> bool:
-        """True iff the two cosets intersect (values could be equal)."""
-        e = min(self._window_end(), other._window_end())
-        if e is INF:
-            return self.exact_value() == other.exact_value()
-        d = self._rep() - other._rep()
-        return d == 0 or val_p(d, self.cfg.p) >= e
-
-    # -- predicates ----------------------------------------------------
-
-    def square_class(self) -> SquareClass:
-        if self.kind == "zero":
-            raise ValueError("square class of zero is undefined")
-        if self.kind == "approx" and self.n < 2:
-            raise InsufficientPrecision("need at least 2 digits for a square class")
-        p = self.cfg.p
-        v = self.valuation()
-        u0 = leading_digit(self._rep(), p)
-        return _CLASS_BY_DATA[(int(v) % 2, legendre(u0, p))]
-
-    def sqrt(self) -> Optional["PadicScalar"]:
-        """A square root when the class is One, Hensel-lifted; None otherwise.
-
-        Canonical branch: the root whose leading digit lies in 1..(p-1)/2.
-        """
-        if self.kind == "zero":
-            raise ValueError("sqrt of exact zero is trivial; handle separately")
-        if self.square_class() != SquareClass.ONE:
-            return None
-        p = self.cfg.p
-        v = int(self.valuation())
-        if self.kind == "exact":
-            r = rational_sqrt(self.fr)
-            if r is not None:
-                if leading_digit(r, p) > (p - 1) // 2:
-                    r = -r
-                return PadicScalar.exact(self.cfg, r)
-            n = self.cfg.precision
-        else:
-            n = self.n
-        u = unit_mod_pk(self._rep(), p, n)
-        root = hensel_sqrt(u, p, n)
-        return PadicScalar.approx(self.cfg, v // 2, root, n)
-
-    def is_norm(self, ext: QuadExtDescriptor) -> bool:
-        if self.kind == "zero":
-            raise ValueError("norm test needs a nonzero element")
-        if not ext.ramified:
-            return int(self.valuation()) % 2 == 0
-        if self.kind == "approx" and self.n < 1:
-            raise InsufficientPrecision("need a leading digit for the norm test")
-        p = self.cfg.p
-        v = int(self.valuation())
-        u0 = leading_digit(self._rep(), p)
-        return legendre(u0, p) == ext.norm_unit_legendre(v, self.cfg)
-
-    # -- presentation ----------------------------------------------------
-
-    def serialize(self) -> str:
-        """String form "p^v * (u0 + u1 p + ...) mod p^(v+n)"."""
-        if self.kind == "zero":
-            return "0"
-        p = self.cfg.p
-        v = int(self.valuation())
-        ds = self.digits()
-        terms = []
-        for i, d in enumerate(ds):
-            if i == 0:
-                terms.append(str(d))
-            elif d:
-                terms.append(f"{d}*{p}^{i}" if i > 1 else f"{d}*{p}")
-        return f"{p}^{v} * ({' + '.join(terms)}) mod {p}^{v + len(ds)}"
-
-    def __repr__(self):
-        if self.kind == "zero":
-            return f"PadicScalar(0; p={self.cfg.p})"
-        if self.kind == "exact":
-            return f"PadicScalar({self.fr}; p={self.cfg.p})"
-        return f"PadicScalar({self.serialize()})"
-
-
-# -- spec-surface functions ------------------------------------------------
-
-def scalar_from_rational(num: int, den: int, cfg: FieldConfig) -> PadicScalar:
-    if den == 0:
-        raise DivisionByZero("denominator must be nonzero")
-    return PadicScalar.exact(cfg, Fraction(num, den))
-
-
-def arith(x: PadicScalar, y: PadicScalar, op: str) -> PadicScalar:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
-def valuation(x: PadicScalar):
-    return x.valuation()
-
-
-def square_class(x: PadicScalar) -> SquareClass:
-    return x.square_class()
-
-
-def padic_sqrt(x: PadicScalar) -> Optional[PadicScalar]:
-    return x.sqrt()
-
-
-def is_norm(ext: QuadExtDescriptor, x: PadicScalar) -> bool:
-    return x.is_norm(ext)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import OutsideDomain, SpecMismatch
-from .padic import (FieldConfig, PadicScalar, QuadExtDescriptor, SquareClass,
+from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
                     square_class_of_rational, val_p)
 
 
@@ -80,6 +80,14 @@ ALL_ORBITS = (ZERO_ORBIT, REG_ONE, REG_EPS, REG_PI, REG_EPSPI)
 DIM_NILPOTENT_CONE = 2
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction.  A float is refused: its binary value is not the
+    rational it was written as (0.1 would become 3602879701896397/2^55)."""
+    if isinstance(x, float):
+        raise TypeError(f"exact rational required, got float {x!r}")
+    return Fraction(x)
+
+
 class Sl2Element:
     """Trace-zero 2x2 matrix ((a, b), (c, -a)) with exact rational entries."""
 
@@ -87,7 +95,7 @@ class Sl2Element:
 
     def __init__(self, cfg: FieldConfig, a, b, c):
         self.cfg = cfg
-        self.a, self.b, self.c = Fraction(a), Fraction(b), Fraction(c)
+        self.a, self.b, self.c = _exact(a), _exact(b), _exact(c)
 
     @classmethod
     def from_rationals(cls, cfg: FieldConfig, a, b, c) -> "Sl2Element":
@@ -107,7 +115,7 @@ class Sl2Element:
         return not (self.a or self.b or self.c)
 
     def scale(self, t) -> "Sl2Element":
-        s = Fraction(t)
+        s = _exact(t)
         return Sl2Element(self.cfg, self.a * s, self.b * s, self.c * s)
 
     def __add__(self, other: "Sl2Element") -> "Sl2Element":
@@ -141,7 +149,7 @@ class GroupElement:
 
     def __init__(self, cfg: FieldConfig, entries):
         self.cfg = cfg
-        self.m = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        self.m = tuple(tuple(_exact(x) for x in row) for row in entries)
         d = self.det()
         if d != 1:
             raise ValueError(f"determinant {d} != 1")
@@ -194,7 +202,6 @@ class ElementClass:
     label: Optional[OrbitLabel] = None         # nilpotent orbit
     torus: Optional[Union[str, QuadExtDescriptor]] = None  # 'split' or extension
     ss_tag: Optional[bool] = None              # norm-coset flag (elliptic only)
-    u: Optional[PadicScalar] = None            # eigenvalue for split tori
 
     @property
     def is_regular(self) -> bool:
@@ -222,8 +229,7 @@ def classify(X: Sl2Element) -> ElementClass:
                             label=OrbitLabel("regular", square_class_of_rational(tag_src, p)))
     cls = square_class_of_rational(mdet, p)
     if cls == SquareClass.ONE:
-        return ElementClass("regular", torus="split",
-                            u=PadicScalar.exact(X.cfg, mdet).sqrt())
+        return ElementClass("regular", torus="split")
     ext = QuadExtDescriptor(cls)
     return ElementClass("regular", torus=ext, ss_tag=ext.is_norm_rational(tag_src, X.cfg))
 

@@ -53,7 +53,10 @@ class TestNilpotentCommand:
         assert doc["table"]["Regular(One)"] == "1/2"
         assert all(v["match"] for v in doc["scaling_check"].values())
         assert doc["config"]["p"] == 5
+        assert set(doc["config"]) == {"p", "r", "seed", "fmt", "depth_strict"}
         assert "normalization" in doc
+        code, _, _ = run(capsys, "--precision", "8", "nilpotent", "--f", "zero")
+        assert code == 2
 
     def test_zero_function(self, capsys):
         code, out, _ = run(capsys, "nilpotent", "--f", "zero")
@@ -115,12 +118,3 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "nilpotent", "--f", "zero", "--p", "3")
         assert code == 0
         assert "p=3" in err
-
-
-class TestEnvPrecision:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GERMLAB_PRECISION", "8")
-        import germlab.cli as cli
-        ap = cli.build_parser()
-        ns = ap.parse_args(["nilpotent", "--f", "zero"])
-        assert ns.precision == 8

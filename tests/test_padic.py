@@ -3,20 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from germlab import (DivisionByZero, FieldConfig, InsufficientPrecision,
-                     PadicScalar, QuadExtDescriptor, SquareClass, arith,
-                     hilbert_symbol, is_norm, padic_sqrt, scalar_from_rational,
-                     square_class, val_p, valuation)
-from germlab.padic import (INF, legendre, mod_pk, square_class_of_rational,
-                           unit_mod_pk)
+from germlab import FieldConfig, QuadExtDescriptor, SquareClass, hilbert_symbol, val_p
+from germlab.padic import (INF, hensel_sqrt, leading_digit, mod_pk, rational_sqrt,
+                           square_class_of_rational)
 
 CFG5 = FieldConfig(5)
 CFG3 = FieldConfig(3)
 CFG7 = FieldConfig(7)
-
-
-def exact(cfg, x):
-    return PadicScalar.exact(cfg, Fraction(x))
+EXTS = [QuadExtDescriptor(c) for c in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI)]
 
 
 def rand_rational(rng, p, span=2):
@@ -54,229 +48,198 @@ class TestConfig:
 
     def test_zeta_is_p(self):
         assert CFG5.zeta == 5
-        assert valuation(exact(CFG5, 5)) == 1
+        assert val_p(CFG5.zeta, 5) == 1
 
 
 class TestFromRational:
-    def test_zero(self):
-        assert scalar_from_rational(0, 1, CFG5).is_zero
+    """Valuation and leading digit read off a rational."""
 
     def test_p_has_valuation_one(self):
-        x = scalar_from_rational(5, 1, CFG5)
-        assert valuation(x) == 1
-        assert x.digits()[0] == 1
+        assert val_p(5, 5) == 1
+        assert leading_digit(5, 5) == 1
 
     def test_inverse_p(self):
-        assert valuation(scalar_from_rational(1, 5, CFG5)) == -1
-
-    def test_zero_denominator(self):
-        with pytest.raises(DivisionByZero):
-            scalar_from_rational(1, 0, CFG5)
+        assert val_p(Fraction(1, 5), 5) == -1
 
 
 class TestArith:
-    def test_exact_cancellation_gives_exact_zero(self):
-        z = arith(exact(CFG5, 1), exact(CFG5, -1), "add")
-        assert z.is_zero
+    """The valuation of a product and of zero."""
 
     def test_mul_valuations_add(self):
-        x = arith(exact(CFG5, 5), exact(CFG5, 5), "mul")
-        assert valuation(x) == 2
-
-    def test_cancelling_all_digits_raises(self):
-        a = PadicScalar.approx(CFG5, 0, 1, 3)          # 1 known to 3 digits
-        b = exact(CFG5, -1 + 5**3 * 2)                 # -1 + p^3 u
-        with pytest.raises(InsufficientPrecision):
-            arith(a, b, "add")
-
-    def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            arith(exact(CFG5, 1), PadicScalar.zero(CFG5), "div")
-
-    def test_random_exact_arith_matches_fractions(self):
+        assert val_p(5 * 5, 5) == 2
         rng = random.Random(11)
         for _ in range(300):
             x, y = rand_rational(rng, 5), rand_rational(rng, 5)
-            for op, fn in (("add", lambda a, b: a + b), ("sub", lambda a, b: a - b),
-                           ("mul", lambda a, b: a * b), ("div", lambda a, b: a / b)):
-                got = arith(exact(CFG5, x), exact(CFG5, y), op)
-                assert got.exact_value() == fn(x, y)
-
-    def test_approx_coset_contains_true_value(self):
-        # exact-rational shadow: the represented coset of each approximate
-        # result contains the exact rational result
-        rng = random.Random(12)
-        p = 5
-        for _ in range(300):
-            x, y = rand_rational(rng, p), rand_rational(rng, p)
-            xa = PadicScalar.approx(CFG5, int(val_p(x, p)), unit_mod_pk(x, p, 6), 6)
-            ya = PadicScalar.approx(CFG5, int(val_p(y, p)), unit_mod_pk(y, p, 6), 6)
-            for op, fn in (("add", lambda a, b: a + b), ("mul", lambda a, b: a * b),
-                           ("div", lambda a, b: a / b)):
-                try:
-                    got = arith(xa, ya, op)
-                except InsufficientPrecision:
-                    continue
-                true = fn(x, y)
-                diff = true - got._rep()
-                assert diff == 0 or val_p(diff, p) >= got._window_end()
+            assert val_p(x * y, 5) == val_p(x, 5) + val_p(y, 5)
 
     def test_valuation_of_zero_is_infinite(self):
-        assert valuation(PadicScalar.zero(CFG5)) == INF
-
-    def test_approx_rejects_a_non_unit(self):
-        with pytest.raises(ValueError):
-            PadicScalar.approx(CFG5, 0, 5, 3)
+        assert val_p(0, 5) == INF
+        assert val_p(Fraction(0), 7) == INF
 
 
 class TestSquareClass:
     def test_examples(self):
-        assert square_class(exact(CFG5, 4)) == SquareClass.ONE
-        assert square_class(exact(CFG5, 5)) == SquareClass.PI
+        assert square_class_of_rational(4, 5) == SquareClass.ONE
+        assert square_class_of_rational(5, 5) == SquareClass.PI
         # 2 is a nonsquare unit mod 5: squares of units mod 5 are {1, 4}
-        assert square_class(exact(CFG5, 2)) == SquareClass.EPS
+        assert square_class_of_rational(2, 5) == SquareClass.EPS
 
     def test_minus_one_is_square_mod_5(self):
-        assert square_class(exact(CFG5, -1)) == SquareClass.ONE
-
-    def test_requires_two_digits(self):
-        x = PadicScalar.approx(CFG5, 0, 2, 1)
-        with pytest.raises(InsufficientPrecision):
-            square_class(x)
+        assert square_class_of_rational(-1, 5) == SquareClass.ONE
 
     def test_klein_four_product_law(self):
         rng = random.Random(13)
         for _ in range(1000):
             x, y = rand_rational(rng, 5), rand_rational(rng, 5)
-            cx = square_class(exact(CFG5, x))
-            cy = square_class(exact(CFG5, y))
-            assert square_class(exact(CFG5, x * y)) == cx * cy
+            cx = square_class_of_rational(x, 5)
+            cy = square_class_of_rational(y, 5)
+            assert square_class_of_rational(x * y, 5) == cx * cy
 
 
 class TestSqrt:
+    """hensel_sqrt(u, p, k): r^2 = u mod p^k with r mod p in 1..(p-1)/2."""
+
+    @staticmethod
+    def check_root(u, p, k):
+        r = hensel_sqrt(u, p, k)
+        assert 0 <= r < p**k
+        assert (r * r - u) % p**k == 0
+        assert 1 <= r % p <= (p - 1) // 2
+        return r
+
     def test_perfect_square_canonical_branch(self):
-        r = padic_sqrt(exact(CFG5, 4))
-        assert r.exact_value() == 2  # leading digit 2 <= (p-1)/2
+        assert rational_sqrt(Fraction(4)) == 2
+        for k in range(1, 9):
+            assert self.check_root(4, 5, k) == 2   # leading digit 2 <= (p-1)/2
 
     def test_exact_non_rational_square_gets_hensel_root(self):
         # -4 is a square in Q5 but not in Q: the root is a Hensel lift
-        x = exact(CFG5, -4)
-        r = padic_sqrt(x)
-        assert not r.is_exact
-        assert (r * r).agrees_with(x)
+        assert rational_sqrt(Fraction(-4)) is None
+        for k in range(1, 9):
+            self.check_root(-4, 5, k)
 
     def test_odd_valuation_has_no_root(self):
-        assert padic_sqrt(exact(CFG5, 5)) is None
+        for x in (5, 10, Fraction(5, 4), Fraction(-1, 5), 125):
+            assert square_class_of_rational(x, 5).parity == 1
+        # and a unit that is not a square mod p has no Hensel root
+        with pytest.raises(ValueError):
+            hensel_sqrt(2, 5, 3)
 
     def test_hensel_root_squares_back(self):
-        x = exact(CFG5, 6)
-        r = padic_sqrt(x)
-        sq = r * r
-        assert sq.agrees_with(x)
+        # every unit mod p^2 whose residue is a square mod p, lifted to k <= 8
+        for p in (3, 5, 7, 11):
+            squares = {y * y % p for y in range(1, p)}
+            for u in range(1, p * p):
+                if u % p in squares:
+                    for k in range(1, 9):
+                        self.check_root(u, p, k)
 
     def test_random_roots_square_back(self):
+        # a unit square has exactly the two roots +-y; the canonical one is found
         rng = random.Random(14)
-        hits = 0
         for _ in range(400):
-            x = rand_rational(rng, 5)
-            xe = exact(CFG5, x)
-            r = padic_sqrt(xe)
-            if r is None:
-                assert square_class(xe) != SquareClass.ONE
+            p = rng.choice((3, 5, 7, 11))
+            k = rng.randint(1, 8)
+            m = p**k
+            y = rng.randrange(1, m)
+            if y % p == 0:
                 continue
-            hits += 1
-            assert (r * r).agrees_with(xe)
-            assert 1 <= r.digits()[0] <= 2
-        assert hits > 50
+            r = self.check_root(y * y % m, p, k)
+            assert r in (y, m - y)
 
 
-def _norm_witness(d: Fraction, x: Fraction, p: int, k: int = 5) -> bool:
-    """Independent oracle: search a nondegenerate solution of a^2 - d b^2 = x
-    modulo p^k over a digit grid (smooth solutions lift, so this decides)."""
-    vx = val_p(x, p)
-    shift = -int(vx) // 2 + 1
-    m = p ** (k + 2 * shift)
-    scale = Fraction(p) ** (-shift)
-    vals = [i * scale for i in range(p ** (k + shift))]
-    target_den = (x * Fraction(p) ** (2 * shift))
-    tnum = int(target_den) if target_den.denominator == 1 else None
-    if tnum is None:
-        return False
-    dd = int(d) if d.denominator == 1 else None
-    for ia in range(p ** ((k + 2 * shift) // 2 + 1)):
-        a2 = ia * ia % m
-        rest = (a2 - tnum) % m
-        # need d*b^2 == rest mod m with the pair not both divisible by p^big
-        for ib in range(p ** ((k + 2 * shift) // 2 + 1)):
-            if (dd * ib * ib - rest) % m == 0:
-                if ia % p != 0 or ib % p != 0 or tnum % p == 0:
-                    return True
-    return False
+def _norm_witness(d: int, x: Fraction, p: int) -> bool:
+    """Independent oracle: is x = a^2 - d b^2 solvable in Q_p (v(d) <= 1)?
+
+    Norms form a group that holds the squares, so x is scaled by its
+    denominator squared and by p^-2 until it is an integer n of valuation 0
+    or 1.  Such an n has only integral solutions, and each has a partial
+    derivative 2a or 2db of valuation at most 1.  By Hensel's lemma n is a
+    norm iff a, b mod p^3 solve it mod p^3 with v(a) <= 1 or v(db) <= 1.
+    """
+    n = int(x * x.denominator ** 2)
+    while n % (p * p) == 0:
+        n //= p * p
+    m = p**3
+    any_b, smooth_b = set(), set()
+    for b in range(m):
+        t = d * b * b % m
+        any_b.add(t)
+        if d * b % (p * p):
+            smooth_b.add(t)
+    return any((a * a - n) % m in (any_b if a % (p * p) else smooth_b)
+               for a in range(m))
+
+
+def _square_class_brute(x: Fraction, p: int, unit_squares: set) -> SquareClass:
+    """Independent oracle: scale x by its denominator squared, strip the
+    powers of p and look the unit up among the unit squares mod p^3."""
+    n = int(x * x.denominator ** 2)
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    square = n % p**3 in unit_squares
+    return {(0, True): SquareClass.ONE, (0, False): SquareClass.EPS,
+            (1, True): SquareClass.PI, (1, False): SquareClass.EPSPI}[(v % 2, square)]
 
 
 class TestIsNorm:
     def test_squares_are_norms(self):
         rng = random.Random(15)
-        for cls in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI):
-            ext = QuadExtDescriptor(cls)
+        for ext in EXTS:
             for _ in range(50):
                 x = rand_rational(rng, 5)
-                assert is_norm(ext, exact(CFG5, x * x))
+                assert ext.is_norm_rational(x * x, CFG5)
 
     def test_unramified_norms_are_even_valuation(self):
         ext = QuadExtDescriptor(SquareClass.EPS)
-        assert not is_norm(ext, exact(CFG5, 5))
-        assert is_norm(ext, exact(CFG5, 3))
-        assert is_norm(ext, exact(CFG5, 25))
+        assert not ext.is_norm_rational(5, CFG5)
+        assert ext.is_norm_rational(3, CFG5)
+        assert ext.is_norm_rational(25, CFG5)
 
     def test_ramified_hilbert_example(self):
         # (5, 2)_5 = legendre(2|5) = -1, so 2 is not a norm from Q5(sqrt 5)
         assert hilbert_symbol(5, 2, 5) == -1
         ext = QuadExtDescriptor(SquareClass.PI)
-        assert not is_norm(ext, exact(CFG5, 2))
+        assert not ext.is_norm_rational(2, CFG5)
 
     @pytest.mark.parametrize("x", [2, 3, 4, -1, 5, 10, 15, 6])
     def test_ramified_pi_against_witness_search(self, x):
         ext = QuadExtDescriptor(SquareClass.PI)
-        got = is_norm(ext, exact(CFG5, x))
-        assert got == _norm_witness(Fraction(5), Fraction(x), 5)
+        assert ext.is_norm_rational(x, CFG5) == _norm_witness(5, Fraction(x), 5)
 
     def test_norm_subgroup_index_two(self):
         rng = random.Random(16)
-        for cls in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI):
-            ext = QuadExtDescriptor(cls)
+        for ext in EXTS:
             for _ in range(1000):
                 x, y = rand_rational(rng, 5), rand_rational(rng, 5)
-                lhs = is_norm(ext, exact(CFG5, x * y))
-                assert lhs == (is_norm(ext, exact(CFG5, x))
-                               == is_norm(ext, exact(CFG5, y)))
+                lhs = ext.is_norm_rational(x * y, CFG5)
+                assert lhs == (ext.is_norm_rational(x, CFG5)
+                               == ext.is_norm_rational(y, CFG5))
 
 
 class TestRationalHelpers:
-    """The Fraction helpers that `classify` reads agree with PadicScalar."""
+    """The Fraction helpers that `classify` reads agree with brute force
+    that shares no logic with `legendre` or `hilbert_symbol`."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_agree_with_scalar_predicates(self, p):
         cfg = FieldConfig(p)
-        exts = [QuadExtDescriptor(c)
-                for c in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI)]
+        unit_squares = {y * y % p**3 for y in range(p**3) if y % p}
+        discs = [int(ext.disc_rep(cfg)) for ext in EXTS]
         for den in (1, p, p * p, 2, 3 * p):
             for num in range(-60, 61):
                 if num == 0:
                     continue
                 x = Fraction(num, den)
-                assert square_class_of_rational(x, p) == exact(cfg, x).square_class()
-                for ext in exts:
-                    assert ext.is_norm_rational(x, cfg) == exact(cfg, x).is_norm(ext)
+                assert square_class_of_rational(x, p) == _square_class_brute(
+                    x, p, unit_squares)
+                for ext, d in zip(EXTS, discs):
+                    assert ext.is_norm_rational(x, cfg) == _norm_witness(d, x, p)
 
 
 class TestSerialization:
-    def test_format(self):
-        x = exact(FieldConfig(5, precision=4), Fraction(5))
-        s = x.serialize()
-        assert s.startswith("5^1 * (1")
-        assert s.endswith("mod 5^5")
-
     def test_mod_pk_canonical(self):
         assert mod_pk(Fraction(7), 5, 1) == 2
         assert mod_pk(Fraction(1, 5), 5, 0) == Fraction(1, 5)

@@ -33,7 +33,6 @@ class TestClassify:
     def test_split_diag(self):
         k = classify(M(1, 0, 0))
         assert k.is_regular and k.is_split
-        assert k.u.exact_value() == 1
 
     def test_unramified(self):
         k = classify(M(0, 1, 2))
@@ -183,6 +182,11 @@ class TestGroupElement:
     def test_determinant_must_be_one(self):
         with pytest.raises(ValueError):
             GroupElement.from_rationals(CFG, [[2, 0], [0, 1]])
+
+    def test_float_entry_raises(self):
+        # 0.5 * 2.0 has determinant exactly 1, yet floats are refused
+        with pytest.raises(TypeError):
+            GroupElement(CFG, [[0.5, 0], [0, 2.0]])
 
 
 class TestAd:

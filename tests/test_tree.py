@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from germlab import (BallTooSmall, FieldConfig, GroupElement,
-                     PadicScalar, Sl2Element, ad, ball, depth_via_tree, distance, make_vertex,
+                     Sl2Element, ad, ball, depth_via_tree, distance, make_vertex,
                      mp_lattice, neighbors, random_sl2, rep_elliptic,
                      tree_count_oracle)
 from germlab.tree import BASE, cartan, basis_matrix
@@ -91,9 +91,9 @@ class TestMpLattice:
         assert mp_lattice(CFG, v, 0).contains(X)
 
     def test_inexact_element_raises(self):
-        # matrix entries are exact rationals; an approximate scalar is refused
+        # matrix entries are exact rationals; a float is refused, not rounded
         with pytest.raises(TypeError):
-            Sl2Element(CFG, PadicScalar.approx(CFG, 0, 1, 3), 0, 0)
+            Sl2Element(CFG, 0.1, 0, 0)
 
     def test_scaling_by_zeta(self):
         v = make_vertex(CFG, 1, 0)
