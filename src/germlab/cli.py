@@ -1,8 +1,10 @@
 """Command-line interface: exact orbital integrals and verification suites.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 computational
-error.  Identical configurations produce byte-identical output files; every
-emitted document embeds the run configuration and the measure fingerprint.
+Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
+--p, X spec or f spec, or a file that cannot be opened), 3 computational
+error, a ValueError raised inside a computation included.  Identical
+configurations produce byte-identical output files; every emitted document
+embeds the run configuration and the measure fingerprint.
 """
 
 from __future__ import annotations
@@ -126,9 +128,8 @@ def _emit_csv(rows_csv: str, rc: RunConfig, name: str) -> None:
     _write(header + rows_csv, rc, f"{name}.csv", rc.fmt == "csv")
 
 
-def cmd_nilpotent(rc: RunConfig, f_spec: str) -> int:
+def cmd_nilpotent(rc: RunConfig, f_spec: str, f: LCFunction) -> int:
     cfg = rc.field()
-    f = parse_f_spec(cfg, f_spec)
     fz = f.dilate(cfg.zeta**2)
     table = {}
     scaling = {}
@@ -145,10 +146,8 @@ def cmd_nilpotent(rc: RunConfig, f_spec: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_orbital(rc: RunConfig, x_spec: str, f_spec: str) -> int:
-    cfg = rc.field()
-    X = parse_x_spec(cfg, x_spec)
-    f = parse_f_spec(cfg, f_spec)
+def cmd_orbital(rc: RunConfig, x_spec: str, X: Sl2Element, f_spec: str,
+                f: LCFunction) -> int:
     res = ss_orbital(X, f)
     k = classify(X)
     _emit({"X": x_spec, "f": f_spec, "torus": k.torus_kind(),
@@ -304,20 +303,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_nil = sub.add_parser("nilpotent", help="five nilpotent orbital integrals")
     _add_common(p_nil, suppress=True)
     p_nil.add_argument("--f", required=True, help="f-spec (unit-ball|zero|mp:..|nil:..|JSON)")
-    p_nil.set_defaults(run=lambda rc, ns: cmd_nilpotent(rc, ns.f))
+    p_nil.set_defaults(run=lambda rc, ns, got: cmd_nilpotent(rc, ns.f, got["f"]))
 
     p_orb = sub.add_parser("orbital", help="semisimple orbital integral")
     _add_common(p_orb, suppress=True)
     p_orb.add_argument("--X", required=True, help='X-spec ("diag(1,-1)" or [[a,b],[c,-a]])')
     p_orb.add_argument("--f", required=True)
-    p_orb.set_defaults(run=lambda rc, ns: cmd_orbital(rc, ns.X, ns.f))
+    p_orb.set_defaults(
+        run=lambda rc, ns, got: cmd_orbital(rc, ns.X, got["X"], ns.f, got["f"]))
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_ver, suppress=True)
     p_ver.add_argument("suite", choices=tuple(SUITES))
     p_ver.add_argument("--r", type=int, default=0)
-    p_ver.set_defaults(run=lambda rc, ns: SUITES[ns.suite](rc))
+    p_ver.set_defaults(run=lambda rc, ns, got: SUITES[ns.suite](rc))
     return ap
+
+
+class _UsageError(Exception):
+    """A flag or spec that cannot be parsed, or a file that cannot be opened."""
+
+
+def _parse_inputs(rc: RunConfig, ns: argparse.Namespace) -> dict:
+    """Check --p and parse the subcommand's --X and --f specs."""
+    try:
+        cfg = rc.field()
+        got = {}
+        if "X" in ns:
+            got["X"] = parse_x_spec(cfg, ns.X)
+        if "f" in ns:
+            got["f"] = parse_f_spec(cfg, ns.f)
+        return got
+    except (ValueError, ZeroDivisionError, KeyError, TypeError, OSError) as exc:
+        # JSONDecodeError is a ValueError; TypeError is a JSON f spec of the wrong shape
+        raise _UsageError(exc) from exc
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -333,11 +352,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("warning: p=3 is allowed but small residue characteristic is "
                   "outside the comfortable regime; default test prime is 5",
                   file=sys.stderr)
-        return ns.run(rc, ns)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        return ns.run(rc, ns, _parse_inputs(rc, ns))
+    except (_UsageError, OSError) as exc:  # OSError here: --out cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NotRegular, TailUnstable, GridTooLarge) as exc:
+    except (NotRegular, TailUnstable, GridTooLarge, ValueError) as exc:
         print(f"computational error: {exc}", file=sys.stderr)
         return 3
     except GermlabError as exc:

@@ -9,6 +9,15 @@ contains test  Ad(g_v^{-1}) X  in  p^n sl2(O).
 These lattices drive three oracles: depth via fixed lattices, membership
 tests for coset functions, and fixed-point counts that cross-check the
 orbital-integral engine for lattice indicators.
+
+The fixed set F_n = {v : X in g_{v,n}} is the set of lattices L with
+p^{-n} X L in L, so it is convex (DeBacker, Ann. Sci. ENS 2002): min_level
+has convex superlevel sets.  For X != 0, a vertex of F_n outside F_{n+1} is
+adjacent to F_{n+1} whenever F_{n+1} is nonempty.  So min_level rises by one
+at each step toward a nonempty F_n, and every local maximum is a global one.
+The count oracle uses this: greedy ascent of min_level from BASE walks the
+geodesic to the projection of BASE onto F_n, and a flood fill from there
+finds F_n within any ball about BASE.
 """
 
 from __future__ import annotations
@@ -183,23 +192,58 @@ def _lattice_class(cfg: FieldConfig, cols) -> TreeVertex:
     return make_vertex(cfg, int(val_p(delta, p)), xq)
 
 
+def _fixed_vertices(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> List[TreeVertex]:
+    """F_n within distance R of BASE, by greedy ascent then flood fill.
+
+    The ascent moves to a neighbour of strictly larger min_level until it
+    reaches F_n; it stops at the projection of BASE onto F_n, the point of
+    F_n closest to BASE.  A local maximum below n means F_n is empty, and a
+    projection farther than R means F_n misses the ball.  F_n within the ball
+    is convex, hence connected and reached from that projection.
+    """
+    v = BASE
+    lev = LatticeDescriptor(cfg, v, 0).min_level(X)
+    while lev < n:
+        up = max(((LatticeDescriptor(cfg, w, 0).min_level(X), w)
+                  for w in neighbors(cfg, v)), key=lambda t: t[0])
+        if up[0] <= lev or distance(cfg, BASE, up[1]) > R:
+            return []
+        lev, v = up
+    fixed, todo, seen = [v], [v], {v}
+    while todo:
+        for w in neighbors(cfg, todo.pop()):
+            if w in seen:
+                continue
+            seen.add(w)
+            if distance(cfg, BASE, w) <= R and LatticeDescriptor(cfg, w, n).contains(X):
+                fixed.append(w)
+                todo.append(w)
+    return fixed
+
+
 def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int,
                       center: TreeVertex = BASE) -> Fraction:
     """Fixed-vertex count backing the orbital integral of 1_{g_{center,n}}.
 
-    Counts vertices v with X in g_{v,n} whose distance parity matches the
-    center's; for split X the count runs over a width-2 window of apartment
-    columns (a fundamental domain for the torus translations).  Equals
-    ss_orbital(X, indicator) up to one calibration constant per torus type.
+    Counts vertices v within distance R of BASE with X in g_{v,n} whose
+    distance parity matches the center's; for split X the count runs over a
+    width-2 window of apartment columns (a fundamental domain for the torus
+    translations).  Equals ss_orbital(X, indicator) up to one calibration
+    constant per torus type.
+
+    The fixed set is the set of lattices stable under p^{-n} X, which is
+    convex, and min_level has convex superlevel sets; so greedy ascent of
+    min_level from BASE stops at the projection of BASE onto the fixed set,
+    and a flood fill from there finds exactly the fixed vertices of the
+    R-ball, testing only the ascent path, those vertices and their
+    neighbours.  Only contains, min_level, neighbors and distance are used,
+    so the count stays independent of the engine.
     """
     k = classify(X)
     if not k.is_regular:
         raise NotRegular("tree count oracle needs a regular semisimple element")
     want_parity = distance(cfg, BASE, center) % 2
-    fixed = []
-    for v in ball(cfg, BASE, R):
-        if LatticeDescriptor(cfg, v, n).contains(X):
-            fixed.append(v)
+    fixed = _fixed_vertices(cfg, X, n, R)
     if not k.is_split:
         for v in fixed:
             if distance(cfg, BASE, v) == R:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from germlab import cli
 from germlab.cli import main, parse_f_spec, parse_x_spec
 from germlab import (FieldConfig, indicator_lattice, lcfunction_to_json,
                      make_vertex)
@@ -86,6 +87,23 @@ class TestOrbitalCommand:
     def test_usage_error_exits_2(self, capsys):
         assert main(["orbital", "--X", "diag(1,-1)"]) == 2
 
+    @pytest.mark.parametrize("spec", ["[[1,1],[1,1]]", "[[1/0,0],[0,-1/0]]", "bogus"])
+    def test_bad_x_spec_exits_2(self, capsys, spec):
+        code, _, err = run(capsys, "orbital", "--X", spec, "--f", "unit-ball")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("spec", ["[1]", '[{"x": 1}]', "nil:foo:1", "no-such-file"])
+    def test_bad_f_spec_exits_2(self, capsys, spec):
+        code, _, err = run(capsys, "orbital", "--X", "diag(1,-1)", "--f", spec)
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_bad_prime_exits_2(self, capsys):
+        code, _, err = run(capsys, "--p", "4", "verify", "homogeneity")
+        assert code == 2
+        assert err.startswith("usage error:")
+
 
 class TestVerifyCommand:
     def test_homogeneity(self, capsys):
@@ -113,6 +131,23 @@ class TestVerifyCommand:
             b1 = (d1 / name).read_bytes()
             b2 = (d2 / name).read_bytes()
             assert b1 == b2
+
+    def test_oracles_p7(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "--p", "7", "--out", str(tmp_path), "verify", "oracles")
+        assert code == 0
+        doc = json.loads((tmp_path / "oracles.json").read_text())
+        cases = [t for t in doc["tree"] if "case" in t]
+        assert doc["rows"] and cases
+        assert all(t["pass"] is True for t in doc["rows"] + cases)
+
+    def test_value_error_mid_run_exits_3(self, capsys, monkeypatch):
+        # a ValueError raised inside a computation is not a usage error
+        def suite(rc):
+            raise ValueError("refinement level too coarse for this cell")
+        monkeypatch.setitem(cli.SUITES, "oracles", suite)
+        code, _, err = run(capsys, "verify", "oracles")
+        assert code == 3
+        assert err.startswith("computational error:")
 
     def test_p3_warns(self, capsys):
         code, _, err = run(capsys, "nilpotent", "--f", "zero", "--p", "3")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,10 @@ from germlab import (BallTooSmall, FieldConfig, GroupElement,
                      Sl2Element, ad, ball, depth_via_tree, distance, make_vertex,
                      mp_lattice, neighbors, random_sl2, rep_elliptic,
                      tree_count_oracle)
-from germlab.tree import BASE, cartan, basis_matrix
+from germlab.orbital import tree_oracle_cases
+from germlab.sl2 import classify, random_conjugate
+from germlab.tree import (BASE, LatticeDescriptor, _apartment_vertices, act,
+                          basis_matrix, cartan)
 
 CFG = FieldConfig(5)
 
@@ -167,3 +171,147 @@ class TestCountOracle:
     def test_ball_too_small(self):
         with pytest.raises(BallTooSmall):
             tree_count_oracle(CFG, M(1, 0, 0), 0, 1)
+
+    def test_empty_fixed_set(self):
+        # diag(1,-1) has depth 0, so no lattice g_{v,1} holds it
+        X = M(1, 0, 0)
+        assert tree_count_oracle(CFG, X, 1, 4) == 0 == _scan_count(CFG, X, 1, 4)
+
+    def test_fixed_set_outside_the_ball(self):
+        # the fixed set of this depth-0 elliptic X at level 0 is one vertex,
+        # moved to distance 4 by g; a ball of radius 3 misses it entirely
+        g = GroupElement.from_rationals(CFG, [[25, 0], [0, Fraction(1, 25)]])
+        X = ad(g, rep_elliptic(CFG, CFG.eps, tag=True))
+        assert distance(CFG, BASE, act(CFG, g, BASE)) == 4
+        assert tree_count_oracle(CFG, X, 0, 3) == 0 == _scan_count(CFG, X, 0, 3)
+        with pytest.raises(BallTooSmall):
+            tree_count_oracle(CFG, X, 0, 4)
+        assert tree_count_oracle(CFG, X, 0, 5) == 1 == _scan_count(CFG, X, 0, 5)
+
+
+# -- the full-ball scan: test oracle for the flood fill of tree_count_oracle --
+
+
+@functools.lru_cache(maxsize=None)
+def _ball(p, R):
+    return tuple(ball(FieldConfig(p), BASE, R))
+
+
+def _scan_fixed(cfg, X, n, R):
+    """Every vertex of the R-ball tested: the fixed vertices it holds."""
+    return [v for v in _ball(cfg.p, R) if LatticeDescriptor(cfg, v, n).contains(X)]
+
+
+def _scan_count(cfg, X, n, R):
+    """tree_count_oracle (center BASE, so even distances count) with the fixed
+    set found by scanning the whole ball."""
+    k = classify(X)
+    fixed = _scan_fixed(cfg, X, n, R)
+    if not k.is_split:
+        if any(distance(cfg, BASE, v) == R for v in fixed):
+            raise BallTooSmall(f"fixed set reaches the R={R} boundary")
+        return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == 0))
+    span = 2 * R + 2
+    apt = _apartment_vertices(cfg, X, range(-span, span + 1))
+    if any(distance(cfg, BASE, apt[span + j]) >= R for j in (0, 1)):
+        raise BallTooSmall("fundamental-domain columns not inside the ball")
+    count = 0
+    for v in fixed:
+        dists = [distance(cfg, v, av) for av in apt]
+        if dists.index(min(dists)) - span in (0, 1):
+            if distance(cfg, BASE, v) == R:
+                raise BallTooSmall(f"fixed set reaches the R={R} boundary")
+            count += distance(cfg, BASE, v) % 2 == 0
+    return Fraction(count)
+
+
+def _outcome(count, cfg, X, n, R):
+    """The count, or BallTooSmall if the count raised it."""
+    try:
+        return count(cfg, X, n, R)
+    except BallTooSmall:
+        return BallTooSmall
+
+
+class _LatticeTests:
+    """Counts the lattice tests (contains or min_level calls) the oracle makes.
+
+    contains runs through min_level, so a call of one inside the other is
+    one test.  Passing `limit` turns a runaway search into a failure, not a
+    hang.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls, self.limit, self._inside = 0, None, False
+        for name in ("contains", "min_level"):
+            monkeypatch.setattr(LatticeDescriptor, name,
+                                self._counted(getattr(LatticeDescriptor, name)))
+
+    def _counted(self, method):
+        def counted(lat, X):
+            if self._inside:
+                return method(lat, X)
+            self.calls += 1
+            if self.limit is not None and self.calls > self.limit:
+                raise AssertionError(f"more than {self.limit} lattice tests")
+            self._inside = True
+            try:
+                return method(lat, X)
+            finally:
+                self._inside = False
+        return counted
+
+    def run(self, limit, fn, *args):
+        self.calls, self.limit = 0, limit
+        try:
+            return fn(*args)
+        finally:
+            self.limit = None
+
+
+@pytest.fixture
+def lattice_tests(monkeypatch):
+    return _LatticeTests(monkeypatch)
+
+
+def _fill_and_scan(tests, cfg, X, n, R):
+    """Outcomes of tree_count_oracle and of the scan on the same input."""
+    # no search of the R-ball needs more tests than the (R+1)-ball has vertices
+    p = cfg.p
+    budget = 1 + (p + 1) * (p ** (R + 1) - 1) // (p - 1)
+    want = _outcome(_scan_count, cfg, X, n, R)
+    return tests.run(budget, _outcome, tree_count_oracle, cfg, X, n, R), want
+
+
+class TestFloodFill:
+    def test_agrees_with_scan_p3(self, lattice_tests):
+        # each case and two seeded conjugates, at the suite's R and at R - 1
+        cfg = FieldConfig(3)
+        seen = set()
+        for i, (name, X, n, R) in enumerate(tree_oracle_cases(cfg)):
+            xs = [X] + [random_conjugate(X, seed=2 * i + j) for j in (1, 2)]
+            for j, Y in enumerate(xs):
+                for r in (R, R - 1):
+                    got, want = _fill_and_scan(lattice_tests, cfg, Y, n, r)
+                    assert got == want, f"{name} conjugate {j} R={r}: fill {got}, scan {want}"
+                    seen.add("raises" if want is BallTooSmall else "zero" if want == 0
+                             else "count")
+        assert seen == {"raises", "zero", "count"}
+
+    def test_agrees_with_scan_p5(self, lattice_tests):
+        cfg = FieldConfig(5)
+        for name, X, n, R in tree_oracle_cases(cfg):
+            got, want = _fill_and_scan(lattice_tests, cfg, X, n, R)
+            assert got == want, f"{name}: fill {got}, scan {want}"
+
+    def test_work_is_bounded_by_the_fixed_set(self, lattice_tests):
+        # the ascent walks the geodesic from BASE to the nearest fixed vertex,
+        # testing the q + 1 neighbours of each vertex it leaves; the fill tests
+        # the neighbours of each fixed vertex of the ball
+        cfg = FieldConfig(5)
+        for name, X, n, R in tree_oracle_cases(cfg):
+            fixed = _scan_fixed(cfg, X, n, R)
+            assert fixed, name
+            steps = min(distance(cfg, BASE, v) for v in fixed)
+            bound = (cfg.p + 1) * (len(fixed) + steps + 1)
+            lattice_tests.run(bound, tree_count_oracle, cfg, X, n, R)
