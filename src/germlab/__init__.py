@@ -28,8 +28,8 @@ from .lcfunc import (CosetCell, LCFunction, depth_r_family, h_combination,
 from .orbital import (BClassRule, IntegralResult, Normalization, OracleResult,
                       brute_force_cell_oracle, nilpotent_orbital,
                       nilpotent_vector, ss_orbital)
-from .germs import (CSV_HEADER, ExpansionReport, GermTable, construct_Hr_Omega,
-                    default_basis, default_pool, extract_germs,
+from .germs import (CSV_HEADER, ExpansionReport, GermBasis, GermTable,
+                    construct_Hr_Omega, default_basis, default_pool, extract_germs,
                     extract_germs_auto, homogeneity_extend,
                     kernel_combinations, reports_to_csv, reports_to_json,
                     verify_claim, verify_scaling, verify_theorem)

@@ -26,7 +26,7 @@ from .lcfunc import (LCFunction, h_combination, indicator_lattice,
                      lcfunction_from_json, unit_ball)
 from .orbital import (Normalization, brute_force_cell_oracle,
                       nilpotent_orbital, ss_orbital, tree_oracle_compare)
-from .germs import (construct_Hr_Omega, default_basis, default_pool,
+from .germs import (GermBasis, construct_Hr_Omega, default_basis, default_pool,
                     extract_germs, homogeneity_extend, reports_to_csv,
                     verify_claim, verify_scaling, verify_theorem)
 
@@ -207,7 +207,7 @@ def _verify_claim(rc: RunConfig) -> int:
 
 def _verify_scaling(rc: RunConfig) -> int:
     cfg = rc.field()
-    pool = default_pool(cfg, rc.r)
+    pool = GermBasis.of(default_pool(cfg, rc.r))
     grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
     rows = []
     ok = True
@@ -230,7 +230,7 @@ def _verify_theorem(rc: RunConfig) -> int:
 
 def _verify_homogeneity(rc: RunConfig) -> int:
     cfg = rc.field()
-    basis = default_basis(cfg)
+    basis = GermBasis.of(default_basis(cfg))
     bases = [("split", Sl2Element.from_rationals(cfg, cfg.p**2, 0, 0)),
              ("unram", rep_elliptic(cfg, cfg.eps * cfg.p**4, tag=True)),
              ("ram", rep_elliptic(cfg, cfg.p**5, tag=True))]

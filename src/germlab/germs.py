@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
                      RankDeficient)
@@ -90,17 +90,38 @@ class ExpansionReport:
 CSV_HEADER = ["f_id", "X_id", "torus", "depth", "r", "lhs", "rhs", "residual", "pass"]
 
 
-def _nilpotent_matrix(pool: Sequence[Tuple[str, LCFunction]]) -> List[List[Fraction]]:
-    """One row (I_Omega(f))_Omega per pool member, columns in ORBIT_ORDER."""
-    return [[nv[om] for om in ORBIT_ORDER]
-            for nv in (nilpotent_vector(f) for _, f in pool)]
+@dataclass(frozen=True)
+class GermBasis:
+    """Named functions with their nilpotent matrix and its rank, built once.
+
+    Row i of `matrix` is (I_Omega(f_i))_Omega with columns in ORBIT_ORDER.
+    An extraction basis is shared by every X of a suite, and a pool by its
+    kernel and single-orbit solves, so each member's five nilpotent
+    integrals are computed once.
+    """
+
+    members: Tuple[Tuple[str, LCFunction], ...]
+    matrix: Tuple[Tuple[Fraction, ...], ...]
+    rank: int
+
+    @classmethod
+    def of(cls, seq: "BasisLike") -> "GermBasis":
+        """`seq` itself if it is a GermBasis, else one built from its members."""
+        if isinstance(seq, GermBasis):
+            return seq
+        members = tuple(seq)
+        matrix = tuple(tuple(nv[om] for om in ORBIT_ORDER)
+                       for nv in (nilpotent_vector(f) for _, f in members))
+        return cls(members, matrix, rank(matrix))
 
 
-def _combination(coeffs: Sequence[Fraction],
-                 pool: Sequence[Tuple[str, LCFunction]]) -> Optional[LCFunction]:
+BasisLike = Union[GermBasis, Sequence[Tuple[str, LCFunction]]]
+
+
+def _combination(coeffs: Sequence[Fraction], pool: GermBasis) -> Optional[LCFunction]:
     """sum_i c_i f_i over the nonzero coefficients; None when all vanish."""
     f = None
-    for c, (_, g) in zip(coeffs, pool):
+    for c, (_, g) in zip(coeffs, pool.members):
         if c != 0:
             f = c * g if f is None else f + c * g
     return f
@@ -117,7 +138,7 @@ def default_basis(cfg: FieldConfig) -> List[Tuple[str, LCFunction]]:
     return out
 
 
-def extract_germs(X: Sl2Element, basis: Sequence[Tuple[str, LCFunction]],
+def extract_germs(X: Sl2Element, basis: BasisLike,
                   held_out: Sequence[Tuple[str, LCFunction]] = ()) -> GermTable:
     """Solve the five-orbit expansion over the basis with exact linear algebra.
 
@@ -125,15 +146,15 @@ def extract_germs(X: Sl2Element, basis: Sequence[Tuple[str, LCFunction]],
     the first five and every held-out function must have zero residual,
     otherwise the system is reported inconsistent (X too shallow for some f).
     """
-    M = _nilpotent_matrix(basis)
-    y = [ss_orbital(X, f).value for _, f in basis]
-    if rank(M) < 5:
+    basis = GermBasis.of(basis)
+    if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
-    x = solve_consistent(M, y)
+    y = [ss_orbital(X, f).value for _, f in basis.members]
+    x = solve_consistent(basis.matrix, y)
     if x is None:
         raise InconsistentSystem("nonzero residual over the basis")
     values = {om: x[i] for i, om in enumerate(ORBIT_ORDER)}
-    table = GermTable(X, values, provenance=[name for name, _ in basis])
+    table = GermTable(X, values, provenance=[name for name, _ in basis.members])
     for name, f in held_out:
         nv = nilpotent_vector(f)
         lhs = ss_orbital(X, f).value
@@ -151,16 +172,16 @@ def homogeneity_extend(table: GermTable, k: int) -> GermTable:
     return GermTable(newbase, vals, provenance=table.provenance + [f"extend:k={k}"])
 
 
-def extract_germs_auto(X: Sl2Element, basis=None, min_depth: Fraction = Fraction(2)
-                       ) -> GermTable:
+def extract_germs_auto(X: Sl2Element, basis: Optional[BasisLike] = None,
+                       min_depth: Fraction = Fraction(2)) -> GermTable:
     """Extraction with automatic deepening: extract at zeta^(2k) X, extend back.
 
     Deepening also resolves an InconsistentSystem by moving X into the
     validity range of every basis function and transporting the table back
-    along the scaling law.
+    along the scaling law.  Every retry reuses the basis's nilpotent matrix.
     """
     cfg = X.cfg
-    basis = default_basis(cfg) if basis is None else basis
+    basis = GermBasis.of(default_basis(cfg) if basis is None else basis)
     d = depth(X)
     if isinstance(d, Deep):
         raise RankDeficient("germ table requested at a non-regular element")
@@ -179,15 +200,16 @@ def extract_germs_auto(X: Sl2Element, basis=None, min_depth: Fraction = Fraction
 
 
 def construct_Hr_Omega(r: int, omega: OrbitLabel,
-                       pool: Sequence[Tuple[str, LCFunction]]) -> List[Tuple[str, LCFunction]]:
+                       pool: BasisLike) -> List[Tuple[str, LCFunction]]:
     """Combinations of pool members whose nilpotent vector sits on omega alone.
 
     Exact solve: with A the (pool x 5) nilpotent matrix, returns functions
     built from particular solutions of A^T x = e_omega (translated by kernel
     vectors for variety); every output is re-verified.
     """
-    AT = list(zip(*_nilpotent_matrix(pool)))  # one row per orbit
-    if rank(AT) < 5:
+    pool = GermBasis.of(pool)
+    AT = list(zip(*pool.matrix))  # one row per orbit
+    if pool.rank < 5:
         raise PoolDeficient("pool spans fewer than 5 independent nilpotent vectors")
     target = [Fraction(1) if om == omega else Fraction(0) for om in ORBIT_ORDER]
     x0 = solve_consistent(AT, target)
@@ -236,9 +258,10 @@ def default_pool(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
     return pool
 
 
-def kernel_combinations(pool: Sequence[Tuple[str, LCFunction]]) -> List[Tuple[str, LCFunction]]:
+def kernel_combinations(pool: BasisLike) -> List[Tuple[str, LCFunction]]:
     """Pool combinations with identically vanishing nilpotent vector."""
-    AT = list(zip(*_nilpotent_matrix(pool)))  # one row per orbit
+    pool = GermBasis.of(pool)
+    AT = list(zip(*pool.matrix))  # one row per orbit
     out = []
     for idx, kv in enumerate(nullspace(AT)):
         f = _combination(kv, pool)
@@ -247,13 +270,15 @@ def kernel_combinations(pool: Sequence[Tuple[str, LCFunction]]) -> List[Tuple[st
     return out
 
 
-def verify_claim(r: int, pool: Sequence[Tuple[str, LCFunction]],
+def verify_claim(r: int, pool: BasisLike,
                  X_grid: Sequence[Tuple[str, Sl2Element]]) -> List[ExpansionReport]:
     """All pool combinations with zero nilpotent vector must kill every I_X.
 
     Combines the exact kernel of the pool with the dilation combinations
-    q^d f - f_zeta over the single-orbit subfamilies.
+    q^d f - f_zeta over the single-orbit subfamilies; the pool's nilpotent
+    matrix is computed once for all six solves.
     """
+    pool = GermBasis.of(pool)
     hs = list(kernel_combinations(pool))
     for om in ALL_ORBITS:
         for name, f in construct_Hr_Omega(r, om, pool):
@@ -281,16 +306,18 @@ def verify_scaling(r: int, omega: OrbitLabel, f: LCFunction, X: Sl2Element) -> b
 
 def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
                    X_grid: Sequence[Tuple[str, Sl2Element]],
-                   basis=None) -> List[ExpansionReport]:
+                   basis: Optional[BasisLike] = None) -> List[ExpansionReport]:
     """Expansion residuals over (family x grid) with globally extended germs.
 
     Rows with depth(X) >= proxy depth of f (and X topologically nilpotent,
     the domain of the group-side transfer) are gated; shallower rows are
-    contrast rows and only recorded.
+    contrast rows and only recorded.  One germ basis serves the whole grid.
     """
     nil_vecs = [nilpotent_vector(f) for _, f in family]
     reports = []
     for xname, X in X_grid:
+        # built at the first X, then GermBasis.of hands the same basis back
+        basis = GermBasis.of(default_basis(X.cfg) if basis is None else basis)
         table = extract_germs_auto(X, basis=basis)
         k = classify(X)
         d = depth(X)

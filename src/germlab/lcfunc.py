@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import OutsideDomain
@@ -40,6 +41,19 @@ class CosetCell:
 
     def contains(self, X: Sl2Element) -> bool:
         return self.lattice.contains(X - self.center)
+
+
+@lru_cache(maxsize=1 << 12)
+def _base_centre(cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
+    """Centre of Ad(g_v^{-1}) cell at the base vertex, reduced mod p^n.
+
+    The cell Y + g_{v,n} becomes Ad(g_v^{-1})Y + p^n sl2(O).  A pure function
+    of the (value-hashed) cell, memoised because the suites integrate the
+    same few cells inside many combinations.
+    """
+    cfg, n = cell.lattice.cfg, cell.level
+    moved = ad_to_base(cfg, cell.vertex, *cell.center.exact_entries())
+    return tuple(mod_pk(e, cfg.p, n) for e in moved)
 
 
 def _ad_matrix_triples(cfg: FieldConfig, K) -> List[Tuple[Fraction, Fraction, Fraction]]:
@@ -216,13 +230,8 @@ class LCFunction:
         reduced mod p^n.  The engine integrates it against the orbit moved by
         the same Ad(g_v^{-1}), so no cell is refined, however far v lies.
         """
-        p = self.cfg.p
-        out = []
-        for coeff, cell in self.terms:
-            n = cell.level
-            moved = ad_to_base(self.cfg, cell.vertex, *cell.center.exact_entries())
-            out.append((coeff, tuple(mod_pk(e, p, n) for e in moved), n, cell.vertex))
-        return out
+        return [(coeff, _base_centre(cell), cell.level, cell.vertex)
+                for coeff, cell in self.terms]
 
     def equals(self, other: "LCFunction") -> bool:
         N = max(self.level(), other.level())

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GridTooLarge, NotRegular, TailUnstable
@@ -64,22 +65,21 @@ class IntegralResult:
                 "certificate": self.certificate, "normalization": self.normalization}
 
 
+@dataclass(frozen=True)
 class BClassRule:
     """Which b-strata and leading digits the orbit admits.
 
     allowed(v) returns 'all', 'none', or the required Legendre value (+1/-1)
-    of the leading digit of b on the valuation-v stratum.
+    of the leading digit of b on the valuation-v stratum.  Rules built
+    separately for the same orbit are equal and hash equal, so they key the
+    cell memo of _cell_integral.
     """
 
-    def __init__(self, kind: str, cfg: FieldConfig,
-                 ext: Optional[QuadExtDescriptor] = None,
-                 tag: Optional[bool] = None,
-                 nil_class: Optional[SquareClass] = None):
-        self.kind = kind
-        self.cfg = cfg
-        self.ext = ext
-        self.tag = tag
-        self.nil_class = nil_class
+    kind: str
+    cfg: FieldConfig
+    ext: Optional[QuadExtDescriptor] = None
+    tag: Optional[bool] = None
+    nil_class: Optional[SquareClass] = None
 
     @classmethod
     def split(cls, cfg) -> "BClassRule":
@@ -216,10 +216,17 @@ def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     return cfg.qpow(expo) * sqmeas(cfg, alpha, N, s - chi * beta, m)
 
 
+@lru_cache(maxsize=1 << 14)
 def _cell_integral(cfg: FieldConfig, s: Fraction, rule: BClassRule,
                    cell: Tuple[Fraction, Fraction, Fraction], N: int,
                    M_hint: int) -> Tuple[Fraction, int, str]:
-    """Exact integral of one product cell, with certified geometric tail."""
+    """Exact integral of one product cell, with certified geometric tail.
+
+    A pure function of exact, value-hashed arguments, so it is memoised: an
+    h made of a few coset indicators is integrated against many X, and the
+    suites integrate the same cells again and again.  M_hint is part of the
+    key because it moves the reported tail start v0.
+    """
     alpha, beta, chi = cell
     p = cfg.p
     if val_p(beta, p) < N:

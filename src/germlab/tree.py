@@ -143,15 +143,13 @@ def depth_via_tree(cfg: FieldConfig, X: Sl2Element, R: int):
 
     A lower bound for the depth that stabilizes at floor(depth) for regular X
     once R is large enough; grows without bound along rays for nilpotent X.
+    Every local maximum of min_level is global, so the greedy ascent from
+    BASE, stopped at distance R, reaches the maximum over the ball in at most
+    R steps of q + 1 lattice tests each.
     """
     if X.is_zero_elt():
         raise ValueError("depth_via_tree needs X != 0")
-    best = -INF
-    for v in ball(cfg, BASE, R):
-        lev = LatticeDescriptor(cfg, v, 0).min_level(X)
-        if lev > best:
-            best = lev
-    return best
+    return _ascend(cfg, X, INF, R)[0]
 
 
 def _apartment_vertices(cfg: FieldConfig, X: Sl2Element, k_range) -> List[TreeVertex]:
@@ -192,23 +190,38 @@ def _lattice_class(cfg: FieldConfig, cols) -> TreeVertex:
     return make_vertex(cfg, int(val_p(delta, p)), xq)
 
 
-def _fixed_vertices(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> List[TreeVertex]:
-    """F_n within distance R of BASE, by greedy ascent then flood fill.
+def _ascend(cfg: FieldConfig, X: Sl2Element, n, R: int) -> Tuple[int, TreeVertex]:
+    """Greedy ascent of min_level from BASE: the (level, vertex) it stops at.
 
-    The ascent moves to a neighbour of strictly larger min_level until it
-    reaches F_n; it stops at the projection of BASE onto F_n, the point of
-    F_n closest to BASE.  A local maximum below n means F_n is empty, and a
-    projection farther than R means F_n misses the ball.  F_n within the ball
-    is convex, hence connected and reached from that projection.
+    Each step moves to a neighbour of strictly larger min_level.  The ascent
+    stops on reaching level n, at a local maximum, or after R steps.  Its
+    path is the geodesic from BASE to the projection of BASE onto the fixed
+    set of the level reached, so R steps reach exactly the R-sphere.
     """
     v = BASE
     lev = LatticeDescriptor(cfg, v, 0).min_level(X)
-    while lev < n:
+    for _ in range(R):
+        if lev >= n:
+            break
         up = max(((LatticeDescriptor(cfg, w, 0).min_level(X), w)
                   for w in neighbors(cfg, v)), key=lambda t: t[0])
-        if up[0] <= lev or distance(cfg, BASE, up[1]) > R:
-            return []
+        if up[0] <= lev:
+            break
         lev, v = up
+    return lev, v
+
+
+def _fixed_vertices(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> List[TreeVertex]:
+    """F_n within distance R of BASE, by greedy ascent then flood fill.
+
+    The ascent stops at the projection of BASE onto F_n, the point of F_n
+    closest to BASE.  A local maximum below n means F_n is empty, and a
+    projection farther than R means F_n misses the ball.  F_n within the ball
+    is convex, hence connected and reached from that projection.
+    """
+    lev, v = _ascend(cfg, X, n, R)
+    if lev < n:
+        return []
     fixed, todo, seen = [v], [v], {v}
     while todo:
         for w in neighbors(cfg, todo.pop()):

@@ -13,8 +13,10 @@ from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
                      nilpotent_vector, random_sl2, rep_elliptic,
                      reports_to_csv, reports_to_json, ss_orbital, unit_ball,
                      verify_claim, verify_scaling, verify_theorem)
-from germlab.germs import ORBIT_ORDER, nilpotent_center
+from germlab.cli import _standard_grid
+from germlab.germs import ORBIT_ORDER, GermBasis, nilpotent_center
 from germlab.linalg import nullspace, rank, solve_consistent
+from germlab.orbital import _cell_integral
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -295,3 +297,41 @@ class TestTheorem:
         assert csv.splitlines()[0] == "f_id,X_id,torus,depth,r,lhs,rhs,residual,pass"
         js = reports_to_json(reports)
         assert js[0]["X_id"] == "split-d1"
+
+
+class TestGermBasis:
+    def test_of_hands_a_built_basis_back(self):
+        b = GermBasis.of(default_basis(CFG))
+        assert GermBasis.of(b) is b
+        assert b.rank == 5 and len(b.matrix) == len(b.members) == 6
+
+    def test_plain_and_built_bases_give_the_same_table(self):
+        X = M(25, 0, 0)
+        plain = default_basis(CFG)
+        t1, t2 = extract_germs(X, plain), extract_germs(X, GermBasis.of(plain))
+        assert t1.same_values(t2) and t1.provenance == t2.provenance
+
+    def test_nilpotent_vectors_are_computed_once_per_suite(self, monkeypatch):
+        from germlab import germs
+        calls = []
+        real = germs.nilpotent_vector
+        monkeypatch.setattr(germs, "nilpotent_vector", lambda f: calls.append(f) or real(f))
+        pool = default_pool(CFG, 0)
+        grid = _standard_grid(CFG, 0, 0, False)
+        verify_claim(0, pool, grid)
+        # the pool's rows once, at most three re-checked combinations per
+        # orbit, and one check per h (the kernel and the 15 dilation ones)
+        assert len(calls) <= len(pool) + 5 * 3 + (len(pool) - 5) + 5 * 3
+        calls.clear()
+        verify_theorem(0, pool, grid)
+        assert len(calls) == len(pool) + len(default_basis(CFG))
+
+
+def test_cell_memo_serves_most_of_verify_claim():
+    # the claim suite at p=5, r=0 on the command line's grid repeats 89 % of
+    # its cell integrals; a rule that stopped hashing by value would turn the
+    # memo off while every value stayed right
+    _cell_integral.cache_clear()
+    verify_claim(0, default_pool(CFG, 0), _standard_grid(CFG, 0, 0, False))
+    info = _cell_integral.cache_info()
+    assert info.hits >= 0.8 * (info.hits + info.misses)

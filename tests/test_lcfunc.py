@@ -8,7 +8,9 @@ from germlab import (CosetCell, FieldConfig, LCFunction, OutsideDomain,
                      indicator, indicator_lattice, is_invariant_under,
                      lcfunction_from_json, lcfunction_to_json, make_vertex,
                      mp_lattice, phi_pullback_support, random_sl2, unit_ball)
-from germlab.tree import BASE
+from germlab.lcfunc import _base_centre
+from germlab.padic import mod_pk
+from germlab.tree import BASE, ad_to_base
 
 CFG = FieldConfig(5)
 
@@ -199,3 +201,24 @@ class TestJson:
         g = lcfunction_from_json(CFG, data)
         assert f.equals(g)
         assert all(set(d) == {"coeff", "center", "vertex", "level"} for d in data)
+
+
+class TestIntegrationCells:
+    def test_centres_match_a_direct_move_to_the_base_vertex(self):
+        rng = random.Random(5)
+        terms = []
+        for v in (BASE, make_vertex(CFG, 1, 3), make_vertex(CFG, -1, 0),
+                  make_vertex(CFG, 2, 7)):
+            for n in (0, 1, 2):
+                terms.append((Fraction(rng.randint(1, 9)),
+                              CosetCell(rand_point(rng), mp_lattice(CFG, v, n))))
+        f = LCFunction(CFG, terms)
+        out = f.integration_cells()
+        assert len(out) == len(terms)
+        for (coeff, cell), (c2, key, n, v) in zip(f.terms, out):
+            moved = ad_to_base(CFG, cell.vertex, *cell.center.exact_entries())
+            assert (c2, n, v) == (coeff, cell.level, cell.vertex)
+            assert key == tuple(mod_pk(e, CFG.p, cell.level) for e in moved)
+
+    def test_memo_is_bounded(self):
+        assert _base_centre.cache_info().maxsize is not None

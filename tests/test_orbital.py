@@ -8,8 +8,11 @@ from germlab import (ALL_ORBITS, FieldConfig, NotRegular, REG_EPS, REG_EPSPI,
                      brute_force_cell_oracle, indicator_lattice, make_vertex,
                      nilpotent_orbital, nilpotent_vector, random_sl2,
                      rep_elliptic, ss_orbital, unit_ball)
+from germlab import orbital
 from germlab.lcfunc import h_combination
-from germlab.orbital import tree_oracle_compare
+from germlab.orbital import BClassRule, _cell_integral, _orbit_rule, tree_oracle_compare
+from germlab.padic import SquareClass
+from germlab.sl2 import classify
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -239,3 +242,42 @@ class TestCertificates:
         assert res.normalization.startswith("p=5")
         d = res.to_json()
         assert set(d) >= {"value", "v0", "tail", "certificate", "normalization"}
+
+
+class TestCellMemo:
+    """_cell_integral is memoised on its exact, value-hashed arguments."""
+
+    XS = [("split", M(5, 0, 0)), ("unram", rep_elliptic(CFG, 2 * 25, tag=True)),
+          ("ram", rep_elliptic(CFG, 5, tag=False))]
+
+    def test_rules_built_apart_are_equal(self):
+        for _, X in self.XS:
+            twin = Sl2Element.from_rationals(FieldConfig(5), *X.exact_entries())
+            r1, r2 = _orbit_rule(CFG, classify(X)), _orbit_rule(FieldConfig(5), classify(twin))
+            assert r1 is not r2
+            assert r1 == r2 and hash(r1) == hash(r2)
+        n1 = BClassRule.nilpotent(CFG, SquareClass.EPS)
+        n2 = BClassRule.nilpotent(FieldConfig(5), SquareClass.EPS)
+        assert n1 == n2 and hash(n1) == hash(n2)
+        assert n1 != BClassRule.nilpotent(CFG, SquareClass.PI)
+        assert BClassRule.split(CFG) != BClassRule.split(CFG3)
+
+    def test_cold_warm_and_unmemoised_results_agree(self, monkeypatch):
+        # an off-base term (vertex (1,0)) next to two base-vertex cells
+        f = (unit_ball(CFG)
+             - 2 * indicator_lattice(CFG, make_vertex(CFG, 1, 0), 1, center=M(5, 0, 5))
+             + 3 * indicator_lattice(CFG, BASE, 2, center=M(0, 5, 0)))
+        for name, X in self.XS:
+            _cell_integral.cache_clear()
+            cold = ss_orbital(X, f)
+            assert _cell_integral.cache_info().hits == 0, name
+            warm = ss_orbital(X, f)
+            assert _cell_integral.cache_info().hits == len(f.terms), name
+            with monkeypatch.context() as m:
+                m.setattr(orbital, "_cell_integral", _cell_integral.__wrapped__)
+                plain = ss_orbital(X, f)
+            assert cold == warm == plain, name
+            assert (cold.value, cold.v0, cold.tail) == (plain.value, plain.v0, plain.tail)
+
+    def test_memo_is_bounded(self):
+        assert _cell_integral.cache_info().maxsize is not None

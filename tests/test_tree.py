@@ -156,37 +156,40 @@ class TestDepthViaTree:
 
 
 class TestCountOracle:
-    def test_split_unit_apartment(self):
+    """Each count runs under the lattice-test budget of _fill_and_scan, so a
+    search that loses its R bound fails instead of hanging."""
+
+    def test_split_unit_apartment(self, lattice_tests):
         # fixed set of diag(1,-1) at level 0 is the apartment; the window
         # holds one even vertex
-        assert tree_count_oracle(CFG, M(1, 0, 0), 0, 4) == 1
+        assert _capped_count(lattice_tests, CFG, M(1, 0, 0), 0, 4) == 1
 
-    def test_split_depth1_tube(self):
-        assert tree_count_oracle(CFG, M(5, 0, 0), 0, 4) == 5
+    def test_split_depth1_tube(self, lattice_tests):
+        assert _capped_count(lattice_tests, CFG, M(5, 0, 0), 0, 4) == 5
 
-    def test_unram_depth0_single_vertex(self):
+    def test_unram_depth0_single_vertex(self, lattice_tests):
         X = rep_elliptic(CFG, 2, tag=True)
-        assert tree_count_oracle(CFG, X, 0, 3) == 1
+        assert _capped_count(lattice_tests, CFG, X, 0, 3) == 1
 
-    def test_ball_too_small(self):
+    def test_ball_too_small(self, lattice_tests):
         with pytest.raises(BallTooSmall):
-            tree_count_oracle(CFG, M(1, 0, 0), 0, 1)
+            _capped_count(lattice_tests, CFG, M(1, 0, 0), 0, 1)
 
-    def test_empty_fixed_set(self):
+    def test_empty_fixed_set(self, lattice_tests):
         # diag(1,-1) has depth 0, so no lattice g_{v,1} holds it
         X = M(1, 0, 0)
-        assert tree_count_oracle(CFG, X, 1, 4) == 0 == _scan_count(CFG, X, 1, 4)
+        assert _capped_count(lattice_tests, CFG, X, 1, 4) == 0 == _scan_count(CFG, X, 1, 4)
 
-    def test_fixed_set_outside_the_ball(self):
+    def test_fixed_set_outside_the_ball(self, lattice_tests):
         # the fixed set of this depth-0 elliptic X at level 0 is one vertex,
         # moved to distance 4 by g; a ball of radius 3 misses it entirely
         g = GroupElement.from_rationals(CFG, [[25, 0], [0, Fraction(1, 25)]])
         X = ad(g, rep_elliptic(CFG, CFG.eps, tag=True))
         assert distance(CFG, BASE, act(CFG, g, BASE)) == 4
-        assert tree_count_oracle(CFG, X, 0, 3) == 0 == _scan_count(CFG, X, 0, 3)
+        assert _capped_count(lattice_tests, CFG, X, 0, 3) == 0 == _scan_count(CFG, X, 0, 3)
         with pytest.raises(BallTooSmall):
-            tree_count_oracle(CFG, X, 0, 4)
-        assert tree_count_oracle(CFG, X, 0, 5) == 1 == _scan_count(CFG, X, 0, 5)
+            _capped_count(lattice_tests, CFG, X, 0, 4)
+        assert _capped_count(lattice_tests, CFG, X, 0, 5) == 1 == _scan_count(CFG, X, 0, 5)
 
 
 # -- the full-ball scan: test oracle for the flood fill of tree_count_oracle --
@@ -223,6 +226,11 @@ def _scan_count(cfg, X, n, R):
                 raise BallTooSmall(f"fixed set reaches the R={R} boundary")
             count += distance(cfg, BASE, v) % 2 == 0
     return Fraction(count)
+
+
+def _scan_depth(cfg, X, R):
+    """depth_via_tree with every vertex of the R-ball tested."""
+    return max(LatticeDescriptor(cfg, v, 0).min_level(X) for v in _ball(cfg.p, R))
 
 
 def _outcome(count, cfg, X, n, R):
@@ -274,13 +282,21 @@ def lattice_tests(monkeypatch):
     return _LatticeTests(monkeypatch)
 
 
+def _ball_budget(p, R):
+    """No search of the R-ball needs more tests than the (R+1)-ball has vertices."""
+    return 1 + (p + 1) * (p ** (R + 1) - 1) // (p - 1)
+
+
+def _capped_count(tests, cfg, X, n, R):
+    """tree_count_oracle under the lattice-test budget of the R-ball."""
+    return tests.run(_ball_budget(cfg.p, R), tree_count_oracle, cfg, X, n, R)
+
+
 def _fill_and_scan(tests, cfg, X, n, R):
     """Outcomes of tree_count_oracle and of the scan on the same input."""
-    # no search of the R-ball needs more tests than the (R+1)-ball has vertices
-    p = cfg.p
-    budget = 1 + (p + 1) * (p ** (R + 1) - 1) // (p - 1)
     want = _outcome(_scan_count, cfg, X, n, R)
-    return tests.run(budget, _outcome, tree_count_oracle, cfg, X, n, R), want
+    return tests.run(_ball_budget(cfg.p, R), _outcome, tree_count_oracle,
+                     cfg, X, n, R), want
 
 
 class TestFloodFill:
@@ -315,3 +331,36 @@ class TestFloodFill:
             steps = min(distance(cfg, BASE, v) for v in fixed)
             bound = (cfg.p + 1) * (len(fixed) + steps + 1)
             lattice_tests.run(bound, tree_count_oracle, cfg, X, n, R)
+
+
+class TestDepthAscent:
+    """depth_via_tree climbs min_level; the full-ball scan is its oracle."""
+
+    CASES = [(M(5, 0, 0), 2), (M(1, 0, 0), 3), (M(0, 1, 5), 3), (M(0, 1, 0), 1),
+             (M(0, 1, 0), 3)] + [(M(0, 1, 2 * 25), R) for R in (0, 1, 2, 3)]
+
+    @staticmethod
+    def _ascent_and_scan(tests, cfg, X, R):
+        # the ascent tests BASE, then the q + 1 neighbours of each of at most
+        # R vertices it leaves
+        got = tests.run(1 + R * (cfg.p + 1), depth_via_tree, cfg, X, R)
+        return got, _scan_depth(cfg, X, R)
+
+    def test_agrees_with_scan_on_the_examples(self, lattice_tests):
+        for X, R in self.CASES:
+            got, want = self._ascent_and_scan(lattice_tests, CFG, X, R)
+            assert got == want, f"{X!r} R={R}: ascent {got}, scan {want}"
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_agrees_with_scan_on_conjugates(self, lattice_tests, p):
+        cfg = FieldConfig(p)
+        e = cfg.eps
+        reps = [M(1, 0, 0, cfg), M(p, 0, 0, cfg), M(0, 1, 0, cfg),
+                rep_elliptic(cfg, e, tag=True), rep_elliptic(cfg, e * p**2, tag=False),
+                rep_elliptic(cfg, p, tag=True), rep_elliptic(cfg, e * p**3, tag=True)]
+        for i, X in enumerate(reps):
+            for seed in (3 * i + 1, 3 * i + 2):
+                Y = random_conjugate(X, seed=seed)
+                for R in range(5):
+                    got, want = self._ascent_and_scan(lattice_tests, cfg, Y, R)
+                    assert got == want, f"{Y!r} R={R}: ascent {got}, scan {want}"
