@@ -8,8 +8,7 @@ geometric tails, and germ tables come from exact linear algebra.
 
 from .errors import (BallTooSmall, GermlabError, GridTooLarge,
                      InconsistentSystem, InvariantViolated, NotRegular,
-                     OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch,
-                     TailUnstable)
+                     OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch)
 from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
                     hilbert_symbol, legendre, val_p)
 from .sl2 import (ALL_ORBITS, DEEP, DIM_NILPOTENT_CONE, Deep, ElementClass,

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import GermlabError, GridTooLarge, NotRegular, TailUnstable
+from .errors import GermlabError, GridTooLarge, NotRegular
 from .padic import FieldConfig, SquareClass
 from .sl2 import (ALL_ORBITS, Sl2Element, classify, depth, in_g_nil_r,
                   random_conjugate, rep_elliptic)
@@ -356,7 +356,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (_UsageError, OSError) as exc:  # OSError here: --out cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (NotRegular, TailUnstable, GridTooLarge, ValueError) as exc:
+    except (NotRegular, GridTooLarge, ValueError) as exc:
         print(f"computational error: {exc}", file=sys.stderr)
         return 3
     except GermlabError as exc:

@@ -1,8 +1,8 @@
 """Exception types shared across the library.
 
-Arithmetic is exact, so no predicate is ever undecided; every certified
-computation that fails its certificate raises instead of returning an
-uncertified value.
+Arithmetic is exact, so no predicate is ever undecided; a result that rests
+on a proof (the stratum tail, a pool combination) is re-checked exactly, and
+a failed re-check raises InvariantViolated instead of returning a value.
 """
 
 
@@ -20,10 +20,6 @@ class SpecMismatch(GermlabError):
 
 class NotRegular(GermlabError):
     """Orbital integral requested at a non regular-semisimple element."""
-
-
-class TailUnstable(GermlabError):
-    """Geometric tail certificate failed; refusing to return an uncertified value."""
 
 
 class GridTooLarge(GermlabError):

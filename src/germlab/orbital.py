@@ -18,9 +18,9 @@ congruence measures
     SQMEAS(alpha, N, theta, m) = meas{a in alpha + p^N O : val(a^2 - theta) >= m},
 
 each of which is zero, one ball, or two Hensel-branch cosets.  Strata are
-summed exactly up to a start index and the geometric tail is certified by
-checking two extra stratum blocks against the predicted ratio; an unstable
-tail raises instead of guessing.
+summed exactly up to the index v* of _tail_start, past which Hensel's lemma
+makes them exactly geometric; the tail is summed in closed form and one
+further block re-checks the ratio, raising InvariantViolated if it fails.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GridTooLarge, NotRegular, TailUnstable
+from .errors import GridTooLarge, InvariantViolated, NotRegular
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
                     hensel_sqrt, leading_digit, legendre, mod_pk, val_p)
 from .sl2 import (ALL_ORBITS, ElementClass, OrbitLabel, Sl2Element, ZERO_ORBIT,
@@ -216,43 +216,54 @@ def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     return cfg.qpow(expo) * sqmeas(cfg, alpha, N, s - chi * beta, m)
 
 
+def _tail_start(cfg: FieldConfig, s: Fraction, chi: Fraction, N: int) -> int:
+    """Index v* from which the strata obey S(v+2) = rho S(v) exactly.
+
+    Stratum v measures {a in alpha + p^N O : val(a^2 - theta) >= m}, times a
+    factor fixed by the parity of v, with w = v + min(val chi, N), m in
+    {w, w+1} and theta in {s, s - d p^w}.  By Hensel's lemma, as in sqmeas:
+    for s = 0 the set is a ball or two cosets of radius about w/2, inside
+    p^N O once w >= 2N.  For t = val(s) and w > t, theta has valuation t and
+    the leading digit of s, so the set is empty (s no square) or
+    +-r + p^(m - t/2) O with r^2 = theta and r = sqrt(s) mod p^(w - t/2);
+    once w > N + t/2 that radius is finer than the cell and r is fixed mod
+    p^N.  Past v* each stratum is one fixed set of cosets, shrinking by
+    q^(1/2) (s = 0) or q (s != 0) per unit of w.
+    """
+    if s == 0:
+        w0 = 2 * N
+    else:
+        t = int(val_p(s, cfg.p))
+        w0 = max(t + 1, N - (-t // 2) + 1)
+    return max(N, w0 - min(val_p(chi, cfg.p), N))
+
+
 @lru_cache(maxsize=1 << 14)
 def _cell_integral(cfg: FieldConfig, s: Fraction, rule: BClassRule,
-                   cell: Tuple[Fraction, Fraction, Fraction], N: int,
-                   M_hint: int) -> Tuple[Fraction, int, str]:
-    """Exact integral of one product cell, with certified geometric tail.
+                   cell: Tuple[Fraction, Fraction, Fraction],
+                   N: int) -> Tuple[Fraction, int, str]:
+    """Exact integral of one product cell: head sum plus closed-form tail.
 
-    A pure function of exact, value-hashed arguments, so it is memoised: an
-    h made of a few coset indicators is integrated against many X, and the
-    suites integrate the same cells again and again.  M_hint is part of the
-    key because it moves the reported tail start v0.
+    Past v* = _tail_start, S(v+2) = rho S(v) with rho = 1/q (nilpotent),
+    1/q^2 (split) or 0 (elliptic), so the tail is B0/(1 - rho) with
+    B0 = S(v*) + S(v*+1); the next block re-checks rho.  Memoised: a pure
+    function of exact, value-hashed arguments, and the suites integrate the
+    same cells against many X.
     """
     alpha, beta, chi = cell
     p = cfg.p
     if val_p(beta, p) < N:
         return _bounded_cell_value(cfg, s, rule, alpha, beta, chi, N), N, "finite"
-    vs = abs(int(val_p(s, p))) if s != 0 else 0
-    v0 = N + vs + M_hint + 4
-    for _attempt in range(3):
-        exact = Fraction(0)
-        for v in range(N, v0):
-            exact += _stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
-        blocks = []
-        for k in range(3):
-            b = (_stratum_value(cfg, s, rule, alpha, beta, chi, N, v0 + 2 * k)
-                 + _stratum_value(cfg, s, rule, alpha, beta, chi, N, v0 + 2 * k + 1))
-            blocks.append(b)
-        B0, B1, B2 = blocks
-        if B0 == 0:
-            if B1 == 0 and B2 == 0:
-                return exact, v0, "0"
-        else:
-            ratio = B1 / B0
-            if ratio in (Fraction(0), Fraction(1, p), Fraction(1, p * p)) and B2 == B1 * ratio:
-                tail = B0 / (1 - ratio)
-                return exact + tail, v0, f"geom ratio {ratio} from {B0}"
-        v0 += 4
-    raise TailUnstable("stratum blocks did not match a geometric pattern")
+    v_star = _tail_start(cfg, s, chi, N)
+    S = [_stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
+         for v in range(N, v_star + 4)]
+    B0, B1 = S[-4] + S[-3], S[-2] + S[-1]
+    rho = {"nil": cfg.qpow(-1), "split": cfg.qpow(-2)}.get(rule.kind, Fraction(0))
+    if B1 != rho * B0:
+        raise InvariantViolated(f"strata from v*={v_star} are not geometric "
+                                f"with ratio {rho}: {B0}, {B1}")
+    tail = "0" if B0 == 0 or rho == 0 else f"geom ratio {rho} from {B0}"
+    return sum(S[:-4], Fraction(0)) + B0 / (1 - rho), v_star, tail
 
 
 def _orbit_rule(cfg: FieldConfig, k: ElementClass) -> BClassRule:
@@ -273,10 +284,7 @@ def _engine(cfg: FieldConfig, s: Fraction, X: Sl2Element, rule: BClassRule,
     can change (the norm tag, or the nilpotent class lambda -> lambda p^m), so
     it is looked up once per vertex.
     """
-    p = cfg.p
     cells = f.integration_cells()
-    # tail-start hint: how far the moved cells reach outside sl2(O)
-    M = max([0] + [-min(n, *(val_p(e, p) for e in key)) for _, key, n, _ in cells])
     entries = X.exact_entries()
     rules = {BASE: rule}
     total = Fraction(0)
@@ -287,7 +295,7 @@ def _engine(cfg: FieldConfig, s: Fraction, X: Sl2Element, rule: BClassRule,
         if rule_v is None:
             moved = Sl2Element.from_rationals(cfg, *ad_to_base(cfg, v, *entries))
             rule_v = rules[v] = _orbit_rule(cfg, classify(moved))
-        val, v0, tail = _cell_integral(cfg, s, rule_v, key, n, M)
+        val, v0, tail = _cell_integral(cfg, s, rule_v, key, n)
         total += coeff * val
         v0_max = max(v0_max, v0)
         tails.add(tail)

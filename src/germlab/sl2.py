@@ -155,10 +155,6 @@ class GroupElement:
             raise ValueError(f"determinant {d} != 1")
 
     @classmethod
-    def from_rationals(cls, cfg: FieldConfig, rows) -> "GroupElement":
-        return cls(cfg, rows)
-
-    @classmethod
     def identity(cls, cfg: FieldConfig) -> "GroupElement":
         return cls(cfg, [[1, 0], [0, 1]])
 
@@ -302,9 +298,9 @@ def random_sl2(cfg: FieldConfig, rng: random.Random, size_bound: int = 1) -> Gro
         den = cfg.p ** rng.randint(0, size_bound)
         r = Fraction(num, den)
         if rng.random() < 0.5:
-            e = GroupElement.from_rationals(cfg, [[1, r], [0, 1]])
+            e = GroupElement(cfg, [[1, r], [0, 1]])
         else:
-            e = GroupElement.from_rationals(cfg, [[1, 0], [r, 1]])
+            e = GroupElement(cfg, [[1, 0], [r, 1]])
         g = g @ e
     return g
 

@@ -335,3 +335,21 @@ def test_cell_memo_serves_most_of_verify_claim():
     verify_claim(0, default_pool(CFG, 0), _standard_grid(CFG, 0, 0, False))
     info = _cell_integral.cache_info()
     assert info.hits >= 0.8 * (info.hits + info.misses)
+
+
+def test_cell_memo_keys_carry_only_the_cell(monkeypatch):
+    # the memo key is (field, -det X, rule, cell, level) and nothing else, so
+    # each distinct cell of the claim suite at p=5, r=0 is integrated once:
+    # 174 misses, where a function-wide tail hint in the key made 341
+    from germlab import orbital
+    real = orbital._cell_integral
+    distinct = set()
+
+    def record(*args):
+        distinct.add(args[:5])
+        return real(*args)
+
+    monkeypatch.setattr(orbital, "_cell_integral", record)
+    real.cache_clear()
+    verify_claim(0, default_pool(CFG, 0), _standard_grid(CFG, 0, 0, False))
+    assert real.cache_info().misses == len(distinct)

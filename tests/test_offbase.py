@@ -115,8 +115,8 @@ def test_pullback_of_base_cell(p, data, n, index, gseed):
 def _to_distance_three(cfg):
     """g in SL2 with g^{-1} . (1, 0) at distance 3 from the base vertex."""
     p = cfg.p
-    ginv = (GroupElement.from_rationals(cfg, [[Fraction(1, p), 0], [0, p]])
-            @ GroupElement.from_rationals(cfg, [[1, 0], [1, 1]]))
+    ginv = (GroupElement(cfg, [[Fraction(1, p), 0], [0, p]])
+            @ GroupElement(cfg, [[1, 0], [1, 1]]))
     return ginv.inverse()
 
 

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from germlab import (ALL_ORBITS, FieldConfig, NotRegular, REG_EPS, REG_EPSPI,
-                     REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad,
-                     brute_force_cell_oracle, indicator_lattice, make_vertex,
-                     nilpotent_orbital, nilpotent_vector, random_sl2,
-                     rep_elliptic, ss_orbital, unit_ball)
+from germlab import (ALL_ORBITS, FieldConfig, InvariantViolated, NotRegular,
+                     REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
+                     ZERO_ORBIT, ad, brute_force_cell_oracle, default_pool,
+                     indicator_lattice, make_vertex, nilpotent_orbital,
+                     nilpotent_vector, random_sl2, rep_elliptic, ss_orbital,
+                     unit_ball, verify_claim, verify_theorem)
 from germlab import orbital
+from germlab.cli import _standard_grid, _theorem_family
 from germlab.lcfunc import h_combination
-from germlab.orbital import BClassRule, _cell_integral, _orbit_rule, tree_oracle_compare
-from germlab.padic import SquareClass
+from germlab.orbital import (BClassRule, _cell_integral, _orbit_rule,
+                             _stratum_value, _tail_start, tree_oracle_compare)
+from germlab.padic import SquareClass, mod_pk, val_p
 from germlab.sl2 import classify
 from germlab.tree import BASE
 
@@ -172,9 +176,9 @@ class TestAdInvariance:
         # SL2(O) conjugators keep cells near the base vertex
         from germlab import GroupElement
         f = unit_ball(CFG) + 2 * indicator_lattice(CFG, BASE, 1)
-        ks = [GroupElement.from_rationals(CFG, [[1, 2], [0, 1]]),
-              GroupElement.from_rationals(CFG, [[1, 0], [3, 1]]),
-              GroupElement.from_rationals(CFG, [[2, 1], [1, 1]])]
+        ks = [GroupElement(CFG, [[1, 2], [0, 1]]),
+              GroupElement(CFG, [[1, 0], [3, 1]]),
+              GroupElement(CFG, [[2, 1], [1, 1]])]
         for X in (M(5, 0, 0), M(0, 1, 2)):
             for g in ks:
                 lhs = ss_orbital(ad(g, X), f).value
@@ -281,3 +285,116 @@ class TestCellMemo:
 
     def test_memo_is_bounded(self):
         assert _cell_integral.cache_info().maxsize is not None
+
+
+# -- the proved tail -----------------------------------------------------------
+
+CFGS = {p: FieldConfig(p) for p in (3, 5, 7)}
+
+
+def _ratio(cfg, rule):
+    """S(v+2)/S(v) past the tail start, from the orbit type alone."""
+    return {"nil": Fraction(1, cfg.p), "split": Fraction(1, cfg.p ** 2),
+            "elliptic": Fraction(0)}[rule.kind]
+
+
+@st.composite
+def unbounded_cells(draw):
+    """(cfg, s, rule, cell, N) with b in p^N O, for every orbit type."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    cfg = CFGS[p]
+    N = draw(st.integers(-2, 3))
+    kind = draw(st.sampled_from(("split", "elliptic", "nil")))
+    unit = draw(st.integers(1, p * p).filter(lambda u: u % p))
+    j = draw(st.integers(-2, 2))
+    if kind == "nil":
+        s = Fraction(0)
+        rule = BClassRule.nilpotent(cfg, draw(st.sampled_from(list(SquareClass))))
+    elif kind == "split":
+        c = Fraction(unit) * Fraction(p) ** j
+        s = c * c
+        rule = _orbit_rule(cfg, classify(M(c, 0, 0, cfg)))
+    else:
+        cls = draw(st.sampled_from((SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI)))
+        s = unit * unit * cls.representative(cfg) * Fraction(p) ** (2 * j)
+        X = rep_elliptic(cfg, s, tag=draw(st.booleans()))
+        rule = _orbit_rule(cfg, classify(X))
+    entry = st.builds(lambda k, i: mod_pk(Fraction(k, p ** i), p, N),
+                      st.integers(-p ** 3, p ** 3), st.integers(0, 2))
+    cell = (draw(entry), Fraction(0), draw(entry))
+    return cfg, s, rule, cell, N
+
+
+def _observed_tail_integral(cfg, s, rule, cell, N):
+    """The engine's former tail, kept as a reference for the proved one.
+
+    Sum the strata up to a heuristic start v0, accept a geometric tail when
+    three stratum blocks there match a ratio in {0, 1/q, 1/q^2}, and move v0
+    on by 4 up to three times.  The hint M is the cell's own reach outside
+    sl2(O), as the engine computed it for a one-term function.
+    """
+    alpha, beta, chi = cell
+    p = cfg.p
+    hint = max(0, -min(N, *(val_p(e, p) for e in cell)))
+    v0 = N + (abs(int(val_p(s, p))) if s != 0 else 0) + hint + 4
+    for _attempt in range(3):
+        exact = sum((_stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
+                     for v in range(N, v0)), Fraction(0))
+        B0, B1, B2 = (_stratum_value(cfg, s, rule, alpha, beta, chi, N, v0 + 2 * k)
+                      + _stratum_value(cfg, s, rule, alpha, beta, chi, N, v0 + 2 * k + 1)
+                      for k in range(3))
+        if B0 == 0:
+            if B1 == 0 and B2 == 0:
+                return exact
+        else:
+            ratio = B1 / B0
+            if ratio in (0, Fraction(1, p), Fraction(1, p * p)) and B2 == B1 * ratio:
+                return exact + B0 / (1 - ratio)
+        v0 += 4
+    raise AssertionError(f"no geometric tail for {cell} at N={N}")
+
+
+class TestProvedTail:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(unbounded_cells())
+    def test_strata_are_geometric_from_the_start_index(self, case):
+        cfg, s, rule, (alpha, beta, chi), N = case
+        v_star = _tail_start(cfg, s, chi, N)
+        assert v_star >= N
+        S = [_stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
+             for v in range(v_star, v_star + 43)]
+        rho = _ratio(cfg, rule)
+        for i in range(41):
+            assert S[i + 2] == rho * S[i], (case, v_star + i)
+
+    def test_values_match_the_observed_tail_on_suite_cells(self, monkeypatch):
+        cells = set()
+        real = orbital._cell_integral
+
+        def record(*args):
+            cells.add(args)
+            return real(*args)
+
+        monkeypatch.setattr(orbital, "_cell_integral", record)
+        for r in (0, 1):
+            grid = _standard_grid(CFG, r, 0, False)
+            verify_claim(r, default_pool(CFG, r), grid)
+            verify_theorem(r, _theorem_family(CFG, r), grid)
+        unbounded = [a for a in cells if val_p(a[3][1], CFG.p) >= a[4]]
+        kinds = {a[2].kind for a in unbounded}
+        assert len(unbounded) >= 80 and kinds == {"nil", "split", "elliptic"}
+        for args in unbounded:
+            assert real(*args)[0] == _observed_tail_integral(*args), args
+
+    def test_a_start_index_too_early_is_caught(self, monkeypatch):
+        # diag(5, -5) on p^0 sl2(O): S(v+2) = S(v)/25 only from v = 3 on
+        args = (CFG, Fraction(25), BClassRule.split(CFG), (Fraction(0),) * 3, 0)
+        cell_integral = _cell_integral.__wrapped__
+        assert cell_integral(*args)[1] == 3
+        monkeypatch.setattr(orbital, "_tail_start", lambda cfg, s, chi, N: N)
+        with pytest.raises(InvariantViolated):
+            cell_integral(*args)
+
+    def test_elliptic_tails_are_finite(self):
+        for X in (rep_elliptic(CFG, 2 * 25, tag=True), rep_elliptic(CFG, 5, tag=False)):
+            assert ss_orbital(X, unit_ball(CFG) + indicator_lattice(CFG, BASE, 2)).tail == "finite"

@@ -183,7 +183,7 @@ class TestCountOracle:
     def test_fixed_set_outside_the_ball(self, lattice_tests):
         # the fixed set of this depth-0 elliptic X at level 0 is one vertex,
         # moved to distance 4 by g; a ball of radius 3 misses it entirely
-        g = GroupElement.from_rationals(CFG, [[25, 0], [0, Fraction(1, 25)]])
+        g = GroupElement(CFG, [[25, 0], [0, Fraction(1, 25)]])
         X = ad(g, rep_elliptic(CFG, CFG.eps, tag=True))
         assert distance(CFG, BASE, act(CFG, g, BASE)) == 4
         assert _capped_count(lattice_tests, CFG, X, 0, 3) == 0 == _scan_count(CFG, X, 0, 3)
