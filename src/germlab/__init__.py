@@ -15,8 +15,7 @@ from .sl2 import (ALL_ORBITS, DEEP, DIM_NILPOTENT_CONE, Deep, ElementClass,
                   GroupElement, OrbitLabel, REG_EPS, REG_EPSPI, REG_ONE,
                   REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley, cayley_inv,
                   classify, depth, in_g_nil_r, in_g_r, is_top_nilpotent,
-                  random_conjugate, random_sl2, rep_elliptic, rep_nilpotent,
-                  rep_split, standard_representative)
+                  random_conjugate, random_sl2, rep_elliptic, rep_nilpotent)
 from .tree import (BASE, LatticeDescriptor, TreeVertex, act, ball,
                    depth_via_tree, distance, make_vertex, mp_lattice,
                    neighbors, tree_count_oracle)

@@ -19,6 +19,7 @@ integrals obey the law implemented here, and the scaling suite checks it.)
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -172,31 +173,22 @@ def homogeneity_extend(table: GermTable, k: int) -> GermTable:
     return GermTable(newbase, vals, provenance=table.provenance + [f"extend:k={k}"])
 
 
-def extract_germs_auto(X: Sl2Element, basis: Optional[BasisLike] = None,
-                       min_depth: Fraction = Fraction(2)) -> GermTable:
-    """Extraction with automatic deepening: extract at zeta^(2k) X, extend back.
+def extract_germs_auto(X: Sl2Element, basis: Optional[BasisLike] = None) -> GermTable:
+    """Extraction with deepening: extract at zeta^(2k) X, extend back.
 
-    Deepening also resolves an InconsistentSystem by moving X into the
-    validity range of every basis function and transporting the table back
-    along the scaling law.  Every retry reuses the basis's nilpotent matrix.
+    k is the smallest with depth(X) + 2k >= 2, which moves X into the
+    validity range of every level-2 basis function (README, "Known
+    findings"); the table is transported back along the scaling law.  An
+    InconsistentSystem from extract_germs is raised, not retried.
     """
     cfg = X.cfg
     basis = GermBasis.of(default_basis(cfg) if basis is None else basis)
     d = depth(X)
     if isinstance(d, Deep):
         raise RankDeficient("germ table requested at a non-regular element")
-    k = 0
-    while d + 2 * k < min_depth:
-        k += 1
-    for _ in range(4):
-        Xdeep = X.scale(cfg.zeta ** (2 * k)) if k else X
-        try:
-            table = extract_germs(Xdeep, basis)
-        except InconsistentSystem:
-            k += 1
-            continue
-        return homogeneity_extend(table, -k) if k else table
-    raise InconsistentSystem("could not reach the validity range by deepening")
+    k = max(0, math.ceil((2 - d) / 2))
+    table = extract_germs(X.scale(cfg.zeta ** (2 * k)) if k else X, basis)
+    return homogeneity_extend(table, -k) if k else table
 
 
 def construct_Hr_Omega(r: int, omega: OrbitLabel,

@@ -3,9 +3,11 @@
 An LCFunction is a finite rational combination of indicators of cosets
 Y + g_{v,n}.  Canonicalization refines every cell to the standard lattice
 p^N sl2(O) at a common level N, producing disjoint product cells in the
-(a, b, c) coordinates; that form drives exact evaluation and invariance
-certificates.  The integration engine needs no refinement: it moves each
-cell to the base vertex by Ad(g_v^{-1}) (see integration_cells).
+(a, b, c) coordinates; that form drives equality tests, invariance
+certificates and the brute-force oracle.  It is rebuilt on each call: an
+LCFunction holds its terms and nothing else.  The integration engine needs
+no refinement: it moves each cell to the base vertex by Ad(g_v^{-1}) (see
+integration_cells).
 """
 
 from __future__ import annotations
@@ -119,8 +121,6 @@ class LCFunction:
         self.cfg = cfg
         self.terms: Tuple[Tuple[Rat, CosetCell], ...] = tuple(
             (Fraction(c), cell) for c, cell in terms if c != 0)
-        self._canonical: Optional[Dict[tuple, Fraction]] = None
-        self._canonical_level: Optional[int] = None
 
     # -- structure ------------------------------------------------------
 
@@ -164,22 +164,11 @@ class LCFunction:
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, X: Sl2Element) -> Fraction:
-        if self._canonical is not None:
-            # disjoint standard cells: a single dict lookup
-            p = self.cfg.p
-            N = self._canonical_level
-            a, b, c = X.exact_entries()
-            key = (mod_pk(a, p, N), mod_pk(b, p, N), mod_pk(c, p, N))
-            return self._canonical.get(key, Fraction(0))
         total = Fraction(0)
         for c, cell in self.terms:
             if cell.contains(X):
                 total += c
         return total
-
-    def evaluate_rational(self, a, b, c) -> Fraction:
-        X = Sl2Element.from_rationals(self.cfg, a, b, c)
-        return self.evaluate(X)
 
     def at_zero(self) -> Fraction:
         return self.evaluate(Sl2Element.zero(self.cfg))
@@ -190,22 +179,16 @@ class LCFunction:
         """Disjoint refinement: map (alpha, beta, chi) -> coefficient.
 
         Cells are cosets of p^level sl2(O) with centers reduced mod p^level;
-        evaluation agrees with the original term list everywhere.
+        the value on a cell agrees with the original term list everywhere.
         """
         N = self.level() if level is None else level
         if N < self.level():
             raise ValueError("refinement level coarser than the function's level")
-        if self._canonical is not None and self._canonical_level == N:
-            return self._canonical
         acc: Dict[tuple, Fraction] = {}
         for coeff, cell in self.terms:
             for cf, key in _refine_cell(self.cfg, coeff, cell, N):
                 acc[key] = acc.get(key, Fraction(0)) + cf
-        acc = {k: v for k, v in acc.items() if v != 0}
-        if level is None:
-            self._canonical = acc
-            self._canonical_level = N
-        return acc
+        return {k: v for k, v in acc.items() if v != 0}
 
     def canonicalize(self) -> "LCFunction":
         """Equivalent function written in disjoint standard cells."""
@@ -216,10 +199,7 @@ class LCFunction:
         for (al, be, ch), coeff in sorted(cells.items()):
             center = Sl2Element.from_rationals(self.cfg, al, be, ch)
             terms.append((coeff, CosetCell(center, lat)))
-        out = LCFunction(self.cfg, terms)
-        out._canonical = cells
-        out._canonical_level = N
-        return out
+        return LCFunction(self.cfg, terms)
 
     def integration_cells(self) -> List[Tuple[Fraction, Tuple[Fraction, Fraction, Fraction],
                                               int, TreeVertex]]:

@@ -8,10 +8,13 @@ integrals carry the extra factor q^floor(val(s)/2) = |u|_floor^{-1}, which
 makes the substitution covariance  I_{c X}(f) = I_X(f_c)  an exact identity
 of the engine for c = zeta^2 (and any even-valuation c).
 
-The engine reads a function as a sum of product cells
+The engine integrates an orbit, given by s and its b-class rule, never a
+matrix.  It reads a function as a sum of product cells
 a in alpha + p^N O,  b in beta + p^N O,  c in chi + p^N O, one per term: a
 coset of g_{v,N} is moved to the base vertex by Ad(g_v^{-1}) together with
-the orbit (LCFunction.integration_cells, _engine).  For each cell the
+the orbit (LCFunction.integration_cells, _engine).  The move multiplies b by
+p^m (m = v.m), so the moved orbit keeps s and takes the rule of X when m is
+even and BClassRule.moved() when m is odd.  For each cell the
 b-integral collapses, per valuation stratum, to at most (q-1)/2 quadratic
 congruence measures
 
@@ -28,15 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import GridTooLarge, InvariantViolated, NotRegular
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
                     hensel_sqrt, leading_digit, legendre, mod_pk, val_p)
-from .sl2 import (ALL_ORBITS, ElementClass, OrbitLabel, Sl2Element, ZERO_ORBIT,
-                  classify, rep_nilpotent)
+from .sl2 import ALL_ORBITS, ElementClass, OrbitLabel, Sl2Element, classify
 from .lcfunc import LCFunction
-from .tree import BASE, ad_to_base
+from .tree import BASE
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,20 @@ class BClassRule:
     @classmethod
     def nilpotent(cls, cfg, nil_class: SquareClass) -> "BClassRule":
         return cls("nil", cfg, nil_class=nil_class)
+
+    def moved(self) -> "BClassRule":
+        """The rule of the orbit after b -> p b (an odd move to the base vertex).
+
+        The nilpotent class gains a factor pi; the norm tag of p b is the tag
+        of b when p is a norm and the other tag otherwise; split orbits admit
+        every b.  Squares p^2 change neither, so even moves keep the rule.
+        """
+        if self.kind == "nil":
+            return BClassRule.nilpotent(self.cfg, self.nil_class * SquareClass.PI)
+        if self.kind == "elliptic":
+            keep = self.ext.is_norm_rational(self.cfg.p, self.cfg)
+            return BClassRule.elliptic(self.cfg, self.ext, self.tag == keep)
+        return self
 
     def allowed(self, v: int):
         if self.kind == "split":
@@ -275,27 +291,21 @@ def _orbit_rule(cfg: FieldConfig, k: ElementClass) -> BClassRule:
     return BClassRule.elliptic(cfg, k.torus, k.ss_tag)
 
 
-def _engine(cfg: FieldConfig, s: Fraction, X: Sl2Element, rule: BClassRule,
+def _engine(cfg: FieldConfig, s: Fraction, rule: BClassRule,
             f: LCFunction, prefactor: Fraction) -> IntegralResult:
-    """Integral of f over the orbit of X, whose b-class rule is `rule`.
+    """Integral of f over the orbit with -det = s and b-class rule `rule`.
 
-    A cell moved from vertex v to the base vertex is integrated against
-    Ad(g_v^{-1})X.  That keeps s and the chart measure; only the b-class rule
-    can change (the norm tag, or the nilpotent class lambda -> lambda p^m), so
-    it is looked up once per vertex.
+    A cell moved from vertex v to the base vertex is integrated against the
+    orbit moved by the same Ad(g_v^{-1}).  That keeps s and the chart
+    measure and multiplies b by p^(v.m), so the moved rule is `rule` for
+    even v.m and rule.moved() for odd v.m; both are built once per call.
     """
-    cells = f.integration_cells()
-    entries = X.exact_entries()
-    rules = {BASE: rule}
+    rules = (rule, rule.moved())
     total = Fraction(0)
     v0_max = 0
     tails = set()
-    for coeff, key, n, v in cells:
-        rule_v = rules.get(v)
-        if rule_v is None:
-            moved = Sl2Element.from_rationals(cfg, *ad_to_base(cfg, v, *entries))
-            rule_v = rules[v] = _orbit_rule(cfg, classify(moved))
-        val, v0, tail = _cell_integral(cfg, s, rule_v, key, n)
+    for coeff, key, n, v in f.integration_cells():
+        val, v0, tail = _cell_integral(cfg, s, rules[v.m % 2], key, n)
         total += coeff * val
         v0_max = max(v0_max, v0)
         tails.add(tail)
@@ -314,7 +324,7 @@ def ss_orbital(X: Sl2Element, f: LCFunction) -> IntegralResult:
     s = a * a + b * c  # -det
     vs = int(val_p(s, cfg.p))
     prefactor = cfg.qpow(vs // 2)  # |u|^{-1}, floored to stay rational
-    return _engine(cfg, s, X, _orbit_rule(cfg, k), f, prefactor)
+    return _engine(cfg, s, _orbit_rule(cfg, k), f, prefactor)
 
 
 def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
@@ -323,8 +333,7 @@ def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
     if label.kind == "zero":
         return IntegralResult(f.at_zero(), 0, "point", True,
                               Normalization(cfg).fingerprint())
-    rule = BClassRule.nilpotent(cfg, label.cls)
-    return _engine(cfg, Fraction(0), rep_nilpotent(cfg, label), rule, f, Fraction(1))
+    return _engine(cfg, Fraction(0), BClassRule.nilpotent(cfg, label.cls), f, Fraction(1))
 
 
 def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:

@@ -318,13 +318,6 @@ def rep_nilpotent(cfg: FieldConfig, label: OrbitLabel) -> Sl2Element:
     return Sl2Element.from_rationals(cfg, 0, lam, 0)
 
 
-def rep_split(cfg: FieldConfig, u) -> Sl2Element:
-    u = Fraction(u)
-    if u == 0:
-        raise SpecMismatch("split representative needs u != 0")
-    return Sl2Element.from_rationals(cfg, u, 0, 0)
-
-
 def rep_elliptic(cfg: FieldConfig, s, tag: bool = True) -> Sl2Element:
     """((0, b0), (s/b0, 0)) with -det = s; b0 picked to realize the norm tag."""
     s = Fraction(s)
@@ -342,13 +335,3 @@ def rep_elliptic(cfg: FieldConfig, s, tag: bool = True) -> Sl2Element:
         raise SpecMismatch("representative failed its classification round-trip")
     return X
 
-
-def standard_representative(cfg: FieldConfig, spec) -> Sl2Element:
-    """Dispatch: OrbitLabel | ('split', u) | ('elliptic', s, tag)."""
-    if isinstance(spec, OrbitLabel):
-        return rep_nilpotent(cfg, spec)
-    if isinstance(spec, tuple) and spec and spec[0] == "split":
-        return rep_split(cfg, spec[1])
-    if isinstance(spec, tuple) and spec and spec[0] == "elliptic":
-        return rep_elliptic(cfg, spec[1], spec[2] if len(spec) > 2 else True)
-    raise SpecMismatch(f"unrecognized representative spec {spec!r}")

@@ -234,12 +234,11 @@ def _fixed_vertices(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> List[Tre
     return fixed
 
 
-def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int,
-                      center: TreeVertex = BASE) -> Fraction:
-    """Fixed-vertex count backing the orbital integral of 1_{g_{center,n}}.
+def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fraction:
+    """Fixed-vertex count backing the orbital integral of 1_{g_{BASE,n}}.
 
-    Counts vertices v within distance R of BASE with X in g_{v,n} whose
-    distance parity matches the center's; for split X the count runs over a
+    Counts vertices v within distance R of BASE, at even distance from it,
+    with X in g_{v,n}; for split X the count runs over a
     width-2 window of apartment columns (a fundamental domain for the torus
     translations).  Equals ss_orbital(X, indicator) up to one calibration
     constant per torus type.
@@ -255,13 +254,12 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int,
     k = classify(X)
     if not k.is_regular:
         raise NotRegular("tree count oracle needs a regular semisimple element")
-    want_parity = distance(cfg, BASE, center) % 2
     fixed = _fixed_vertices(cfg, X, n, R)
     if not k.is_split:
         for v in fixed:
             if distance(cfg, BASE, v) == R:
                 raise BallTooSmall(f"fixed set reaches the R={R} boundary")
-        return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == want_parity))
+        return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == 0))
     # split: project fixed vertices to the apartment and keep columns {0, 1}
     span = 2 * R + 2
     apt = _apartment_vertices(cfg, X, range(-span, span + 1))
@@ -276,7 +274,7 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int,
         if j in (0, 1):
             if distance(cfg, BASE, v) == R:
                 raise BallTooSmall(f"fixed set reaches the R={R} boundary")
-            if distance(cfg, BASE, v) % 2 == want_parity:
+            if distance(cfg, BASE, v) % 2 == 0:
                 count += 1
     return Fraction(count)
 

@@ -6,8 +6,8 @@ import pytest
 
 from germlab import cli
 from germlab.cli import main, parse_f_spec, parse_x_spec
-from germlab import (FieldConfig, indicator_lattice, lcfunction_to_json,
-                     make_vertex)
+from germlab import (FieldConfig, Sl2Element, indicator_lattice,
+                     lcfunction_to_json, make_vertex)
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -30,7 +30,7 @@ class TestParsers:
             parse_x_spec(CFG, "[[1,1],[1,1]]")
 
     def test_f_specs(self):
-        assert parse_f_spec(CFG, "unit-ball").evaluate_rational(1, 0, 0) == 1
+        assert parse_f_spec(CFG, "unit-ball").evaluate(Sl2Element(CFG, 1, 0, 0)) == 1
         assert parse_f_spec(CFG, "zero").is_zero
         f = parse_f_spec(CFG, "mp:(1,0):1")
         assert f.terms[0][1].vertex.m == 1

@@ -8,8 +8,9 @@ from germlab import (ALL_ORBITS, FieldConfig, InvariantViolated, NotRegular,
                      REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
                      ZERO_ORBIT, ad, brute_force_cell_oracle, default_pool,
                      indicator_lattice, make_vertex, nilpotent_orbital,
-                     nilpotent_vector, random_sl2, rep_elliptic, ss_orbital,
-                     unit_ball, verify_claim, verify_theorem)
+                     nilpotent_vector, random_conjugate, random_sl2,
+                     rep_elliptic, rep_nilpotent, ss_orbital, unit_ball,
+                     verify_claim, verify_theorem)
 from germlab import orbital
 from germlab.cli import _standard_grid, _theorem_family
 from germlab.lcfunc import h_combination
@@ -17,7 +18,7 @@ from germlab.orbital import (BClassRule, _cell_integral, _orbit_rule,
                              _stratum_value, _tail_start, tree_oracle_compare)
 from germlab.padic import SquareClass, mod_pk, val_p
 from germlab.sl2 import classify
-from germlab.tree import BASE
+from germlab.tree import BASE, ad_to_base, ball
 
 CFG = FieldConfig(5)
 CFG3 = FieldConfig(3)
@@ -246,6 +247,55 @@ class TestCertificates:
         assert res.normalization.startswith("p=5")
         d = res.to_json()
         assert set(d) >= {"value", "v0", "tail", "certificate", "normalization"}
+
+
+def _moved_rule_cases(cfg):
+    """Orbits of every kind: split, the three elliptic tori with both tags,
+    the four regular nilpotent classes (b = 0 too), and random conjugates."""
+    p, e = cfg.p, cfg.eps
+    base = [M(1, 0, 0, cfg), M(p, p, 0, cfg), M(1, Fraction(1, p), 0, cfg)]
+    for s in (e, e * p**2, p, p**3, e * p, e * p**3):
+        base += [rep_elliptic(cfg, s, tag=True), rep_elliptic(cfg, s, tag=False)]
+    for om in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI):
+        lam = rep_nilpotent(cfg, om).b
+        base += [rep_nilpotent(cfg, om), M(0, 0, -lam, cfg)]
+    return base + [random_conjugate(X, seed) for seed in (1, 2) for X in base]
+
+
+class TestMovedRule:
+    """The rule at vertex v is `rule` for even v.m and rule.moved() for odd
+    v.m; the oracle reclassifies Ad(g_v^{-1})X itself."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_parity_rule_matches_reclassification(self, p):
+        cfg = FieldConfig(p)
+        vertices = ball(cfg, BASE, 2)
+        flips = 0
+        for X in _moved_rule_cases(cfg):
+            rule = _orbit_rule(cfg, classify(X))
+            moved = rule.moved()
+            flips += moved != rule
+            for v in vertices:
+                Y = Sl2Element(cfg, *ad_to_base(cfg, v, *X.exact_entries()))
+                want = _orbit_rule(cfg, classify(Y))
+                assert (moved if v.m % 2 else rule) == want, (X, v)
+        assert flips > 0
+
+    def test_engine_classifies_once_per_call(self, monkeypatch):
+        calls = []
+        real = orbital.classify
+
+        def counting(X):
+            calls.append(X)
+            return real(X)
+
+        monkeypatch.setattr(orbital, "classify", counting)
+        f = (indicator_lattice(CFG, make_vertex(CFG, 1, 0), 1)
+             - indicator_lattice(CFG, make_vertex(CFG, -1, 0), 0)
+             + unit_ball(CFG))
+        X = rep_elliptic(CFG, 5, tag=False)
+        ss_orbital(X, f)
+        assert calls == [X]
 
 
 class TestCellMemo:

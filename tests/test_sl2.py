@@ -8,7 +8,7 @@ from germlab import (DEEP, FieldConfig, GroupElement, OutsideDomain,
                      SpecMismatch, SquareClass, ZERO_ORBIT, ad, cayley,
                      cayley_inv, classify, depth, in_g_nil_r, in_g_r,
                      is_top_nilpotent, random_sl2, rep_elliptic,
-                     rep_nilpotent, rep_split, standard_representative)
+                     rep_nilpotent)
 from germlab.padic import val_p
 from germlab.sl2 import ALL_ORBITS, DIM_NILPOTENT_CONE
 from germlab.tree import BASE, depth_via_tree
@@ -209,12 +209,6 @@ class TestRepresentatives:
         assert classify(X).label == REG_PI
         assert rep_nilpotent(CFG, ZERO_ORBIT).is_zero_elt()
 
-    def test_split_rep(self):
-        X = rep_split(CFG, 1)
-        assert classify(X).is_split
-        with pytest.raises(SpecMismatch):
-            rep_split(CFG, 0)
-
     def test_elliptic_reps_roundtrip(self):
         for s in (2, 5, 10, 2 * 25, 125):
             for tag in (True, False):
@@ -226,10 +220,3 @@ class TestRepresentatives:
     def test_elliptic_rejects_square(self):
         with pytest.raises(SpecMismatch):
             rep_elliptic(CFG, 4)
-
-    def test_dispatch(self):
-        assert standard_representative(CFG, REG_PI).b == 5
-        assert classify(standard_representative(CFG, ("split", 2))).is_split
-        assert standard_representative(CFG, ("elliptic", 2, True)).b == 1
-        with pytest.raises(SpecMismatch):
-            standard_representative(CFG, "bogus")

@@ -206,7 +206,7 @@ def _scan_fixed(cfg, X, n, R):
 
 
 def _scan_count(cfg, X, n, R):
-    """tree_count_oracle (center BASE, so even distances count) with the fixed
+    """tree_count_oracle (even distances from BASE count) with the fixed
     set found by scanning the whole ball."""
     k = classify(X)
     fixed = _scan_fixed(cfg, X, n, R)
