@@ -24,12 +24,12 @@ from .lcfunc import (CosetCell, LCFunction, depth_r_family, h_combination,
                      lcfunction_from_json, lcfunction_to_json,
                      phi_pullback_support, unit_ball)
 from .orbital import (BClassRule, IntegralResult, Normalization, OracleResult,
-                      brute_force_cell_oracle, nilpotent_orbital,
+                      Orbit, brute_force_cell_oracle, nilpotent_orbital,
                       nilpotent_vector, ss_orbital)
-from .germs import (CSV_HEADER, ExpansionReport, GermBasis, GermTable,
+from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,
                     construct_Hr_Omega, default_basis, default_pool, extract_germs,
                     extract_germs_auto, homogeneity_extend,
                     kernel_combinations, reports_to_csv, reports_to_json,
-                    verify_claim, verify_scaling, verify_theorem)
+                    scaling_checks, verify_claim, verify_scaling, verify_theorem)
 
 __version__ = "0.1.0"

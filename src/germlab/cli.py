@@ -28,7 +28,7 @@ from .orbital import (Normalization, brute_force_cell_oracle,
                       nilpotent_orbital, ss_orbital, tree_oracle_compare)
 from .germs import (GermBasis, construct_Hr_Omega, default_basis, default_pool,
                     extract_germs, homogeneity_extend, reports_to_csv,
-                    verify_claim, verify_scaling, verify_theorem)
+                    scaling_checks, verify_claim, verify_theorem)
 
 
 @dataclass
@@ -116,10 +116,10 @@ def _write(text: str, rc: RunConfig, filename: str, to_stdout: bool) -> None:
         sys.stdout.write(text)
 
 
-def _emit(doc: dict, rc: RunConfig, name: str) -> None:
+def _emit(doc: dict, rc: RunConfig, name: str, to_stdout: bool = True) -> None:
     doc = {"config": rc.as_dict(),
            "normalization": Normalization(rc.field()).fingerprint(), **doc}
-    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", rc, f"{name}.json", True)
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", rc, f"{name}.json", to_stdout)
 
 
 def _emit_csv(rows_csv: str, rc: RunConfig, name: str) -> None:
@@ -184,7 +184,8 @@ def _report_expansion(rc: RunConfig, suite: str, reports, gated: bool) -> int:
     """CSV and JSON reports of an expansion suite; 1 if a checked row fails.
 
     With `gated`, only gating rows are checked and the JSON counts them;
-    otherwise every row is checked.
+    otherwise every row is checked.  Without --out, stdout carries the CSV
+    under --format csv and the JSON summary otherwise, never both.
     """
     checked = [x for x in reports if x.gating] if gated else reports
     fails = [x for x in checked if not x.passed]
@@ -194,7 +195,7 @@ def _report_expansion(rc: RunConfig, suite: str, reports, gated: bool) -> int:
     if gated:
         doc["gated"] = len(checked)
     _emit_csv(reports_to_csv(reports), rc, name)
-    _emit(doc, rc, name)
+    _emit(doc, rc, name, to_stdout=rc.fmt != "csv")
     return 1 if fails else 0
 
 
@@ -209,16 +210,14 @@ def _verify_scaling(rc: RunConfig) -> int:
     cfg = rc.field()
     pool = GermBasis.of(default_pool(cfg, rc.r))
     grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
-    rows = []
-    ok = True
-    for om in ALL_ORBITS:
-        for name, f in construct_Hr_Omega(rc.r, om, pool):
-            for xn, X in grid:
-                good = verify_scaling(rc.r, om, f, X)
-                ok = ok and good
-                rows.append({"f": name, "X": xn, "dim": om.dim, "pass": good})
+    members = [(om, name, f) for om in ALL_ORBITS
+               for name, f in construct_Hr_Omega(rc.r, om, pool)]
+    checks = scaling_checks([(om, f) for om, _, f in members], [X for _, X in grid])
+    rows = [{"f": name, "X": xn, "dim": om.dim, "pass": good}
+            for (om, name, _), row in zip(members, checks)
+            for (xn, _), good in zip(grid, row)]
     _emit({"suite": "scaling", "r": rc.r, "rows": rows}, rc, f"scaling-r{rc.r}")
-    return 0 if ok else 1
+    return 0 if all(row["pass"] for row in rows) else 1
 
 
 def _verify_theorem(rc: RunConfig) -> int:

@@ -15,21 +15,25 @@ zero-orbit entry alone.  (The discriminant-normalized germ convention, in
 which regular entries are invariant and the zero entry scales by q^(-2k),
 differs from this one by the global factor q^(2k); the engine's unnormalized
 integrals obey the law implemented here, and the scaling suite checks it.)
+
+Both sides of the expansion are linear in f, so every suite reads its
+function family once into a CellTable and runs X in the outer loop: one
+Orbit and one table row per X (or nilpotent orbit) give every function's
+integral.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
                      RankDeficient)
 from .linalg import nullspace, rank, solve_consistent
 from .lcfunc import LCFunction, depth_r_family, h_combination, indicator_lattice, unit_ball
-from .orbital import IntegralResult, nilpotent_vector, ss_orbital
+from .orbital import Orbit
 from .padic import FieldConfig
 from .sl2 import (ALL_ORBITS, Deep, OrbitLabel, Sl2Element, classify, depth,
                   is_top_nilpotent)
@@ -91,17 +95,60 @@ class ExpansionReport:
 CSV_HEADER = ["f_id", "X_id", "torus", "depth", "r", "lhs", "rhs", "residual", "pass"]
 
 
+class CellTable:
+    """A function family as sparse coefficient vectors over its distinct cells.
+
+    Every term of every member is read once, as the base-vertex cell the
+    engine integrates (LCFunction.integration_cells); equal cells share a
+    column.  An orbital integral is linear in f, so integrals(orbit)
+    evaluates each column once and returns every member's integral as a dot
+    product.  A column is evaluated even where the coefficients cancel, so
+    each cell's tail re-check still runs.
+    """
+
+    def __init__(self, functions: Iterable[LCFunction]):
+        columns: Dict[tuple, int] = {}
+        self.vectors: List[List[Tuple[int, Fraction]]] = []
+        self.cfg: Optional[FieldConfig] = None
+        for f in functions:
+            self.cfg = f.cfg
+            vec: Dict[int, Fraction] = {}
+            for coeff, key, n, v in f.integration_cells():
+                j = columns.setdefault((key, n, v.m % 2), len(columns))
+                vec[j] = vec.get(j, Fraction(0)) + coeff
+            self.vectors.append([(j, c) for j, c in vec.items() if c != 0])
+        self.cells = list(columns)
+
+    def integrals(self, orbit: Orbit) -> List[Fraction]:
+        """I_orbit(f) for every member f, in member order."""
+        row = [orbit.cell_value(*cell)[0] for cell in self.cells]
+        return [orbit.prefactor * sum((c * row[j] for j, c in vec if row[j]), Fraction(0))
+                for vec in self.vectors]
+
+    def nilpotent_rows(self) -> List[Tuple[Fraction, ...]]:
+        """(I_Omega(f))_Omega in ORBIT_ORDER for every member: five table rows."""
+        if self.cfg is None:
+            return []
+        cols = [self.integrals(Orbit.nilpotent(self.cfg, om)) for om in ORBIT_ORDER]
+        return list(zip(*cols))
+
+
+def _as_vector(row: Sequence[Fraction]) -> Dict[OrbitLabel, Fraction]:
+    return dict(zip(ORBIT_ORDER, row))
+
+
 @dataclass(frozen=True)
 class GermBasis:
-    """Named functions with their nilpotent matrix and its rank, built once.
+    """Named functions with their cell table, nilpotent matrix and rank.
 
     Row i of `matrix` is (I_Omega(f_i))_Omega with columns in ORBIT_ORDER.
     An extraction basis is shared by every X of a suite, and a pool by its
-    kernel and single-orbit solves, so each member's five nilpotent
-    integrals are computed once.
+    kernel and single-orbit solves, so the table is read once and each
+    member's five nilpotent integrals are computed once.
     """
 
     members: Tuple[Tuple[str, LCFunction], ...]
+    table: CellTable
     matrix: Tuple[Tuple[Fraction, ...], ...]
     rank: int
 
@@ -111,9 +158,9 @@ class GermBasis:
         if isinstance(seq, GermBasis):
             return seq
         members = tuple(seq)
-        matrix = tuple(tuple(nv[om] for om in ORBIT_ORDER)
-                       for nv in (nilpotent_vector(f) for _, f in members))
-        return cls(members, matrix, rank(matrix))
+        table = CellTable(f for _, f in members)
+        matrix = tuple(table.nilpotent_rows())
+        return cls(members, table, matrix, rank(matrix))
 
 
 BasisLike = Union[GermBasis, Sequence[Tuple[str, LCFunction]]]
@@ -150,18 +197,19 @@ def extract_germs(X: Sl2Element, basis: BasisLike,
     basis = GermBasis.of(basis)
     if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
-    y = [ss_orbital(X, f).value for _, f in basis.members]
-    x = solve_consistent(basis.matrix, y)
+    orbit = Orbit.of(X)
+    x = solve_consistent(basis.matrix, basis.table.integrals(orbit))
     if x is None:
         raise InconsistentSystem("nonzero residual over the basis")
     values = {om: x[i] for i, om in enumerate(ORBIT_ORDER)}
     table = GermTable(X, values, provenance=[name for name, _ in basis.members])
-    for name, f in held_out:
-        nv = nilpotent_vector(f)
-        lhs = ss_orbital(X, f).value
-        if lhs != table.expansion_rhs(nv):
-            raise InconsistentSystem(f"held-out residual nonzero for {name}")
-        table.provenance.append(f"held-out:{name}")
+    if held_out:
+        extra = CellTable(f for _, f in held_out)
+        for (name, _), nv, lhs in zip(held_out, extra.nilpotent_rows(),
+                                      extra.integrals(orbit)):
+            if lhs != table.expansion_rhs(_as_vector(nv)):
+                raise InconsistentSystem(f"held-out residual nonzero for {name}")
+            table.provenance.append(f"held-out:{name}")
     return table
 
 
@@ -212,13 +260,12 @@ def construct_Hr_Omega(r: int, omega: OrbitLabel,
     out = []
     for idx, coeffs in enumerate(combos):
         f = _combination(coeffs, pool)
-        if f is None:
-            continue
-        nv = nilpotent_vector(f)
-        if any(nv[om] != (1 if om == omega else 0) for om in ORBIT_ORDER):
-            raise InvariantViolated(f"combination #{idx} for {omega!r} has "
-                                    "nilpotent vector off the target orbit")
-        out.append((f"H{r}({omega!r})#{idx}", f))
+        if f is not None:
+            out.append((f"H{r}({omega!r})#{idx}", f))
+    for (name, _), nv in zip(out, CellTable(f for _, f in out).nilpotent_rows()):
+        if list(nv) != target:
+            raise InvariantViolated(f"combination {name} has a nilpotent vector "
+                                    "off the target orbit")
     return out
 
 
@@ -268,32 +315,45 @@ def verify_claim(r: int, pool: BasisLike,
 
     Combines the exact kernel of the pool with the dilation combinations
     q^d f - f_zeta over the single-orbit subfamilies; the pool's nilpotent
-    matrix is computed once for all six solves.
+    matrix is computed once for all six solves.  Every h goes into one cell
+    table: five nilpotent rows re-check its vector, then one row per X.
     """
     pool = GermBasis.of(pool)
     hs = list(kernel_combinations(pool))
     for om in ALL_ORBITS:
         for name, f in construct_Hr_Omega(r, om, pool):
             hs.append((f"h[{name}]", h_combination(f, om.dim)))
-    reports = []
-    for hname, h in hs:
-        if any(v != 0 for v in nilpotent_vector(h).values()):
+    table = CellTable(h for _, h in hs)
+    for (hname, _), nv in zip(hs, table.nilpotent_rows()):
+        if any(v != 0 for v in nv):
             raise InvariantViolated(f"{hname} has a nonzero nilpotent vector")
-        for xname, X in X_grid:
-            k = classify(X)
-            lhs = ss_orbital(X, h).value
-            reports.append(ExpansionReport(
-                f_id=hname, x_id=xname, torus=k.torus_kind(), depth=depth(X),
-                r=r, lhs=lhs, rhs=Fraction(0), expected=True))
-    return reports
+    columns = [(xname, classify(X).torus_kind(), depth(X), table.integrals(Orbit.of(X)))
+               for xname, X in X_grid]
+    return [ExpansionReport(f_id=hname, x_id=xname, torus=torus, depth=d, r=r,
+                            lhs=lhs[i], rhs=Fraction(0), expected=True)
+            for i, (hname, _) in enumerate(hs) for xname, torus, d, lhs in columns]
+
+
+def scaling_checks(members: Sequence[Tuple[OrbitLabel, LCFunction]],
+                   X_grid: Sequence[Sl2Element]) -> List[List[bool]]:
+    """checks[i][j]: q^(dim omega_i) I_(X_j)(f_i) == I_(zeta^2 X_j)(f_i).
+
+    The proof-route identity for every (omega, f) member at every X, with
+    two orbits and two table rows per X.
+    """
+    table = CellTable(f for _, f in members)
+    columns = []
+    for X in X_grid:
+        lhs = table.integrals(Orbit.of(X))
+        rhs = table.integrals(Orbit.of(X.scale(X.cfg.zeta**2)))
+        columns.append([X.cfg.qpow(om.dim) * a == b
+                        for (om, _), a, b in zip(members, lhs, rhs)])
+    return [[col[i] for col in columns] for i in range(len(members))]
 
 
 def verify_scaling(r: int, omega: OrbitLabel, f: LCFunction, X: Sl2Element) -> bool:
     """q^(dim omega) I_X(f) == I_(zeta^2 X)(f), the proof-route identity."""
-    cfg = X.cfg
-    lhs = cfg.qpow(omega.dim) * ss_orbital(X, f).value
-    rhs = ss_orbital(X.scale(cfg.zeta**2), f).value
-    return lhs == rhs
+    return scaling_checks([(omega, f)], [X])[0][0]
 
 
 def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
@@ -303,24 +363,24 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
 
     Rows with depth(X) >= proxy depth of f (and X topologically nilpotent,
     the domain of the group-side transfer) are gated; shallower rows are
-    contrast rows and only recorded.  One germ basis serves the whole grid.
+    contrast rows and only recorded.  One germ basis and one cell table of
+    the family serve the whole grid.
     """
-    nil_vecs = [nilpotent_vector(f) for _, f in family]
+    cells = CellTable(f for _, f in family)
+    nil_vecs = [_as_vector(nv) for nv in cells.nilpotent_rows()]
+    proxy = [f.proxy_depth() for _, f in family]
     reports = []
     for xname, X in X_grid:
         # built at the first X, then GermBasis.of hands the same basis back
         basis = GermBasis.of(default_basis(X.cfg) if basis is None else basis)
         table = extract_germs_auto(X, basis=basis)
-        k = classify(X)
-        d = depth(X)
-        for (fname, f), nv in zip(family, nil_vecs):
-            rf = f.proxy_depth()
-            expected = (not isinstance(d, Deep)) and d >= rf and is_top_nilpotent(X)
-            lhs = ss_orbital(X, f).value
-            rhs = table.expansion_rhs(nv)
+        torus, d = classify(X).torus_kind(), depth(X)
+        gate = not isinstance(d, Deep) and is_top_nilpotent(X)
+        for (fname, _), nv, rf, lhs in zip(family, nil_vecs, proxy,
+                                           cells.integrals(Orbit.of(X))):
             reports.append(ExpansionReport(
-                f_id=fname, x_id=xname, torus=k.torus_kind(), depth=d, r=rf,
-                lhs=lhs, rhs=rhs, expected=expected))
+                f_id=fname, x_id=xname, torus=torus, depth=d, r=rf,
+                lhs=lhs, rhs=table.expansion_rhs(nv), expected=gate and d >= rf))
     return reports
 
 

@@ -8,13 +8,15 @@ integrals carry the extra factor q^floor(val(s)/2) = |u|_floor^{-1}, which
 makes the substitution covariance  I_{c X}(f) = I_X(f_c)  an exact identity
 of the engine for c = zeta^2 (and any even-valuation c).
 
-The engine integrates an orbit, given by s and its b-class rule, never a
+The engine integrates an Orbit, given by s and its b-class rule, never a
 matrix.  It reads a function as a sum of product cells
 a in alpha + p^N O,  b in beta + p^N O,  c in chi + p^N O, one per term: a
 coset of g_{v,N} is moved to the base vertex by Ad(g_v^{-1}) together with
-the orbit (LCFunction.integration_cells, _engine).  The move multiplies b by
-p^m (m = v.m), so the moved orbit keeps s and takes the rule of X when m is
-even and BClassRule.moved() when m is odd.  For each cell the
+the orbit (LCFunction.integration_cells, Orbit.cell_value).  The move
+multiplies b by p^m (m = v.m), so the moved orbit keeps s and takes the rule
+of X when m is even and BClassRule.moved() when m is odd.  An integral is
+linear in f, so it is a sum of per-cell values of the orbit; the suites
+evaluate each (orbit, cell) pair once (germs.CellTable).  For each cell the
 b-integral collapses, per valuation stratum, to at most (q-1)/2 quadratic
 congruence measures
 
@@ -291,49 +293,80 @@ def _orbit_rule(cfg: FieldConfig, k: ElementClass) -> BClassRule:
     return BClassRule.elliptic(cfg, k.torus, k.ss_tag)
 
 
-def _engine(cfg: FieldConfig, s: Fraction, rule: BClassRule,
-            f: LCFunction, prefactor: Fraction) -> IntegralResult:
-    """Integral of f over the orbit with -det = s and b-class rule `rule`.
+@dataclass(frozen=True)
+class Orbit:
+    """An orbit as the engine integrates it: s = -det, rules and prefactor.
 
-    A cell moved from vertex v to the base vertex is integrated against the
-    orbit moved by the same Ad(g_v^{-1}).  That keeps s and the chart
-    measure and multiplies b by p^(v.m), so the moved rule is `rule` for
-    even v.m and rule.moved() for odd v.m; both are built once per call.
+    `rules` holds the b-class rule for cells moved from a vertex of even
+    and of odd m (see BClassRule.moved), or None for the zero orbit, the
+    point mass at 0.  Built once per X (one classify call); the integral of
+    every cell then depends on the orbit alone, so suites share one Orbit
+    across all the functions they integrate.
     """
-    rules = (rule, rule.moved())
-    total = Fraction(0)
-    v0_max = 0
-    tails = set()
-    for coeff, key, n, v in f.integration_cells():
-        val, v0, tail = _cell_integral(cfg, s, rules[v.m % 2], key, n)
-        total += coeff * val
-        v0_max = max(v0_max, v0)
-        tails.add(tail)
-    tail_desc = "finite" if tails <= {"finite", "0"} else "geometric"
-    return IntegralResult(prefactor * total, v0_max, tail_desc, True,
-                          Normalization(cfg).fingerprint())
+
+    cfg: FieldConfig
+    s: Fraction
+    rules: Optional[Tuple[BClassRule, BClassRule]]
+    prefactor: Fraction
+
+    @classmethod
+    def of(cls, X: Sl2Element) -> "Orbit":
+        """The orbit of a regular semisimple X, with |u|^{-1} floored to stay rational."""
+        cfg = X.cfg
+        k = classify(X)
+        if not k.is_regular:
+            raise NotRegular("ss_orbital needs a regular semisimple element")
+        a, b, c = X.exact_entries()
+        s = a * a + b * c  # -det
+        rule = _orbit_rule(cfg, k)
+        return cls(cfg, s, (rule, rule.moved()), cfg.qpow(int(val_p(s, cfg.p)) // 2))
+
+    @classmethod
+    def nilpotent(cls, cfg: FieldConfig, label: OrbitLabel) -> "Orbit":
+        """A nilpotent orbit: the s = 0 fiber with b in the label's class."""
+        if label.kind == "zero":
+            return cls(cfg, Fraction(0), None, Fraction(1))
+        rule = BClassRule.nilpotent(cfg, label.cls)
+        return cls(cfg, Fraction(0), (rule, rule.moved()), Fraction(1))
+
+    def cell_value(self, key: Tuple[Fraction, Fraction, Fraction], n: int,
+                   odd: int) -> Tuple[Fraction, int, str]:
+        """(value, v0, tail) of the base-vertex cell key + p^n sl2(O) moved
+        from a vertex with m = odd mod 2, before the prefactor.
+
+        The zero orbit's value is 1 when the cell holds 0, that is when its
+        reduced centre is 0.
+        """
+        if self.rules is None:
+            return Fraction(not any(key)), 0, "point"
+        return _cell_integral(self.cfg, self.s, self.rules[odd], key, n)
+
+    def integrate(self, f: LCFunction) -> IntegralResult:
+        """Integral of f over the orbit, one cell value per term of f."""
+        total = Fraction(0)
+        v0_max = 0
+        tails = set()
+        for coeff, key, n, v in f.integration_cells():
+            val, v0, tail = self.cell_value(key, n, v.m % 2)
+            total += coeff * val
+            v0_max = max(v0_max, v0)
+            tails.add(tail)
+        if self.rules is None:
+            tail_desc = "point"
+        else:
+            tail_desc = "finite" if tails <= {"finite", "0"} else "geometric"
+        return IntegralResult(self.prefactor * total, v0_max, tail_desc, True,
+                              Normalization(self.cfg).fingerprint())
 
 
 def ss_orbital(X: Sl2Element, f: LCFunction) -> IntegralResult:
     """Orbital integral of f over the SL2(F)-orbit of a regular semisimple X."""
-    cfg = X.cfg
-    k = classify(X)
-    if not k.is_regular:
-        raise NotRegular("ss_orbital needs a regular semisimple element")
-    a, b, c = X.exact_entries()
-    s = a * a + b * c  # -det
-    vs = int(val_p(s, cfg.p))
-    prefactor = cfg.qpow(vs // 2)  # |u|^{-1}, floored to stay rational
-    return _engine(cfg, s, _orbit_rule(cfg, k), f, prefactor)
+    return Orbit.of(X).integrate(f)
 
 
 def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
     """I_Omega(f): point mass at 0 for the zero orbit, chart integral else."""
-    cfg = f.cfg
-    if label.kind == "zero":
-        return IntegralResult(f.at_zero(), 0, "point", True,
-                              Normalization(cfg).fingerprint())
-    return _engine(cfg, Fraction(0), BClassRule.nilpotent(cfg, label.cls), f, Fraction(1))
+    return Orbit.nilpotent(f.cfg, label).integrate(f)
 
 
 def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 from fractions import Fraction
@@ -6,7 +8,7 @@ import pytest
 
 from germlab import cli
 from germlab.cli import main, parse_f_spec, parse_x_spec
-from germlab import (FieldConfig, Sl2Element, indicator_lattice,
+from germlab import (CSV_HEADER, FieldConfig, Sl2Element, indicator_lattice,
                      lcfunction_to_json, make_vertex)
 from germlab.tree import BASE
 
@@ -131,6 +133,23 @@ class TestVerifyCommand:
             b1 = (d1 / name).read_bytes()
             b2 = (d2 / name).read_bytes()
             assert b1 == b2
+
+    @pytest.mark.parametrize("suite", ["claim", "theorem"])
+    def test_csv_format_prints_only_the_csv(self, tmp_path, capsys, suite):
+        # without --out, stdout is the CSV report's text and no JSON summary
+        code, out, _ = run(capsys, "--format", "csv", "verify", suite, "--r", "0")
+        assert code == 0
+        run(capsys, "--format", "csv", "--out", str(tmp_path), "verify", suite, "--r", "0")
+        assert out == (tmp_path / f"{suite}-r0.csv").read_text()
+
+    def test_csv_stdout_parses_as_csv(self, capsys):
+        # the config comment line, then one 9-field row per line
+        code, out, _ = run(capsys, "--format", "csv", "verify", "claim", "--r", "0")
+        comment, body = out.split("\n", 1)
+        assert code == 0 and comment.startswith("# config:")
+        rows = list(csv.reader(io.StringIO(body)))
+        assert rows[0] == CSV_HEADER and len(rows) > 1
+        assert all(len(row) == 9 for row in rows)
 
     def test_oracles_p7(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--p", "7", "--out", str(tmp_path), "verify", "oracles")

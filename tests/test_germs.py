@@ -16,7 +16,7 @@ from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
 from germlab.cli import _standard_grid
 from germlab.germs import ORBIT_ORDER, GermBasis, nilpotent_center
 from germlab.linalg import nullspace, rank, solve_consistent
-from germlab.orbital import _cell_integral
+from germlab.orbital import Orbit, _cell_integral
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -312,29 +312,33 @@ class TestGermBasis:
         assert t1.same_values(t2) and t1.provenance == t2.provenance
 
     def test_nilpotent_vectors_are_computed_once_per_suite(self, monkeypatch):
-        from germlab import germs
+        # one nilpotent row per orbit and cell table: a row evaluates each of
+        # the table's cells once and gives every member's I_Omega
         calls = []
-        real = germs.nilpotent_vector
-        monkeypatch.setattr(germs, "nilpotent_vector", lambda f: calls.append(f) or real(f))
+        real = Orbit.nilpotent
+        monkeypatch.setattr(Orbit, "nilpotent",
+                            classmethod(lambda cls, cfg, om: calls.append(om) or real(cfg, om)))
         pool = default_pool(CFG, 0)
         grid = _standard_grid(CFG, 0, 0, False)
         verify_claim(0, pool, grid)
-        # the pool's rows once, at most three re-checked combinations per
-        # orbit, and one check per h (the kernel and the 15 dilation ones)
-        assert len(calls) <= len(pool) + 5 * 3 + (len(pool) - 5) + 5 * 3
+        # the pool's matrix, one re-check table per orbit and the h table
+        assert len(calls) == 5 * (1 + 5 + 1)
         calls.clear()
         verify_theorem(0, pool, grid)
-        assert len(calls) == len(pool) + len(default_basis(CFG))
+        # the family's table and the basis's (one nilpotent_vector call per
+        # function made 14 calls, 70 one-function integrals)
+        assert len(calls) == 5 * 2
 
 
-def test_cell_memo_serves_most_of_verify_claim():
-    # the claim suite at p=5, r=0 on the command line's grid repeats 89 % of
-    # its cell integrals; a rule that stopped hashing by value would turn the
-    # memo off while every value stayed right
+def test_cell_table_lookups_of_verify_claim():
+    # the claim suite at p=5, r=0 on the command line's grid looks up 372 cell
+    # integrals, 174 of them distinct (integrating every term of every
+    # function against every X looked up 3,070); a rule that stopped hashing
+    # by value would turn the memo off while every value stayed right
     _cell_integral.cache_clear()
     verify_claim(0, default_pool(CFG, 0), _standard_grid(CFG, 0, 0, False))
     info = _cell_integral.cache_info()
-    assert info.hits >= 0.8 * (info.hits + info.misses)
+    assert (info.hits + info.misses, info.misses) == (372, 174)
 
 
 def test_cell_memo_keys_carry_only_the_cell(monkeypatch):

@@ -1,0 +1,54 @@
+"""Golden reports: the sha256 of every report file of the standard suites.
+
+Each configuration runs in-process into a fresh --out directory.  Reports
+embed the run configuration but not the output path, so their bytes depend
+on the configuration alone; the digests were recorded before the suites
+moved to the shared cell table and are the same under PYTHONHASHSEED 1, 2
+and 3.  A change to any exact value, row order, verdict or exit code shows
+up here as a changed digest.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from germlab import cli
+
+GOLDEN = {
+    ("verify", "claim", "--r", "0"): (0, {
+        "claim-r0.csv": "a418e8440c299d4e8806a0a97f212c0c9ffc01ff28cfcbda146194541398bd25",
+        "claim-r0.json": "90a7d0375482dca4a613268ca495cac5a8306dc246b014ec590b7a73e4d3d7b3"}),
+    ("verify", "claim", "--r", "1"): (1, {
+        "claim-r1.csv": "95ea0fb35bc84e20acc6da7e7033257698af52c1c22f5cbbabd84a58cb1bfdb7",
+        "claim-r1.json": "dc2db8404ea018da602c6699aed76fc0c1bba4780ec1a8c16625de863f10c539"}),
+    ("verify", "theorem", "--r", "0"): (0, {
+        "theorem-r0.csv": "54058ee85798951d69f6d04d3a60dc29a37f1d80929ba569e3747ff1d1792c04",
+        "theorem-r0.json": "3afcb30113b8ab0a596b64e7a91669fe5931a89b395b81ecca1dce586af3df28"}),
+    ("verify", "theorem", "--r", "1"): (1, {
+        "theorem-r1.csv": "27d11f8e651d53d5df661b7be6adbadde2806240573e019809ba4c61d717ce21",
+        "theorem-r1.json": "af2e73cee663fdb2ed5ccb464b253685b7fc469c73cb90daaad5473ca1bda7f5"}),
+    ("verify", "scaling", "--r", "0"): (0, {
+        "scaling-r0.json": "8345978a201f7b42eb5845c88dc63c141ab5c56222fc87ea5d83437ff25257bb"}),
+    ("verify", "scaling", "--r", "1"): (1, {
+        "scaling-r1.json": "02f3ea4454725818ecc6ab8a95d7063ee1e1e693bc717202c7e517bd9bd433e7"}),
+    ("verify", "homogeneity"): (0, {
+        "homogeneity.json": "a1d1caaeb2c67f2333b7db94445de41bcb8e63878e8a1d8cfbc16f258fdc56b0"}),
+    ("verify", "oracles"): (0, {
+        "oracles.json": "8590397a9fe51be01ebb08963905e123c927b078c4ccf61f8fd467edfb9a8998"}),
+    ("--p", "7", "verify", "theorem", "--r", "0"): (0, {
+        "theorem-r0.csv": "e0b255fdfc579de705512c6a7929f2b5b1cd9d08da9301d028bbe719d7c6fe96",
+        "theorem-r0.json": "b7ae31ece787eab7f9311df496efa4dd9fbb4c77024f7c03403898f6585a049f"}),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN),
+                         ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_report_files_match_their_golden_digests(argv, tmp_path):
+    code_want, files_want = GOLDEN[argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv) + ["--out", str(tmp_path)])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert (code, got) == (code_want, files_want)
