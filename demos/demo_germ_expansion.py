@@ -14,7 +14,7 @@ from germlab.tree import BASE
 
 cfg = FieldConfig(5)
 basis = default_basis(cfg)
-print("Extraction basis:", [name for name, _ in basis])
+print("Extraction basis:", [name for name, _ in basis.members])
 
 X = Sl2Element.from_rationals(cfg, 25, 0, 0)   # split, depth 2
 t = extract_germs(X, basis)

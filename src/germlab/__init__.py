@@ -21,15 +21,14 @@ from .tree import (BASE, LatticeDescriptor, TreeVertex, act, ball,
                    neighbors, tree_count_oracle)
 from .lcfunc import (CosetCell, LCFunction, depth_r_family, h_combination,
                      indicator, indicator_lattice, is_invariant_under,
-                     lcfunction_from_json, lcfunction_to_json,
-                     phi_pullback_support, unit_ball)
+                     lcfunction_from_json, lcfunction_to_json, unit_ball)
 from .orbital import (BClassRule, IntegralResult, Normalization, OracleResult,
                       Orbit, brute_force_cell_oracle, nilpotent_orbital,
                       nilpotent_vector, ss_orbital)
 from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,
                     construct_Hr_Omega, default_basis, default_pool, extract_germs,
                     extract_germs_auto, homogeneity_extend,
-                    kernel_combinations, reports_to_csv, reports_to_json,
-                    scaling_checks, verify_claim, verify_scaling, verify_theorem)
+                    kernel_combinations, reports_to_csv, scaling_checks,
+                    verify_claim, verify_theorem)
 
 __version__ = "0.1.0"

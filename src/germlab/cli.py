@@ -183,11 +183,11 @@ def _theorem_family(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
 def _report_expansion(rc: RunConfig, suite: str, reports, gated: bool) -> int:
     """CSV and JSON reports of an expansion suite; 1 if a checked row fails.
 
-    With `gated`, only gating rows are checked and the JSON counts them;
+    With `gated`, only expected rows are checked and the JSON counts them;
     otherwise every row is checked.  Without --out, stdout carries the CSV
     under --format csv and the JSON summary otherwise, never both.
     """
-    checked = [x for x in reports if x.gating] if gated else reports
+    checked = [x for x in reports if x.expected] if gated else reports
     fails = [x for x in checked if not x.passed]
     name = f"{suite}-r{rc.r}"
     doc = {"suite": suite, "r": rc.r, "rows": len(reports), "failures": len(fails),
@@ -202,13 +202,13 @@ def _report_expansion(rc: RunConfig, suite: str, reports, gated: bool) -> int:
 def _verify_claim(rc: RunConfig) -> int:
     cfg = rc.field()
     grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
-    reports = verify_claim(rc.r, default_pool(cfg, rc.r), grid)
+    reports = verify_claim(rc.r, GermBasis(default_pool(cfg, rc.r)), grid)
     return _report_expansion(rc, "claim", reports, gated=False)
 
 
 def _verify_scaling(rc: RunConfig) -> int:
     cfg = rc.field()
-    pool = GermBasis.of(default_pool(cfg, rc.r))
+    pool = GermBasis(default_pool(cfg, rc.r))
     grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
     members = [(om, name, f) for om in ALL_ORBITS
                for name, f in construct_Hr_Omega(rc.r, om, pool)]
@@ -229,7 +229,7 @@ def _verify_theorem(rc: RunConfig) -> int:
 
 def _verify_homogeneity(rc: RunConfig) -> int:
     cfg = rc.field()
-    basis = GermBasis.of(default_basis(cfg))
+    basis = default_basis(cfg)
     bases = [("split", Sl2Element.from_rationals(cfg, cfg.p**2, 0, 0)),
              ("unram", rep_elliptic(cfg, cfg.eps * cfg.p**4, tag=True)),
              ("ram", rep_elliptic(cfg, cfg.p**5, tag=True))]

@@ -19,15 +19,21 @@ integrals obey the law implemented here, and the scaling suite checks it.)
 Both sides of the expansion are linear in f, so every suite reads its
 function family once into a CellTable and runs X in the outer loop: one
 Orbit and one table row per X (or nilpotent orbit) give every function's
-integral.
+integral.  An extraction basis or a pool is a GermBasis, built once from its
+member list: it owns the pool's linear algebra (table, nilpotent matrix,
+rank, and the kernel of the transposed matrix), and every entry point that
+needs a basis takes one.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
                      RankDeficient)
@@ -37,7 +43,7 @@ from .orbital import Orbit
 from .padic import FieldConfig
 from .sl2 import (ALL_ORBITS, Deep, OrbitLabel, Sl2Element, classify, depth,
                   is_top_nilpotent)
-from .tree import BASE, TreeVertex, make_vertex
+from .tree import BASE, make_vertex
 
 ORBIT_ORDER = list(ALL_ORBITS)  # Zero, Regular(One), Regular(Eps), Regular(Pi), Regular(EpsPi)
 
@@ -71,7 +77,8 @@ class ExpansionReport:
     r: object
     lhs: Fraction
     rhs: Fraction
-    expected: bool                 # inside the claimed validity range?
+    expected: bool                 # inside the claimed validity range? contrast
+                                   # rows (False) never gate an exit code
 
     @property
     def residual(self) -> Fraction:
@@ -80,11 +87,6 @@ class ExpansionReport:
     @property
     def passed(self) -> bool:
         return self.residual == 0
-
-    @property
-    def gating(self) -> bool:
-        """Contrast rows (expected False) never gate an exit code."""
-        return self.expected
 
     def csv_row(self) -> list:
         return [self.f_id, self.x_id, self.torus, str(self.depth), str(self.r),
@@ -137,33 +139,27 @@ def _as_vector(row: Sequence[Fraction]) -> Dict[OrbitLabel, Fraction]:
     return dict(zip(ORBIT_ORDER, row))
 
 
-@dataclass(frozen=True)
 class GermBasis:
-    """Named functions with their cell table, nilpotent matrix and rank.
+    """Named functions with their cell table, nilpotent matrix, rank and kernel.
 
-    Row i of `matrix` is (I_Omega(f_i))_Omega with columns in ORBIT_ORDER.
-    An extraction basis is shared by every X of a suite, and a pool by its
-    kernel and single-orbit solves, so the table is read once and each
-    member's five nilpotent integrals are computed once.
+    Row i of `matrix` is (I_Omega(f_i))_Omega with columns in ORBIT_ORDER;
+    `transposed` is A^T, one row per orbit.  An extraction basis is shared by
+    every X of a suite, and a pool by its kernel and single-orbit solves, so
+    the table is read once, each member's five nilpotent integrals are
+    computed once, and the kernel of A^T is solved at most once.
     """
 
-    members: Tuple[Tuple[str, LCFunction], ...]
-    table: CellTable
-    matrix: Tuple[Tuple[Fraction, ...], ...]
-    rank: int
+    def __init__(self, members: Iterable[Tuple[str, LCFunction]]):
+        self.members = tuple(members)
+        self.table = CellTable(f for _, f in self.members)
+        self.matrix = tuple(self.table.nilpotent_rows())
+        self.rank = rank(self.matrix)
+        self.transposed = tuple(zip(*self.matrix))
 
-    @classmethod
-    def of(cls, seq: "BasisLike") -> "GermBasis":
-        """`seq` itself if it is a GermBasis, else one built from its members."""
-        if isinstance(seq, GermBasis):
-            return seq
-        members = tuple(seq)
-        table = CellTable(f for _, f in members)
-        matrix = tuple(table.nilpotent_rows())
-        return cls(members, table, matrix, rank(matrix))
-
-
-BasisLike = Union[GermBasis, Sequence[Tuple[str, LCFunction]]]
+    @cached_property
+    def kernel(self) -> List[List[Fraction]]:
+        """Coefficient vectors whose combinations have zero nilpotent vector."""
+        return nullspace(self.transposed)
 
 
 def _combination(coeffs: Sequence[Fraction], pool: GermBasis) -> Optional[LCFunction]:
@@ -175,7 +171,7 @@ def _combination(coeffs: Sequence[Fraction], pool: GermBasis) -> Optional[LCFunc
     return f
 
 
-def default_basis(cfg: FieldConfig) -> List[Tuple[str, LCFunction]]:
+def default_basis(cfg: FieldConfig) -> GermBasis:
     """Rank-5 extraction basis: the unit ball, its dilate, four nilpotent cells."""
     from .sl2 import rep_nilpotent, REG_ONE, REG_EPS, REG_PI, REG_EPSPI
     ball = unit_ball(cfg)
@@ -183,10 +179,10 @@ def default_basis(cfg: FieldConfig) -> List[Tuple[str, LCFunction]]:
     for label in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI):
         Y = rep_nilpotent(cfg, label)
         out.append((f"nil-{label.cls.value}-2", indicator_lattice(cfg, BASE, 2, center=Y)))
-    return out
+    return GermBasis(out)
 
 
-def extract_germs(X: Sl2Element, basis: BasisLike,
+def extract_germs(X: Sl2Element, basis: GermBasis,
                   held_out: Sequence[Tuple[str, LCFunction]] = ()) -> GermTable:
     """Solve the five-orbit expansion over the basis with exact linear algebra.
 
@@ -194,7 +190,6 @@ def extract_germs(X: Sl2Element, basis: BasisLike,
     the first five and every held-out function must have zero residual,
     otherwise the system is reported inconsistent (X too shallow for some f).
     """
-    basis = GermBasis.of(basis)
     if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
     orbit = Orbit.of(X)
@@ -221,7 +216,7 @@ def homogeneity_extend(table: GermTable, k: int) -> GermTable:
     return GermTable(newbase, vals, provenance=table.provenance + [f"extend:k={k}"])
 
 
-def extract_germs_auto(X: Sl2Element, basis: Optional[BasisLike] = None) -> GermTable:
+def extract_germs_auto(X: Sl2Element, basis: Optional[GermBasis] = None) -> GermTable:
     """Extraction with deepening: extract at zeta^(2k) X, extend back.
 
     k is the smallest with depth(X) + 2k >= 2, which moves X into the
@@ -230,7 +225,7 @@ def extract_germs_auto(X: Sl2Element, basis: Optional[BasisLike] = None) -> Germ
     InconsistentSystem from extract_germs is raised, not retried.
     """
     cfg = X.cfg
-    basis = GermBasis.of(default_basis(cfg) if basis is None else basis)
+    basis = default_basis(cfg) if basis is None else basis
     d = depth(X)
     if isinstance(d, Deep):
         raise RankDeficient("germ table requested at a non-regular element")
@@ -240,23 +235,20 @@ def extract_germs_auto(X: Sl2Element, basis: Optional[BasisLike] = None) -> Germ
 
 
 def construct_Hr_Omega(r: int, omega: OrbitLabel,
-                       pool: BasisLike) -> List[Tuple[str, LCFunction]]:
+                       pool: GermBasis) -> List[Tuple[str, LCFunction]]:
     """Combinations of pool members whose nilpotent vector sits on omega alone.
 
     Exact solve: with A the (pool x 5) nilpotent matrix, returns functions
     built from particular solutions of A^T x = e_omega (translated by kernel
     vectors for variety); every output is re-verified.
     """
-    pool = GermBasis.of(pool)
-    AT = list(zip(*pool.matrix))  # one row per orbit
     if pool.rank < 5:
         raise PoolDeficient("pool spans fewer than 5 independent nilpotent vectors")
     target = [Fraction(1) if om == omega else Fraction(0) for om in ORBIT_ORDER]
-    x0 = solve_consistent(AT, target)
+    x0 = solve_consistent(pool.transposed, target)
     if x0 is None:
         raise PoolDeficient("target orbit vector not in the pool's span")
-    kernel = nullspace(AT)
-    combos = [x0] + [[a + b for a, b in zip(x0, kv)] for kv in kernel[:2]]
+    combos = [x0] + [[a + b for a, b in zip(x0, kv)] for kv in pool.kernel[:2]]
     out = []
     for idx, coeffs in enumerate(combos):
         f = _combination(coeffs, pool)
@@ -297,29 +289,26 @@ def default_pool(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
     return pool
 
 
-def kernel_combinations(pool: BasisLike) -> List[Tuple[str, LCFunction]]:
+def kernel_combinations(pool: GermBasis) -> List[Tuple[str, LCFunction]]:
     """Pool combinations with identically vanishing nilpotent vector."""
-    pool = GermBasis.of(pool)
-    AT = list(zip(*pool.matrix))  # one row per orbit
     out = []
-    for idx, kv in enumerate(nullspace(AT)):
+    for idx, kv in enumerate(pool.kernel):
         f = _combination(kv, pool)
         if f is not None and not f.is_zero:
             out.append((f"ker#{idx}", f))
     return out
 
 
-def verify_claim(r: int, pool: BasisLike,
+def verify_claim(r: int, pool: GermBasis,
                  X_grid: Sequence[Tuple[str, Sl2Element]]) -> List[ExpansionReport]:
     """All pool combinations with zero nilpotent vector must kill every I_X.
 
     Combines the exact kernel of the pool with the dilation combinations
     q^d f - f_zeta over the single-orbit subfamilies; the pool's nilpotent
-    matrix is computed once for all six solves.  Every h goes into one cell
+    matrix and kernel serve all six solves.  Every h goes into one cell
     table: five nilpotent rows re-check its vector, then one row per X.
     """
-    pool = GermBasis.of(pool)
-    hs = list(kernel_combinations(pool))
+    hs = kernel_combinations(pool)
     for om in ALL_ORBITS:
         for name, f in construct_Hr_Omega(r, om, pool):
             hs.append((f"h[{name}]", h_combination(f, om.dim)))
@@ -351,14 +340,9 @@ def scaling_checks(members: Sequence[Tuple[OrbitLabel, LCFunction]],
     return [[col[i] for col in columns] for i in range(len(members))]
 
 
-def verify_scaling(r: int, omega: OrbitLabel, f: LCFunction, X: Sl2Element) -> bool:
-    """q^(dim omega) I_X(f) == I_(zeta^2 X)(f), the proof-route identity."""
-    return scaling_checks([(omega, f)], [X])[0][0]
-
-
 def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
                    X_grid: Sequence[Tuple[str, Sl2Element]],
-                   basis: Optional[BasisLike] = None) -> List[ExpansionReport]:
+                   basis: Optional[GermBasis] = None) -> List[ExpansionReport]:
     """Expansion residuals over (family x grid) with globally extended germs.
 
     Rows with depth(X) >= proxy depth of f (and X topologically nilpotent,
@@ -369,10 +353,10 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
     cells = CellTable(f for _, f in family)
     nil_vecs = [_as_vector(nv) for nv in cells.nilpotent_rows()]
     proxy = [f.proxy_depth() for _, f in family]
+    if basis is None and X_grid:
+        basis = default_basis(X_grid[0][1].cfg)
     reports = []
     for xname, X in X_grid:
-        # built at the first X, then GermBasis.of hands the same basis back
-        basis = GermBasis.of(default_basis(X.cfg) if basis is None else basis)
         table = extract_germs_auto(X, basis=basis)
         torus, d = classify(X).torus_kind(), depth(X)
         gate = not isinstance(d, Deep) and is_top_nilpotent(X)
@@ -385,11 +369,9 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
 
 
 def reports_to_csv(reports: Sequence[ExpansionReport]) -> str:
-    lines = [",".join(CSV_HEADER)]
-    for rep in reports:
-        lines.append(",".join(str(x) for x in rep.csv_row()))
-    return "\n".join(lines) + "\n"
-
-
-def reports_to_json(reports: Sequence[ExpansionReport]) -> list:
-    return [dict(zip(CSV_HEADER, rep.csv_row())) for rep in reports]
+    """The header and one row per report; fields holding a comma are quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rep.csv_row() for rep in reports)
+    return out.getvalue()

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import OutsideDomain
 from .padic import INF, FieldConfig, mod_pk, val_p
-from .sl2 import GroupElement, Sl2Element, cayley_inv
+from .sl2 import GroupElement, Sl2Element
 from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, basis_matrix,
                    cartan, distance, mp_lattice)
 
@@ -310,35 +309,6 @@ def h_combination(f: LCFunction, d: int) -> LCFunction:
         raise ValueError("d must be a nilpotent orbit dimension (0 or 2)")
     q = Fraction(f.cfg.q)
     return (q**d) * f - f.dilate(f.cfg.zeta ** 2)
-
-
-class GroupSideFunction:
-    """f composed with the inverse Cayley map, on topologically unipotent g."""
-
-    def __init__(self, f: LCFunction):
-        self.f = f
-
-    def evaluate(self, g: GroupElement) -> Fraction:
-        return self.f.evaluate(cayley_inv(g))
-
-
-def phi_pullback_support(f: LCFunction) -> GroupSideFunction:
-    """Wrap f for group-side use; requires support inside g_nil.
-
-    A standard cell (Y, N) sits inside the topologically nilpotent set iff
-    N >= 1, val(det Y) >= 1 and N + min(val 2a, val b, val c) >= 1; the
-    perturbation analysis of det over the coset makes this exact.
-    """
-    cfg = f.cfg
-    p = cfg.p
-    N = f.level()
-    for (al, be, ch), coeff in f.canonical_cells(N).items():
-        det = -(al * al) - be * ch
-        vdet = val_p(det, p)
-        vlin = min(val_p(2 * al, p), val_p(be, p), val_p(ch, p))
-        if N < 1 or vdet < 1 or (vlin is not INF and N + vlin < 1):
-            raise OutsideDomain("support is not topologically nilpotent")
-    return GroupSideFunction(f)
 
 
 # -- JSON serialization -------------------------------------------------

@@ -13,16 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from germlab import (ALL_ORBITS, CosetCell, FieldConfig, LCFunction, REG_EPS,
-                     REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad,
-                     brute_force_cell_oracle, construct_Hr_Omega,
+from germlab import (ALL_ORBITS, CosetCell, FieldConfig, GermBasis, LCFunction,
+                     REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
+                     ZERO_ORBIT, ad, brute_force_cell_oracle, construct_Hr_Omega,
                      default_basis, default_pool, depth, extract_germs,
                      extract_germs_auto, h_combination, homogeneity_extend,
                      in_g_nil_r, indicator_lattice, kernel_combinations,
                      make_vertex, mp_lattice, nilpotent_orbital,
                      nilpotent_vector, random_sl2, rep_elliptic,
-                     rep_nilpotent, ss_orbital, unit_ball, verify_claim,
-                     verify_scaling, verify_theorem)
+                     rep_nilpotent, scaling_checks, ss_orbital, unit_ball,
+                     verify_claim, verify_theorem)
 from germlab.orbital import tree_oracle_compare
 from germlab.tree import BASE
 
@@ -227,7 +227,7 @@ class TestCriterion6:
     @pytest.mark.parametrize("r", [0, 1])
     def test_claim_above_boundary(self, r):
         cfg = FieldConfig(5)
-        pool = default_pool(cfg, r)
+        pool = GermBasis(default_pool(cfg, r))
         grid = [(n, X) for n, X in x_grid(cfg, r) if depth(X) > r]
         assert len(grid) >= 12
         reports = verify_claim(r, pool, grid)
@@ -239,7 +239,7 @@ class TestCriterion6:
         # criterion 6 at depth exactly 1 on unions of g_{x,1} cosets; the
         # level-2 vertex pool provably fails there (README, "Known findings")
         cfg = FieldConfig(5)
-        fam = depth1_family(cfg)
+        fam = GermBasis(depth1_family(cfg))
         reports = verify_claim(1, fam, x_grid(cfg, 1))
         # the combinations verify_claim checks, by row name, to see which of
         # them use a midpoint member (the only members made of level-2 cells)
@@ -269,7 +269,7 @@ class TestCriterion7:
                 if depth(X) > r]
         assert len(grid) >= 12 - (2 if p == 3 else 0)
         reports = verify_theorem(r, fam, grid)
-        gated = [x for x in reports if x.gating]
+        gated = [x for x in reports if x.expected]
         bad = [x for x in gated if not x.passed]
         report(f"7(p={p}, r={r}, depth>r)", not bad,
                f"expansion residual 0 on {len(gated)} gated rows")
@@ -283,7 +283,7 @@ class TestCriterion7:
         grid = [(n, X) for n, X in x_grid(cfg, 1, conj=(p == 5)) if depth(X) == 1]
         assert grid, "boundary points exist"
         reports = verify_theorem(1, fam, grid)
-        gated = [x for x in reports if x.gating]
+        gated = [x for x in reports if x.expected]
         assert any("+g(m" in x.f_id for x in gated), \
             "no gated depth-1 row from a midpoint member"
         bad = [x for x in gated if not x.passed]
@@ -295,12 +295,11 @@ class TestCriterion7:
         cfg = FieldConfig(5)
         ok = True
         for r in (0, 1):
-            pool = default_pool(cfg, r)
-            grid = [(n, X) for n, X in x_grid(cfg, r, conj=False) if depth(X) > r][:4]
-            for om in ALL_ORBITS:
-                for _, f in construct_Hr_Omega(r, om, pool):
-                    for _, X in grid:
-                        ok = ok and verify_scaling(r, om, f, X)
+            pool = GermBasis(default_pool(cfg, r))
+            grid = [X for n, X in x_grid(cfg, r, conj=False) if depth(X) > r][:4]
+            members = [(om, f) for om in ALL_ORBITS
+                       for _, f in construct_Hr_Omega(r, om, pool)]
+            ok = ok and all(all(row) for row in scaling_checks(members, grid))
         report("7(scaling)", ok,
                "q^dim I_X(f) = I_{zeta^2 X}(f) on all single-orbit members")
 

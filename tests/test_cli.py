@@ -143,13 +143,22 @@ class TestVerifyCommand:
         assert out == (tmp_path / f"{suite}-r0.csv").read_text()
 
     def test_csv_stdout_parses_as_csv(self, capsys):
-        # the config comment line, then one 9-field row per line
-        code, out, _ = run(capsys, "--format", "csv", "verify", "claim", "--r", "0")
-        comment, body = out.split("\n", 1)
-        assert code == 0 and comment.startswith("# config:")
-        rows = list(csv.reader(io.StringIO(body)))
-        assert rows[0] == CSV_HEADER and len(rows) > 1
-        assert all(len(row) == 9 for row in rows)
+        # the config comment line, then one 9-field row per line; the theorem
+        # family's names (1[0+g(v0,1)]) hold commas, so they must be quoted
+        for suite in ("claim", "theorem"):
+            code, out, _ = run(capsys, "--format", "csv", "verify", suite, "--r", "0")
+            comment, body = out.split("\n", 1)
+            assert code == 0 and comment.startswith("# config:")
+            rows = list(csv.reader(io.StringIO(body)))
+            assert rows[0] == CSV_HEADER and len(rows) > 1
+            assert all(len(row) == 9 for row in rows), suite
+
+    @pytest.mark.parametrize("suite", ["claim", "theorem"])
+    def test_depth_strict_drops_the_failing_depth_r_rows(self, capsys, suite):
+        # at r=1 the level-2 vertex pool fails at depth exactly 1 (README,
+        # "Known findings"); --depth-strict keeps only X of depth > 1
+        assert run(capsys, "verify", suite, "--r", "1")[0] == 1
+        assert run(capsys, "verify", suite, "--r", "1", "--depth-strict")[0] == 0
 
     def test_oracles_p7(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--p", "7", "--out", str(tmp_path), "verify", "oracles")

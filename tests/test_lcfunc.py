@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from germlab import (CosetCell, FieldConfig, LCFunction, OutsideDomain,
-                     Sl2Element, cayley, depth_r_family, h_combination,
-                     indicator, indicator_lattice, is_invariant_under,
+from germlab import (CosetCell, FieldConfig, LCFunction, Sl2Element,
+                     depth_r_family, h_combination, indicator,
+                     indicator_lattice, is_invariant_under,
                      lcfunction_from_json, lcfunction_to_json, make_vertex,
-                     mp_lattice, phi_pullback_support, random_sl2, unit_ball)
+                     mp_lattice, random_sl2, unit_ball)
 from germlab.lcfunc import _base_centre
 from germlab.padic import mod_pk
 from germlab.tree import BASE, ad_to_base
@@ -159,26 +159,6 @@ class TestHCombination:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             h_combination(unit_ball(CFG), 1)
-
-
-class TestPhiPullback:
-    def test_wrapper_evaluates_through_cayley(self):
-        rng = random.Random(46)
-        f = indicator_lattice(CFG, BASE, 1, center=M(0, 5, 0))
-        w = phi_pullback_support(f)
-        for _ in range(100):
-            X = M(5 * rng.randint(-4, 4), 5 * rng.randint(-4, 4), 5 * rng.randint(1, 4))
-            assert w.evaluate(cayley(X)) == f.evaluate(X)
-
-    def test_identity_to_value_at_zero(self):
-        from germlab import GroupElement
-        f = indicator_lattice(CFG, BASE, 1)
-        w = phi_pullback_support(f)
-        assert w.evaluate(GroupElement.identity(CFG)) == f.evaluate(M(0, 0, 0))
-
-    def test_rejects_unit_support(self):
-        with pytest.raises(OutsideDomain):
-            phi_pullback_support(unit_ball(CFG))
 
 
 class TestAdPullback:

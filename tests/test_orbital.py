@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from germlab import (ALL_ORBITS, FieldConfig, InvariantViolated, NotRegular,
                      REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
-                     ZERO_ORBIT, ad, brute_force_cell_oracle, default_pool,
+                     GermBasis, ZERO_ORBIT, ad, brute_force_cell_oracle,
+                     default_pool,
                      indicator_lattice, make_vertex, nilpotent_orbital,
                      nilpotent_vector, random_conjugate, random_sl2,
                      rep_elliptic, rep_nilpotent, ss_orbital, unit_ball,
@@ -428,7 +429,7 @@ class TestProvedTail:
         monkeypatch.setattr(orbital, "_cell_integral", record)
         for r in (0, 1):
             grid = _standard_grid(CFG, r, 0, False)
-            verify_claim(r, default_pool(CFG, r), grid)
+            verify_claim(r, GermBasis(default_pool(CFG, r)), grid)
             verify_theorem(r, _theorem_family(CFG, r), grid)
         unbounded = [a for a in cells if val_p(a[3][1], CFG.p) >= a[4]]
         kinds = {a[2].kind for a in unbounded}
