@@ -11,17 +11,16 @@ from .errors import (BallTooSmall, GermlabError, GridTooLarge,
                      OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch)
 from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
                     hilbert_symbol, legendre, val_p)
-from .sl2 import (ALL_ORBITS, DEEP, DIM_NILPOTENT_CONE, Deep, ElementClass,
-                  GroupElement, OrbitLabel, REG_EPS, REG_EPSPI, REG_ONE,
-                  REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley, cayley_inv,
-                  classify, depth, in_g_nil_r, in_g_r, is_top_nilpotent,
+from .sl2 import (ALL_ORBITS, ElementClass, GroupElement, OrbitLabel, REG_EPS,
+                  REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley,
+                  cayley_inv, classify, depth, in_g_nil_r, is_top_nilpotent,
                   random_conjugate, random_sl2, rep_elliptic, rep_nilpotent)
 from .tree import (BASE, LatticeDescriptor, TreeVertex, act, ball,
                    depth_via_tree, distance, make_vertex, mp_lattice,
                    neighbors, tree_count_oracle)
-from .lcfunc import (CosetCell, LCFunction, depth_r_family, h_combination,
-                     indicator, indicator_lattice, is_invariant_under,
-                     lcfunction_from_json, lcfunction_to_json, unit_ball)
+from .lcfunc import (CosetCell, LCFunction, h_combination, indicator,
+                     indicator_lattice, is_invariant_under, lcfunction_from_json,
+                     lcfunction_to_json, unit_ball)
 from .orbital import (BClassRule, IntegralResult, Normalization, OracleResult,
                       Orbit, brute_force_cell_oracle, nilpotent_orbital,
                       nilpotent_vector, ss_orbital)

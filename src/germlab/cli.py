@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from .errors import GermlabError, GridTooLarge, NotRegular
 from .padic import FieldConfig, SquareClass
 from .sl2 import (ALL_ORBITS, Sl2Element, classify, depth, in_g_nil_r,
-                  random_conjugate, rep_elliptic)
+                  parse_matrix, random_conjugate, rep_elliptic)
 from .tree import BASE, make_vertex
 from .lcfunc import (LCFunction, h_combination, indicator_lattice,
                      lcfunction_from_json, unit_ball)
@@ -51,28 +51,16 @@ class RunConfig:
         return d
 
 
-def _parse_fraction(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def parse_x_spec(cfg: FieldConfig, spec: str) -> Sl2Element:
-    """Accepts "0", "diag(u,-u)", or "[[a,b],[c,-a]]" with rational entries."""
+    """Accepts "0", "diag(u,-u)", or "[[a,b],[c,-a]]" with entries n or n/d."""
     s = spec.strip().replace(" ", "")
     if s == "0":
         return Sl2Element.zero(cfg)
     if s.startswith("diag(") and s.endswith(")"):
         u, mu = s[5:-1].split(",")
-        if _parse_fraction(u) != -_parse_fraction(mu):
-            raise ValueError("diag entries must be (u, -u)")
-        return Sl2Element.from_rationals(cfg, _parse_fraction(u), 0, 0)
-    if s.startswith("[[") and s.endswith("]]"):
-        body = s[2:-2]
-        row1, row2 = body.split("],[")
-        a, b = (_parse_fraction(t) for t in row1.split(","))
-        c, d = (_parse_fraction(t) for t in row2.split(","))
-        if d != -a:
-            raise ValueError("matrix must be trace-zero: [[a,b],[c,-a]]")
-        return Sl2Element.from_rationals(cfg, a, b, c)
+        return parse_matrix(cfg, f"[[{u},0],[0,{mu}]]")
+    if s.startswith("[["):
+        return parse_matrix(cfg, s)
     raise ValueError(f"unrecognized X spec {spec!r}")
 
 
@@ -333,8 +321,10 @@ def _parse_inputs(rc: RunConfig, ns: argparse.Namespace) -> dict:
         if "f" in ns:
             got["f"] = parse_f_spec(cfg, ns.f)
         return got
-    except (ValueError, ZeroDivisionError, KeyError, TypeError, OSError) as exc:
-        # JSONDecodeError is a ValueError; TypeError is a JSON f spec of the wrong shape
+    except (ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError,
+            OSError) as exc:
+        # JSONDecodeError is a ValueError; TypeError and AttributeError are a
+        # JSON f spec of the wrong shape (a float coefficient, a list as centre)
         raise _UsageError(exc) from exc
 
 

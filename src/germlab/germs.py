@@ -38,11 +38,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
                      RankDeficient)
 from .linalg import nullspace, rank, solve_consistent
-from .lcfunc import LCFunction, depth_r_family, h_combination, indicator_lattice, unit_ball
+from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
-from .padic import FieldConfig
-from .sl2 import (ALL_ORBITS, Deep, OrbitLabel, Sl2Element, classify, depth,
-                  is_top_nilpotent)
+from .padic import INF, FieldConfig
+from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, classify, depth
 from .tree import BASE, make_vertex
 
 ORBIT_ORDER = list(ALL_ORBITS)  # Zero, Regular(One), Regular(Eps), Regular(Pi), Regular(EpsPi)
@@ -227,7 +226,7 @@ def extract_germs_auto(X: Sl2Element, basis: Optional[GermBasis] = None) -> Germ
     cfg = X.cfg
     basis = default_basis(cfg) if basis is None else basis
     d = depth(X)
-    if isinstance(d, Deep):
+    if d == INF:
         raise RankDeficient("germ table requested at a non-regular element")
     k = max(0, math.ceil((2 - d) / 2))
     table = extract_germs(X.scale(cfg.zeta ** (2 * k)) if k else X, basis)
@@ -279,14 +278,11 @@ def default_pool(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
     centers = [Sl2Element.zero(cfg)] + [nilpotent_center(cfg, l, r + 1)
                                         for l in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI)]
     cnames = ["0", "nOne", "nEps", "nPi", "nEpsPi"]
-    points = [BASE, make_vertex(cfg, 1, 0), make_vertex(cfg, -1, 0)]
-    pool = []
-    for cn, Y in zip(cnames, centers):
-        pool.append((f"1[{cn}+g(v0,{r + 1})]", depth_r_family(cfg, r, [Y], [BASE])[0]))
-    for i, x in enumerate(points[1:], 1):
-        pool.append((f"1[0+g(x{i},{r + 1})]",
-                     depth_r_family(cfg, r, [centers[0]], [x])[0]))
-    return pool
+    points = [make_vertex(cfg, 1, 0), make_vertex(cfg, -1, 0)]
+    pool = [(f"1[{cn}+g(v0,{r + 1})]", indicator_lattice(cfg, BASE, r + 1, center=Y))
+            for cn, Y in zip(cnames, centers)]
+    return pool + [(f"1[0+g(x{i},{r + 1})]", indicator_lattice(cfg, x, r + 1))
+                   for i, x in enumerate(points, 1)]
 
 
 def kernel_combinations(pool: GermBasis) -> List[Tuple[str, LCFunction]]:
@@ -345,10 +341,10 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
                    basis: Optional[GermBasis] = None) -> List[ExpansionReport]:
     """Expansion residuals over (family x grid) with globally extended germs.
 
-    Rows with depth(X) >= proxy depth of f (and X topologically nilpotent,
-    the domain of the group-side transfer) are gated; shallower rows are
-    contrast rows and only recorded.  One germ basis and one cell table of
-    the family serve the whole grid.
+    Rows with depth(X) >= proxy depth of f and 0 < depth(X) < INF (X regular
+    and topologically nilpotent, the domain of the group-side transfer) are
+    gated; shallower rows are contrast rows and only recorded.  One germ
+    basis and one cell table of the family serve the whole grid.
     """
     cells = CellTable(f for _, f in family)
     nil_vecs = [_as_vector(nv) for nv in cells.nilpotent_rows()]
@@ -359,7 +355,7 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
     for xname, X in X_grid:
         table = extract_germs_auto(X, basis=basis)
         torus, d = classify(X).torus_kind(), depth(X)
-        gate = not isinstance(d, Deep) and is_top_nilpotent(X)
+        gate = 0 < d < INF
         for (fname, _), nv, rf, lhs in zip(family, nil_vecs, proxy,
                                            cells.integrals(Orbit.of(X))):
             reports.append(ExpansionReport(

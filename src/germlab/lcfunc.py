@@ -12,15 +12,16 @@ integration_cells).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .padic import INF, FieldConfig, mod_pk, val_p
-from .sl2 import GroupElement, Sl2Element
+from .sl2 import GroupElement, Sl2Element, _exact, parse_matrix
 from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, basis_matrix,
-                   cartan, distance, mp_lattice)
+                   cartan, distance, make_vertex, mp_lattice)
 
 Rat = Fraction
 
@@ -269,20 +270,6 @@ def unit_ball(cfg: FieldConfig) -> LCFunction:
     return indicator_lattice(cfg, BASE, 0)
 
 
-def depth_r_family(cfg: FieldConfig, r: int, centers: Sequence[Sl2Element],
-                   points: Sequence[TreeVertex]) -> List[LCFunction]:
-    """Indicators 1_{Y + g_{x, r+1}}: generators of the depth-r proxy space D_r.
-
-    Each carries its invariance certificate (the lattice g_{x, r+1} itself);
-    is_invariant_under re-verifies it.
-    """
-    out = []
-    for Y in centers:
-        for x in points:
-            out.append(indicator_lattice(cfg, x, r + 1, center=Y))
-    return out
-
-
 def is_invariant_under(f: LCFunction, L: LatticeDescriptor) -> bool:
     """Exact decision of translation-invariance of f under the lattice L."""
     cfg = f.cfg
@@ -326,15 +313,12 @@ def lcfunction_to_json(f: LCFunction) -> list:
 
 
 def lcfunction_from_json(cfg: FieldConfig, data: list) -> LCFunction:
-    import re
+    """Inverse of lcfunction_to_json; a float coefficient or level is refused."""
     terms = []
     for item in data:
-        coeff = Fraction(item["coeff"])
-        mtext = item["center"]
-        nums = re.findall(r"-?\d+(?:/\d+)?", mtext)
-        a, b, c = Fraction(nums[0]), Fraction(nums[1]), Fraction(nums[2])
         m_str, x_str = item["vertex"].strip("()").split(",", 1)
-        v = TreeVertex(int(m_str), mod_pk(Fraction(x_str), cfg.p, int(m_str)))
-        center = Sl2Element.from_rationals(cfg, a, b, c)
-        terms.append((coeff, CosetCell(center, mp_lattice(cfg, v, int(item["level"])))))
+        v = make_vertex(cfg, int(m_str), Fraction(x_str))
+        center = parse_matrix(cfg, item["center"])
+        lat = mp_lattice(cfg, v, operator.index(item["level"]))
+        terms.append((_exact(item["coeff"]), CosetCell(center, lat)))
     return LCFunction(cfg, terms)

@@ -3,7 +3,10 @@
 A trace-zero matrix ((a, b), (c, -a)) is regular semisimple iff its
 determinant -a^2 - bc is nonzero; the torus type is read off the square class
 of -det.  Nonzero nilpotents split into four orbits labelled by the square
-class of the b-entry (or -c when b = 0).  The Cayley map
+class of the b-entry (or -c when b = 0).  The Moy-Prasad depth is one number,
+depth(X) = val(-det X)/2: in (1/2)Z on regular X, and padic.INF on the
+nilpotent cone, zero included, so g_r is {depth >= r} and the topologically
+nilpotent part of it is {0 < depth}.  The Cayley map
 
     phi(X) = (1 + X/2)(1 - X/2)^{-1} = ((1 - det/4) I + X) / (1 + det/4)
 
@@ -19,37 +22,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import OutsideDomain, SpecMismatch
-from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
+from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
                     square_class_of_rational, val_p)
-
-
-class Deep:
-    """Depth value of nilpotent and zero elements: above every rational."""
-
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __ge__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return not isinstance(other, Deep)
-
-    def __le__(self, other):
-        return isinstance(other, Deep)
-
-    def __lt__(self, other):
-        return False
-
-    def __repr__(self):
-        return "deep"
-
-
-DEEP = Deep()
 
 
 @dataclass(frozen=True)
@@ -77,7 +51,6 @@ REG_EPS = OrbitLabel("regular", SquareClass.EPS)
 REG_PI = OrbitLabel("regular", SquareClass.PI)
 REG_EPSPI = OrbitLabel("regular", SquareClass.EPSPI)
 ALL_ORBITS = (ZERO_ORBIT, REG_ONE, REG_EPS, REG_PI, REG_EPSPI)
-DIM_NILPOTENT_CONE = 2
 
 
 def _exact(x) -> Fraction:
@@ -140,6 +113,28 @@ class Sl2Element:
 
     def matrix_str(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{-self.a}]]"
+
+
+def _rational(text: str) -> Fraction:
+    """An integer or integer/integer; a decimal such as 1.5 is refused."""
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if den else 1)
+    except ValueError:
+        raise ValueError(f"entry {text!r} is not an integer or n/d") from None
+
+
+def parse_matrix(cfg: FieldConfig, text: str) -> Sl2Element:
+    """Read "[[a,b],[c,-a]]", the form matrix_str writes; spaces are ignored."""
+    s = text.replace(" ", "")
+    if not (s.startswith("[[") and s.endswith("]]")):
+        raise ValueError(f"expected [[a,b],[c,-a]], got {text!r}")
+    row1, row2 = s[2:-2].split("],[")
+    a, b = (_rational(t) for t in row1.split(","))
+    c, d = (_rational(t) for t in row2.split(","))
+    if d != -a:
+        raise ValueError("matrix must be trace-zero: [[a,b],[c,-a]]")
+    return Sl2Element(cfg, a, b, c)
 
 
 class GroupElement:
@@ -231,18 +226,9 @@ def classify(X: Sl2Element) -> ElementClass:
 
 
 def depth(X: Sl2Element):
-    """Moy-Prasad depth: val(u) = val(-det)/2 for regular elements, deep else."""
-    k = classify(X)
-    if k.kind in ("zero", "nilpotent"):
-        return DEEP
-    return Fraction(val_p(X.det(), X.cfg.p), 2)
-
-
-def in_g_r(X: Sl2Element, r, strict: bool = False) -> bool:
-    d = depth(X)
-    if isinstance(d, Deep):
-        return True
-    return d > Fraction(r) if strict else d >= Fraction(r)
+    """Moy-Prasad depth val(-det)/2; INF on the nilpotent cone (zero included)."""
+    t = val_p(X.det(), X.cfg.p)
+    return INF if t == INF else Fraction(t, 2)
 
 
 def is_top_nilpotent(X: Sl2Element) -> bool:
@@ -252,7 +238,8 @@ def is_top_nilpotent(X: Sl2Element) -> bool:
 
 def in_g_nil_r(X: Sl2Element, r, strict: bool = False) -> bool:
     """Membership in g_r intersected with the topologically nilpotent set."""
-    return in_g_r(X, r, strict) and is_top_nilpotent(X)
+    d = depth(X)
+    return 0 < d and (d > r if strict else d >= r)
 
 
 def cayley(X: Sl2Element) -> GroupElement:

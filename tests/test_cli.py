@@ -30,6 +30,10 @@ class TestParsers:
         assert Y.c == 5
         with pytest.raises(ValueError):
             parse_x_spec(CFG, "[[1,1],[1,1]]")
+        for spec in ("diag(1,-2)", "[[0,1.5],[0,0]]", "[[1,2,3],[0,-1]]"):
+            with pytest.raises(ValueError):
+                parse_x_spec(CFG, spec)
+        assert parse_x_spec(CFG, "diag(3/5,-3/5)").a == Fraction(3, 5)
 
     def test_f_specs(self):
         assert parse_f_spec(CFG, "unit-ball").evaluate(Sl2Element(CFG, 1, 0, 0)) == 1
@@ -95,7 +99,18 @@ class TestOrbitalCommand:
         assert code == 2
         assert err.startswith("usage error:")
 
-    @pytest.mark.parametrize("spec", ["[1]", '[{"x": 1}]', "nil:foo:1", "no-such-file"])
+    @pytest.mark.parametrize("spec", [
+        "[1]", '[{"x": 1}]', "nil:foo:1", "no-such-file",
+        pytest.param('[{"coeff": "1", "center": "[[0,1.5],[0,0]]", "vertex": "(0,0)",'
+                     ' "level": 1}]', id="decimal-centre-entry"),
+        pytest.param('[{"coeff": "1", "center": "[[1,0],[0,5]]", "vertex": "(0,0)",'
+                     ' "level": 1}]', id="centre-not-trace-zero"),
+        pytest.param('[{"coeff": 0.1, "center": "[[0,0],[0,0]]", "vertex": "(0,0)",'
+                     ' "level": 1}]', id="float-coefficient"),
+        pytest.param('[{"coeff": "1", "center": [[0, 1], [0, 0]], "vertex": "(0,0)",'
+                     ' "level": 1}]', id="centre-not-a-string"),
+        pytest.param('[{"coeff": "1", "center": "[[0,0],[0,0]]", "vertex": "(0,0)",'
+                     ' "level": 1.5}]', id="float-level")])
     def test_bad_f_spec_exits_2(self, capsys, spec):
         code, _, err = run(capsys, "orbital", "--X", "diag(1,-1)", "--f", spec)
         assert code == 2

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from germlab import (CosetCell, FieldConfig, LCFunction, Sl2Element,
-                     depth_r_family, h_combination, indicator,
-                     indicator_lattice, is_invariant_under,
+                     h_combination, indicator, indicator_lattice,
+                     is_invariant_under,
                      lcfunction_from_json, lcfunction_to_json, make_vertex,
                      mp_lattice, random_sl2, unit_ball)
 from germlab.lcfunc import _base_centre
@@ -103,7 +103,8 @@ class TestCanonicalize:
 class TestDepthFamilyInvariance:
     def test_family_members_certified(self):
         pts = [BASE, make_vertex(CFG, 1, 0)]
-        fam = depth_r_family(CFG, 0, [Sl2Element.zero(CFG), M(0, 1, 0)], pts)
+        fam = [indicator_lattice(CFG, x, 1, center=Y)
+               for Y in (Sl2Element.zero(CFG), M(0, 1, 0)) for x in pts]
         assert len(fam) == 4
         for f in fam:
             cell = f.terms[0][1]
@@ -118,8 +119,8 @@ class TestDepthFamilyInvariance:
     def test_invariance_survives_combinations(self):
         rng = random.Random(45)
         L = mp_lattice(CFG, BASE, 1)
-        fam = depth_r_family(CFG, 0, [Sl2Element.zero(CFG), M(0, 1, 0), M(0, 2, 0)],
-                             [BASE])
+        fam = [indicator_lattice(CFG, BASE, 1, center=Y)
+               for Y in (Sl2Element.zero(CFG), M(0, 1, 0), M(0, 2, 0))]
         for _ in range(50):
             f = None
             for g in fam:
@@ -128,20 +129,20 @@ class TestDepthFamilyInvariance:
             assert is_invariant_under(f, L)
 
     def test_dilate_shifts_level_down(self):
-        f = depth_r_family(CFG, 2, [Sl2Element.zero(CFG)], [BASE])[0]
+        f = indicator_lattice(CFG, BASE, 3)
         g = f.dilate(CFG.zeta**2)
         assert g.terms[0][1].level == 1
         assert is_invariant_under(g, mp_lattice(CFG, BASE, 1))
 
     def test_unit_dilation_preserves_level(self):
-        f = depth_r_family(CFG, 1, [Sl2Element.zero(CFG)], [BASE])[0]
+        f = indicator_lattice(CFG, BASE, 2)
         g = f.dilate(Fraction(2))
         assert g.terms[0][1].level == 2
         assert g.proxy_depth() == f.proxy_depth()
 
     def test_support_bound_recorded(self):
-        fam = depth_r_family(CFG, 0, [M(0, Fraction(1, 5), 0)], [BASE])
-        assert fam[0].support_bound() == 1
+        f = indicator_lattice(CFG, BASE, 1, center=M(0, Fraction(1, 5), 0))
+        assert f.support_bound() == 1
 
 
 class TestHCombination:

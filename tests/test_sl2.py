@@ -1,16 +1,19 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from germlab import (DEEP, FieldConfig, GroupElement, OutsideDomain,
+from germlab import (FieldConfig, GermBasis, GroupElement, OutsideDomain,
                      REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
                      SpecMismatch, SquareClass, ZERO_ORBIT, ad, cayley,
-                     cayley_inv, classify, depth, in_g_nil_r, in_g_r,
+                     cayley_inv, classify, default_pool, depth, in_g_nil_r,
                      is_top_nilpotent, random_sl2, rep_elliptic,
-                     rep_nilpotent)
-from germlab.padic import val_p
-from germlab.sl2 import ALL_ORBITS, DIM_NILPOTENT_CONE
+                     rep_nilpotent, sl2, verify_claim)
+from germlab.cli import _standard_grid
+from germlab.padic import INF, val_p
+from germlab.sl2 import ALL_ORBITS
 from germlab.tree import BASE, depth_via_tree
 
 CFG = FieldConfig(5)
@@ -45,7 +48,6 @@ class TestClassify:
     def test_orbit_labels_enumerate(self):
         assert len(ALL_ORBITS) == 5
         assert {om.dim for om in ALL_ORBITS} == {0, 2}
-        assert all(DIM_NILPOTENT_CONE - om.dim in (0, 2) for om in ALL_ORBITS)
 
     def test_tags_ad_invariant(self):
         rng = random.Random(21)
@@ -95,20 +97,99 @@ class TestDepth:
             assert depth(X.scale(25)) == depth(X) + 2
 
     def test_nilpotent_is_deep(self):
-        assert depth(M(0, 1, 0)) is DEEP
-        assert DEEP > Fraction(10**9)
+        assert depth(M(0, 1, 0)) == INF
+        assert depth(M(0, 0, 0)) == INF
+        assert INF > Fraction(10**9)
 
     def test_in_g_r(self):
-        assert in_g_r(M(5, 0, 0), 1)
-        assert not in_g_r(M(1, 0, 0), 1)
-        assert in_g_r(M(1, 0, 0), 0)
-        assert not in_g_r(M(5, 0, 0), 1, strict=True)
-        assert in_g_r(M(0, 1, 0), 10**6)
+        # g_r is {depth >= r}, or {depth > r} when strict; INF lies in every g_r
+        assert depth(M(5, 0, 0)) >= 1
+        assert not depth(M(1, 0, 0)) >= 1
+        assert depth(M(1, 0, 0)) >= 0
+        assert not depth(M(5, 0, 0)) > 1
+        assert depth(M(0, 1, 0)) >= 10**6
+        assert in_g_nil_r(M(5, 0, 0), 1)
+        assert not in_g_nil_r(M(25, 0, 0), 3)
+        assert not in_g_nil_r(M(5, 0, 0), 1, strict=True)
+        assert in_g_nil_r(M(0, 1, 0), 10**6, strict=True)
+        assert in_g_nil_r(M(0, 0, 0), 10**6)
 
     def test_g_nil_cut(self):
         assert not in_g_nil_r(M(1, 0, 0), 0)     # depth 0 but not nilpotent
         assert in_g_nil_r(M(0, 1, 5), 0)         # depth 1/2
         assert in_g_nil_r(M(5, 0, 0), 1)
+
+
+def _elements(p: int):
+    """Five kinds of X at p: regular representatives scaled by p^k, the four
+    nilpotent representatives, zero, and seeded conjugates of the first two."""
+    cfg = FieldConfig(p)
+    regular = [Sl2Element(cfg, 1, 0, 0)] + [
+        rep_elliptic(cfg, s, tag) for s in (cfg.eps, p, cfg.eps * p) for tag in (True, False)]
+    nilpotent = [rep_nilpotent(cfg, om) for om in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI)]
+    scaled = st.builds(lambda X, k: X.scale(Fraction(p) ** k),
+                       st.sampled_from(regular), st.integers(-2, 3))
+    base = st.one_of(scaled, st.sampled_from(nilpotent))
+    conjugated = st.builds(lambda X, seed: ad(random_sl2(cfg, random.Random(seed)), X),
+                           base, st.integers(0, 10**6))
+    return st.one_of(base, st.just(Sl2Element.zero(cfg)), conjugated)
+
+
+def _old_in_g_nil_r(X, r, strict):
+    """g_r membership as it read before depth was one number: through classify,
+    with every non-regular element in every g_r, and val(det) > 0 on top."""
+    if classify(X).is_regular:
+        d = Fraction(val_p(X.det(), X.cfg.p), 2)
+        in_g_r = d > r if strict else d >= r
+    else:
+        in_g_r = True
+    return in_g_r and val_p(X.det(), X.cfg.p) > 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([3, 5, 7]).flatmap(_elements),
+       st.integers(-2, 8).map(lambda k: Fraction(k, 2)), st.booleans())
+def test_depth_is_half_the_valuation_of_minus_det(X, r, strict):
+    d = depth(X)
+    assert (d == INF) == (not classify(X).is_regular)
+    if d != INF:
+        assert d == Fraction(val_p(-X.det(), X.cfg.p), 2)
+    assert in_g_nil_r(X, r, strict) == _old_in_g_nil_r(X, r, strict)
+
+
+def _count_classify(monkeypatch):
+    """Count classify calls wherever a germlab module binds it."""
+    calls = []
+    real = sl2.classify
+
+    def counting(X):
+        calls.append(X)
+        return real(X)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "germlab" or name.startswith("germlab.")):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_depth_makes_no_classify_call(monkeypatch):
+    calls = _count_classify(monkeypatch)
+    for X in (M(5, 0, 0), M(0, 1, 5), M(0, 1, 0), M(0, 0, 0)):
+        depth(X)
+        in_g_nil_r(X, 1)
+    assert calls == []
+
+
+def test_verify_claim_classifies_each_x_twice(monkeypatch):
+    # at p=5, r=0 the grid's 10 elliptic representatives classify once each
+    # to check their tags, and each of its 15 X once for its orbit and once
+    # for its torus label: 40 calls.  A depth that classified added one call
+    # per X in the grid filter and one in the report rows, 70 in all
+    calls = _count_classify(monkeypatch)
+    verify_claim(0, GermBasis(default_pool(CFG, 0)), _standard_grid(CFG, 0, 0, False))
+    assert len(calls) == 40
 
 
 class TestTopNilpotent:
