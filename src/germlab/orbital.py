@@ -422,25 +422,38 @@ def _interval_ameas(cfg: FieldConfig, alpha: Fraction, N: int,
     center value and every perturbation term reach valuation m, fully outside
     when the center value is pinned strictly below every perturbation, and is
     subdivided otherwise.  Terminates by level m + max(0, -val(gamma)).
+
+    It runs on ints.  With a = p^-e a' and
+    e = max(0, -N, -val alpha, ceil(-val theta / 2)), alpha and theta are
+    p-integral, levels are >= 0 and every valuation above shifts by 2e: the
+    target is M = m + 2e, each branch decision is unchanged and the measure
+    gains a factor q^e.  No decision tells valuations >= M apart, so centres
+    are ints mod p^M (a residue of 0 reads INF) and no level >= M is
+    subdivided.  If M <= 0 the whole coset qualifies.
     """
     p = cfg.p
-    total = Fraction(0)
-    stack = [(alpha, N)]
+    e = max(0, -N, -val_p(alpha, p), -(val_p(theta, p) // 2) if theta else 0)
+    M = m + 2 * e
+    if M <= 0:
+        return cfg.qpow(-N)
+    pM, K = p**M, max(M, N + e)  # every coset level lies in N + e..K
+    theta = int(mod_pk(theta * p ** (2 * e), p, M))
+    count = 0  # in units of q^-K
+    stack = [(int(mod_pk(alpha * p**e, p, M)), N + e)]
     while stack:
         gamma, l = stack.pop()
-        phi = theta - gamma * gamma
-        vphi = val_p(phi, p)
-        lin = (l + val_p(2 * gamma, p)) if gamma != 0 else INF
+        vphi = val_p((theta - gamma * gamma) % pM, p)
+        lin = (l + val_p(2 * gamma, p)) if gamma else INF
         pert = min(lin, 2 * l)
-        if vphi >= m and pert >= m:
-            total += cfg.qpow(-l)
-        elif vphi < m and vphi < pert:
+        if vphi >= M and pert >= M:
+            count += p ** (K - l)
+        elif vphi < M and vphi < pert:
             continue
         else:
-            step = Fraction(p) ** l
+            step = p**l
             for i in range(p):
                 stack.append((gamma + i * step, l + 1))
-    return total
+    return Fraction(count, p**K) * cfg.qpow(e)
 
 
 def brute_force_cell_oracle(target, f: LCFunction, refine: int = 1,

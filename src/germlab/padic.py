@@ -1,6 +1,6 @@
 """p-adic facts about rationals viewed inside Q_p (p odd).
 
-Every number is an exact `Fraction`; this module reads its p-adic data:
+Every number is an exact int or `Fraction`; this module reads its p-adic data:
 valuation, canonical reduction mod p^k, leading digit, Legendre symbol,
 Hensel square roots of units, the Hilbert symbol, the four square classes
 of Q_p* and the norm groups of the three quadratic extensions.
@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 INF = math.inf
 
-Rat = Union[int, Fraction]
+Rat = Union[int, Fraction]  # val_p and mod_pk read only .numerator, .denominator
 
 
 def _is_prime(n: int) -> bool:
@@ -49,11 +49,10 @@ def smallest_nonsquare_unit(p: int) -> int:
 
 def val_p(x: Rat, p: int):
     """p-adic valuation of a rational; INF for 0."""
-    x = Fraction(x)
-    if x == 0:
+    n = x.numerator
+    if not n:
         return INF
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
@@ -66,7 +65,6 @@ def val_p(x: Rat, p: int):
 
 def unit_mod_pk(x: Rat, p: int, k: int) -> int:
     """Integer u with x = p^val(x) * u mod p^(val+k); requires x != 0, k >= 1."""
-    x = Fraction(x)
     v = val_p(x, p)
     u = x / Fraction(p) ** v
     m = p**k
@@ -75,15 +73,13 @@ def unit_mod_pk(x: Rat, p: int, k: int) -> int:
 
 def mod_pk(x: Rat, p: int, k: int) -> Fraction:
     """Canonical representative of x modulo p^k O (digits below position k)."""
-    x = Fraction(x)
     v = val_p(x, p)
     if v >= k:
         return Fraction(0)
-    j = max(0, -v)
-    y = x * p**j  # valuation >= 0, denominator now coprime to p
-    m = p ** (k + j)
-    c = (y.numerator % m) * pow(y.denominator, -1, m) % m
-    return Fraction(c, p**j)
+    j = max(0, -v)  # the denominator's p-part is p^j
+    m, pj = p ** (k + j), p**j
+    c = (x.numerator % m) * pow(x.denominator // pj, -1, m) % m
+    return Fraction(c, pj)
 
 
 def leading_digit(x: Rat, p: int) -> int:
@@ -126,7 +122,6 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
 
 def hilbert_symbol(a: Rat, b: Rat, p: int) -> int:
     """Hilbert symbol (a, b)_p for odd p."""
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     al, be = val_p(a, p), val_p(b, p)
@@ -172,7 +167,6 @@ _CLASS_BY_DATA = {
 
 
 def square_class_of_rational(x: Rat, p: int) -> SquareClass:
-    x = Fraction(x)
     if x == 0:
         raise ValueError("square class of zero is undefined")
     v = val_p(x, p)
@@ -235,7 +229,6 @@ class QuadExtDescriptor:
         return self.disc_class.representative(cfg)
 
     def is_norm_rational(self, x: Rat, cfg: FieldConfig) -> bool:
-        x = Fraction(x)
         if x == 0:
             raise ValueError("norm test needs nonzero argument")
         if not self.ramified:

@@ -111,8 +111,11 @@ class LatticeDescriptor:
 
     def min_level(self, X: Sl2Element):
         """Largest n with X in g_{v,n}; INF for X = 0."""
-        moved = ad_to_base(self.cfg, self.vertex, *X.exact_entries())
-        return min(val_p(t, self.cfg.p) for t in moved)
+        # ad_to_base's valuations, without forming p^m b or dividing by p^m
+        p, x, m = self.cfg.p, self.vertex.x, self.vertex.m
+        a, b, c = X.exact_entries()
+        a2 = a + b * x
+        return min(val_p(a2, p), val_p(b, p) + m, val_p(c - x * (a + a2), p) - m)
 
     def contains(self, X: Sl2Element) -> bool:
         return self.min_level(X) >= self.level
@@ -238,10 +241,12 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     """Fixed-vertex count backing the orbital integral of 1_{g_{BASE,n}}.
 
     Counts vertices v within distance R of BASE, at even distance from it,
-    with X in g_{v,n}; for split X the count runs over a
-    width-2 window of apartment columns (a fundamental domain for the torus
-    translations).  Equals ss_orbital(X, indicator) up to one calibration
-    constant per torus type.
+    with X in g_{v,n}; for split X only those projecting to apartment
+    columns 0 and 1 (a fundamental domain for the torus translations).
+    Equals ss_orbital(X, indicator) up to one calibration constant per torus
+    type.  Since d(v, apt[j]) = d(v, A) + |j - j_v|, with j_v the column v
+    projects to, the argmin of d(v, apt[j]) over columns -1..2 lies in
+    {0, 1} exactly when j_v does: four columns decide the projection.
 
     The fixed set is the set of lattices stable under p^{-n} X, which is
     convex, and min_level has convex superlevel sets; so greedy ascent of
@@ -255,28 +260,16 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     if not k.is_regular:
         raise NotRegular("tree count oracle needs a regular semisimple element")
     fixed = _fixed_vertices(cfg, X, n, R)
-    if not k.is_split:
-        for v in fixed:
-            if distance(cfg, BASE, v) == R:
-                raise BallTooSmall(f"fixed set reaches the R={R} boundary")
-        return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == 0))
-    # split: project fixed vertices to the apartment and keep columns {0, 1}
-    span = 2 * R + 2
-    apt = _apartment_vertices(cfg, X, range(-span, span + 1))
-    for j in (0, 1):
-        if distance(cfg, BASE, apt[span + j]) >= R:
+    if k.is_split:  # keep the vertices projecting to columns 0 and 1
+        apt = _apartment_vertices(cfg, X, range(-1, 3))
+        if any(distance(cfg, BASE, av) >= R for av in apt[1:3]):
             raise BallTooSmall("fundamental-domain columns not inside the ball")
-    count = 0
-    for v in fixed:
-        dists = [distance(cfg, v, av) for av in apt]
-        dmin = min(dists)
-        j = dists.index(dmin) - span  # apartment coordinate of the projection
-        if j in (0, 1):
-            if distance(cfg, BASE, v) == R:
-                raise BallTooSmall(f"fixed set reaches the R={R} boundary")
-            if distance(cfg, BASE, v) % 2 == 0:
-                count += 1
-    return Fraction(count)
+        fixed = [v for v in fixed
+                 if min(range(4), key=lambda j: distance(cfg, v, apt[j])) in (1, 2)]
+    dists = [distance(cfg, BASE, v) for v in fixed]
+    if R in dists:
+        raise BallTooSmall(f"fixed set reaches the R={R} boundary")
+    return Fraction(sum(1 for d in dists if d % 2 == 0))
 
 
 def cartan(cfg: FieldConfig, M) -> Tuple[tuple, int, int]:

@@ -241,6 +241,68 @@ class TestOracleTriangle:
         assert len(rows) - 1 >= 20
 
 
+def _residue_ameas(p, alpha, N, theta, m):
+    """meas{a in alpha + p^N O : val(a^2 - theta) >= m} by counting t mod p^L.
+
+    For a = alpha + p^N t the condition is constant on t + p^L O once every
+    perturbation 2 a p^N d + p^(2N) d^2 (d in p^L O) has valuation >= m, which
+    holds for L = max(0, m - N - min(val alpha, N), ceil(m/2) - N).
+    """
+    low = min(val_p(alpha, p), N)
+    L = max(0, m - N - low, -((2 * N - m) // 2))
+    step = Fraction(p) ** N
+    hits = sum(1 for t in range(p**L) if val_p((alpha + step * t) ** 2 - theta, p) >= m)
+    return Fraction(hits, p**L) * Fraction(p) ** -N
+
+
+def _ameas_cases(p, seed, count):
+    """Seeded (alpha, N, theta, m): negative values, p-power and non-p
+    denominators, alpha or theta zero, theta near a square of the coset."""
+    rng = random.Random(seed)
+
+    def rat(vlo, vhi):
+        x = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 7)))
+        return x * Fraction(p) ** rng.randint(vlo, vhi)
+
+    cases = []
+    for i in range(count):
+        N = (-1, 0, 1, 2)[i % 4]
+        alpha = rat(-1, 2)
+        if i % 3 == 0:   # a square of the coset plus a deep perturbation
+            a0 = alpha + rng.randint(0, p**2) * Fraction(p) ** N
+            theta = a0 * a0 + rat(N, N + 4)
+        else:
+            theta = rat(-2, 3)
+        cases.append((alpha, N, theta, rng.randint(-2, N + 5)))
+    cases += [(Fraction(0), 1, Fraction(0), 3), (Fraction(0), 0, Fraction(p), 1),
+              (Fraction(1, p), 0, Fraction(1, p * p), 2)]
+    return cases
+
+
+class TestIntervalAmeas:
+    """The brute-force oracle's a-measure against direct residue counting,
+    which calls nothing from orbital."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_agrees_with_residue_counting(self, p):
+        cfg = FieldConfig(p)
+        nonzero = 0
+        for alpha, N, theta, m in _ameas_cases(p, 70 + p, 60):
+            want = _residue_ameas(p, alpha, N, theta, m)
+            got = orbital._interval_ameas(cfg, alpha, N, theta, m)
+            assert got == want, (alpha, N, theta, m, got, want)
+            nonzero += 0 < want < Fraction(p) ** -N
+        assert nonzero >= 10   # the cases reach the subdivision, not only its ends
+
+    def test_whole_coset_when_the_scaled_target_is_nonpositive(self):
+        # alpha, theta integral and N >= 0 give e = 0, so m <= 0 means M <= 0
+        for alpha, N, theta, m in ((Fraction(3), 2, Fraction(-7, 2), 0),
+                                   (Fraction(1, 2), 0, Fraction(5), -1)):
+            want = Fraction(1, 5**N)
+            assert _residue_ameas(5, alpha, N, theta, m) == want
+            assert orbital._interval_ameas(CFG, alpha, N, theta, m) == want
+
+
 class TestCertificates:
     def test_result_fields(self):
         res = ss_orbital(M(0, 1, 2), unit_ball(CFG))

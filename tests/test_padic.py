@@ -246,3 +246,55 @@ class TestSerialization:
         assert mod_pk(Fraction(26, 5), 5, 1) == Fraction(1, 5)
         assert mod_pk(Fraction(6, 5), 5, 1) == Fraction(6, 5)
         assert mod_pk(Fraction(25), 5, 2) == 0
+
+
+def _random_numbers(rng, p, count):
+    """Seeded ints and Fractions: negative, p-power and non-p denominators, zero."""
+    out = [0, Fraction(0)]
+    for _ in range(count):
+        num = rng.randint(-10**6, 10**6) * p ** rng.randint(0, 4)
+        if rng.random() < 0.3:
+            out.append(num)
+        else:
+            out.append(Fraction(num, rng.choice((1, 2, 7, 10)) * p ** rng.randint(0, 4)))
+    return out
+
+
+class TestValuationAndReduction:
+    """val_p and mod_pk read .numerator and .denominator only; their
+    defining properties, checked with plain int arithmetic."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_val_p_is_the_exact_power(self, p):
+        for x in _random_numbers(random.Random(40 + p), p, 300):
+            v = val_p(x, p)
+            if x == 0:
+                assert v == INF
+                continue
+            y = Fraction(x) / Fraction(p) ** v
+            assert y.numerator % p and y.denominator % p, (x, v)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_mod_pk_is_the_canonical_residue(self, p):
+        rng = random.Random(50 + p)
+        for x in _random_numbers(rng, p, 300):
+            for k in (rng.randint(-3, 6), rng.randint(-3, 6)):
+                r = mod_pk(x, p, k)
+                assert isinstance(r, Fraction)
+                pj = r.denominator
+                j = 0
+                while pj % p == 0:
+                    pj //= p
+                    j += 1
+                assert pj == 1, (x, k, r)
+                assert 0 <= r * p**j < p ** (k + j), (x, k, r)
+                assert val_p(Fraction(x) - r, p) >= k, (x, k, r)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_int_and_fraction_inputs_agree(self, p):
+        rng = random.Random(60 + p)
+        for _ in range(300):
+            n = rng.choice((0, rng.randint(-10**6, 10**6) * p ** rng.randint(0, 4)))
+            assert val_p(n, p) == val_p(Fraction(n), p)
+            for k in range(-2, 5):
+                assert mod_pk(n, p, k) == mod_pk(Fraction(n), p, k)

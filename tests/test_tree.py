@@ -9,9 +9,10 @@ from germlab import (BallTooSmall, FieldConfig, GroupElement,
                      mp_lattice, neighbors, random_sl2, rep_elliptic,
                      tree_count_oracle)
 from germlab.orbital import tree_oracle_cases
+from germlab.padic import INF, val_p
 from germlab.sl2 import classify, random_conjugate
 from germlab.tree import (BASE, LatticeDescriptor, _apartment_vertices, act,
-                          basis_matrix, cartan)
+                          ad_to_base, basis_matrix, cartan)
 
 CFG = FieldConfig(5)
 
@@ -117,6 +118,20 @@ class TestMpLattice:
             lhs = mp_lattice(CFG, act(CFG, g, v), n).contains(ad(g, X))
             rhs = mp_lattice(CFG, v, n).contains(X)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_min_level_is_the_least_valuation_of_ad_to_base(self, p):
+        # ad_to_base conjugates the element explicitly: min_level's slow oracle
+        cfg = FieldConfig(p)
+        xs = {X for _, X, _, _ in tree_oracle_cases(cfg)}
+        xs = sorted(xs, key=repr)
+        xs += [random_conjugate(X, seed=80 + i) for i, X in enumerate(xs)]
+        xs.append(M(0, 0, 0, cfg))
+        for v in ball(cfg, BASE, 3):
+            for X in xs:
+                want = min(val_p(t, p) for t in ad_to_base(cfg, v, *X.exact_entries()))
+                assert LatticeDescriptor(cfg, v, 0).min_level(X) == want, (v, X)
+        assert LatticeDescriptor(cfg, BASE, 0).min_level(xs[-1]) == INF
 
 
 class TestCartan:
@@ -226,6 +241,31 @@ def _scan_count(cfg, X, n, R):
                 raise BallTooSmall(f"fixed set reaches the R={R} boundary")
             count += distance(cfg, BASE, v) % 2 == 0
     return Fraction(count)
+
+
+class TestApartmentWindow:
+    """tree_count_oracle projects onto apartment columns -1..2 only."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_distance_grows_by_one_per_column_from_the_projection(self, p):
+        # d(v, apt[j]) = d(v, A) + |j - j_v| over the full span the count
+        # used to scan, so the window's argmin is in {0, 1} iff j_v is
+        cfg = FieldConfig(p)
+        seen = set()
+        for name, X, n, R in tree_oracle_cases(cfg):
+            if not classify(X).is_split:
+                continue
+            span = 2 * R + 2
+            apt = _apartment_vertices(cfg, X, range(-span, span + 1))
+            for v in _scan_fixed(cfg, X, n, R):
+                dists = [distance(cfg, v, av) for av in apt]
+                dmin = min(dists)
+                jv = dists.index(dmin) - span
+                assert dists == [dmin + abs(j - jv) for j in range(-span, span + 1)], (name, v)
+                window = dists[span - 1:span + 3]
+                assert (window.index(min(window)) in (1, 2)) == (jv in (0, 1)), (name, v)
+                seen.add(jv)
+        assert set(range(-2, 4)) <= seen   # projections inside and outside the window
 
 
 def _scan_depth(cfg, X, R):
