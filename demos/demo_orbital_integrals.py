@@ -23,7 +23,7 @@ for name, X in [
     ("ramified    depth 1/2    ", rep_elliptic(cfg, 5, tag=True)),
 ]:
     res = ss_orbital(X, ball)
-    print(f"  {name}: {res.value}   (tail: {res.tail}, certified: {res.certificate})")
+    print(f"  {name}: {res.value}   (tail: {res.tail}, v0: {res.v0})")
 
 print("\nNilpotent orbital integrals (the five-orbit vector):")
 for om, v in nilpotent_vector(ball).items():
@@ -41,11 +41,11 @@ print("  lhs:", ss_orbital(X.scale(25), ball).value,
       " rhs:", ss_orbital(X, fz).value)
 
 print("\nIndependent brute-force oracle (raw stratum grids, interval")
-print("subdivision; no Hensel branch logic shared with the engine):")
+print("subdivision; no Hensel branch logic shared with the engine; an")
+print("exact value or GridTooLarge):")
 for target, f, label in [
     (Sl2Element.from_rationals(cfg, 1, 0, 0), ball, "split anchor"),
     (ALL_ORBITS[1], ball, "nilpotent One"),
     (rep_elliptic(cfg, 2, tag=True), indicator_lattice(cfg, BASE, 1), "elliptic, level 1"),
 ]:
-    o = brute_force_cell_oracle(target, f)
-    print(f"  {label}: oracle = {o.value} (exact: {o.exact})")
+    print(f"  {label}: oracle = {brute_force_cell_oracle(target, f)}")

@@ -21,9 +21,9 @@ from .tree import (BASE, LatticeDescriptor, TreeVertex, act, ball,
 from .lcfunc import (CosetCell, LCFunction, h_combination, indicator,
                      indicator_lattice, is_invariant_under, lcfunction_from_json,
                      lcfunction_to_json, unit_ball)
-from .orbital import (BClassRule, IntegralResult, Normalization, OracleResult,
-                      Orbit, brute_force_cell_oracle, nilpotent_orbital,
-                      nilpotent_vector, ss_orbital)
+from .orbital import (BClassRule, IntegralResult, Orbit, brute_force_cell_oracle,
+                      fingerprint, nilpotent_orbital, nilpotent_vector,
+                      ss_orbital)
 from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,
                     construct_Hr_Omega, default_basis, default_pool, extract_germs,
                     extract_germs_auto, homogeneity_extend,

@@ -23,7 +23,8 @@ class NotRegular(GermlabError):
 
 
 class GridTooLarge(GermlabError):
-    """Brute-force oracle grid exceeds the configured budget."""
+    """The brute-force oracle cannot give an exact value: its b-coset
+    enumeration exceeds the budget, or its strata show no geometric tail."""
 
 
 class BallTooSmall(GermlabError):

@@ -181,30 +181,20 @@ def default_basis(cfg: FieldConfig) -> GermBasis:
     return GermBasis(out)
 
 
-def extract_germs(X: Sl2Element, basis: GermBasis,
-                  held_out: Sequence[Tuple[str, LCFunction]] = ()) -> GermTable:
+def extract_germs(X: Sl2Element, basis: GermBasis) -> GermTable:
     """Solve the five-orbit expansion over the basis with exact linear algebra.
 
     The matrix of nilpotent vectors must have rank 5; every basis row beyond
-    the first five and every held-out function must have zero residual,
-    otherwise the system is reported inconsistent (X too shallow for some f).
+    the first five must have zero residual, otherwise the system is reported
+    inconsistent (X too shallow for some f).
     """
     if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
-    orbit = Orbit.of(X)
-    x = solve_consistent(basis.matrix, basis.table.integrals(orbit))
+    x = solve_consistent(basis.matrix, basis.table.integrals(Orbit.of(X)))
     if x is None:
         raise InconsistentSystem("nonzero residual over the basis")
     values = {om: x[i] for i, om in enumerate(ORBIT_ORDER)}
-    table = GermTable(X, values, provenance=[name for name, _ in basis.members])
-    if held_out:
-        extra = CellTable(f for _, f in held_out)
-        for (name, _), nv, lhs in zip(held_out, extra.nilpotent_rows(),
-                                      extra.integrals(orbit)):
-            if lhs != table.expansion_rhs(_as_vector(nv)):
-                raise InconsistentSystem(f"held-out residual nonzero for {name}")
-            table.provenance.append(f"held-out:{name}")
-    return table
+    return GermTable(X, values, provenance=[name for name, _ in basis.members])
 
 
 def homogeneity_extend(table: GermTable, k: int) -> GermTable:

@@ -43,17 +43,12 @@ from .lcfunc import LCFunction
 from .tree import BASE
 
 
-@dataclass(frozen=True)
-class Normalization:
+def fingerprint(cfg: FieldConfig) -> str:
     """Measure conventions baked into every reported number."""
-
-    cfg: FieldConfig
-
-    def fingerprint(self) -> str:
-        return (f"p={self.cfg.p};zeta=p;eps={self.cfg.eps};"
-                "dg:vol(SL2(O))=1;dt:vol(T_compact)=1;"
-                "ss:q^floor(val_u)*(da db/|b|) on -a^2-bc=detX (norm-coset cut);"
-                "nil:Zero=delta_0,Regular(l)=da db/|b| on bc=-a^2,b in class l")
+    return (f"p={cfg.p};zeta=p;eps={cfg.eps};"
+            "dg:vol(SL2(O))=1;dt:vol(T_compact)=1;"
+            "ss:q^floor(val_u)*(da db/|b|) on -a^2-bc=detX (norm-coset cut);"
+            "nil:Zero=delta_0,Regular(l)=da db/|b| on bc=-a^2,b in class l")
 
 
 @dataclass
@@ -61,12 +56,9 @@ class IntegralResult:
     value: Fraction
     v0: int
     tail: str
-    certificate: bool
-    normalization: str
 
     def to_json(self) -> dict:
-        return {"value": str(self.value), "v0": self.v0, "tail": self.tail,
-                "certificate": self.certificate, "normalization": self.normalization}
+        return {"value": str(self.value), "v0": self.v0, "tail": self.tail}
 
 
 @dataclass(frozen=True)
@@ -280,7 +272,7 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     if B1 != rho * B0:
         raise InvariantViolated(f"strata from v*={v_star} are not geometric "
                                 f"with ratio {rho}: {B0}, {B1}")
-    tail = "0" if B0 == 0 or rho == 0 else f"geom ratio {rho} from {B0}"
+    tail = "0" if B0 == 0 or rho == 0 else "geometric"
     return sum(S[:-4], Fraction(0)) + B0 / (1 - rho), v_star, tail
 
 
@@ -355,8 +347,7 @@ class Orbit:
             tail_desc = "point"
         else:
             tail_desc = "finite" if tails <= {"finite", "0"} else "geometric"
-        return IntegralResult(self.prefactor * total, v0_max, tail_desc, True,
-                              Normalization(self.cfg).fingerprint())
+        return IntegralResult(self.prefactor * total, v0_max, tail_desc)
 
 
 def ss_orbital(X: Sl2Element, f: LCFunction) -> IntegralResult:
@@ -375,30 +366,6 @@ def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:
 
 
 # -- brute-force oracle ------------------------------------------------------
-
-
-@dataclass
-class OracleResult:
-    value: Fraction            # exact value, or partial sum when bounded
-    error_bound: Fraction      # 0 for exact enumeration
-    exact: bool
-
-    def agrees_with(self, engine_value: Fraction) -> bool:
-        """Exact agreement, via the bounded-denominator argument when needed.
-
-        When the enumeration is exact the test is equality.  Otherwise the
-        remainder bound B satisfies |engine - partial| <= B and B is small
-        enough that two distinct rationals with the partial sum's denominator
-        cannot both lie within B of it, which forces equality of the exact
-        values.
-        """
-        if self.exact:
-            return engine_value == self.value
-        gap = abs(engine_value - self.value)
-        if gap > self.error_bound:
-            return False
-        den = engine_value.denominator * self.value.denominator
-        return self.error_bound * den * den < 1
 
 
 def _oracle_rule(target, f: LCFunction):
@@ -456,43 +423,46 @@ def _interval_ameas(cfg: FieldConfig, alpha: Fraction, N: int,
     return Fraction(count, p**K) * cfg.qpow(e)
 
 
-def brute_force_cell_oracle(target, f: LCFunction, refine: int = 1,
-                            budget: int = 60_000) -> OracleResult:
+_ORACLE_BUDGET = 60_000  # b-cosets times cells times strata, at most
+_ORACLE_WINDOW = 9       # split and nilpotent strata run to N + |val s| + M + 9
+
+
+def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     """Independent stratum-by-stratum evaluation of the chart integral.
 
     The b-plane is enumerated coset by coset per valuation stratum; the
     a-measure of each quadratic congruence is computed by raw interval
     subdivision (no Hensel branch analysis shared with the engine).  Elliptic
     targets terminate exactly; split and nilpotent targets extend the strata
-    by an observed-block geometric tail when one is present, and otherwise
-    return the partial sum with a rigorous remainder bound.
+    by the geometric tail that their last three two-stratum blocks show.  The
+    value is exact: past the budget, or with no such tail, GridTooLarge is
+    raised instead.
     """
     cfg = f.cfg
     p = cfg.p
     s, rule = _oracle_rule(target, f)
     if rule is None:  # zero orbit: direct membership sum at 0
-        return OracleResult(f.at_zero(), Fraction(0), True)
-    fc = f.canonicalize()
-    N = fc.level()
-    M = fc.support_bound()
-    cells = fc.canonical_cells()
+        return f.at_zero()
+    N = f.level()
+    cells = f.canonical_cells(N)
+    if not cells:  # f vanishes identically
+        return Fraction(0)
+    # every cell lies in p^-M sl2(O)
+    M = max(0, *(-min(N, *(val_p(x, p) for x in key)) for key in cells))
     by_beta: Dict[Fraction, list] = {}
     for (al, be, ch), coeff in cells.items():
         by_beta.setdefault(be, []).append((al, ch, coeff))
-    vs = int(val_p(s, p)) if s != 0 else None
-    if vs is not None and not classify(target).is_split:
+    vs = int(val_p(s, p)) if s != 0 else 0
+    if rule.kind == "elliptic":
         v_max = max(N, vs + 1 + M) + 1          # strata beyond are empty
-        exact_mode = True
     else:
-        v_max = N + (abs(vs) if vs is not None else 0) + M + 7 + 2 * refine
-        exact_mode = False
+        v_max = N + abs(vs) + M + _ORACLE_WINDOW
     lo = -M
     n_b = max(1, N + M)  # b-digits: decides both b mod p^N and b*chi mod p^(N+v)
-    if (p - 1) * p ** (n_b - 1) * (v_max - lo + 1) * max(1, len(cells)) > budget:
+    if (p - 1) * p ** (n_b - 1) * (v_max - lo + 1) * len(cells) > _ORACLE_BUDGET:
         raise GridTooLarge("b-coset enumeration exceeds the budget")
-    prefactor = cfg.qpow(vs // 2) if vs is not None else Fraction(1)
 
-    strata = {}
+    strata = []
     for v in range(lo, v_max + 1):
         acc = Fraction(0)
         if rule.digit_count(v) != 0:
@@ -507,27 +477,18 @@ def brute_force_cell_oracle(target, f: LCFunction, refine: int = 1,
                         am = _interval_ameas(cfg, al, N, s - b * ch, N + v)
                         if am:
                             acc += coeff * vol_b * am
-        strata[v] = cfg.qpow(v) * acc
-    partial = sum(strata.values(), Fraction(0))
-    if exact_mode:
-        return OracleResult(prefactor * partial, Fraction(0), True)
-    # observed-block geometric extension over the last six strata
-    v_star = v_max - 5
-    B0 = strata[v_star] + strata[v_star + 1]
-    B1 = strata[v_star + 2] + strata[v_star + 3]
-    B2 = strata[v_star + 4] + strata[v_star + 5]
-    head = sum(strata[v] for v in range(lo, v_star))
-    if B0 == 0 and B1 == 0 and B2 == 0:
-        return OracleResult(prefactor * head, Fraction(0), True)
-    if B0 != 0:
-        ratio = B1 / B0
-        if ratio in (Fraction(0), Fraction(1, p), Fraction(1, p * p)) and B2 == B1 * ratio:
-            return OracleResult(prefactor * (head + B0 / (1 - ratio)), Fraction(0), True)
-    # rigorous remainder: meas_a <= 2 q^(-floor((N+v)/2)) and b-volume <= q^-v
-    l1 = sum(abs(cf) for cf in cells.values())
-    k0 = (N + v_max + 1) // 2
-    bound = prefactor * 4 * l1 * cfg.qpow(-k0) * Fraction(p, p - 1)
-    return OracleResult(prefactor * partial, bound, False)
+        strata.append(cfg.qpow(v) * acc)
+    prefactor = cfg.qpow(vs // 2)
+    if rule.kind == "elliptic":
+        return prefactor * sum(strata, Fraction(0))
+    # observed-block geometric tail over the last six strata; with B0 = 0
+    # the ratio is 0 and both later blocks must vanish
+    B0, B1, B2 = (strata[i] + strata[i + 1] for i in (-6, -4, -2))
+    ratio = B1 / B0 if B0 else Fraction(0)
+    geometric = B1 == ratio * B0 and B2 == ratio * B1
+    if geometric and ratio in (0, Fraction(1, p), Fraction(1, p * p)):
+        return prefactor * (sum(strata[:-6], Fraction(0)) + B0 / (1 - ratio))
+    raise GridTooLarge(f"strata {v_max - 5}..{v_max} show no geometric tail")
 
 
 def tree_oracle_cases(cfg: FieldConfig):

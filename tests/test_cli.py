@@ -8,8 +8,8 @@ import pytest
 
 from germlab import cli
 from germlab.cli import main, parse_f_spec, parse_x_spec
-from germlab import (CSV_HEADER, FieldConfig, Sl2Element, indicator_lattice,
-                     lcfunction_to_json, make_vertex)
+from germlab import (CSV_HEADER, FieldConfig, InvariantViolated, Sl2Element,
+                     indicator_lattice, lcfunction_to_json, make_vertex)
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -190,6 +190,15 @@ class TestVerifyCommand:
         monkeypatch.setitem(cli.SUITES, "oracles", suite)
         code, _, err = run(capsys, "verify", "oracles")
         assert code == 3
+        assert err.startswith("computational error:")
+
+    def test_germlab_error_mid_run_exits_3(self, capsys, monkeypatch):
+        # a failed exact re-check is a computational error, like NotRegular
+        def verify_claim(*args):
+            raise InvariantViolated("strata are not geometric")
+        monkeypatch.setattr(cli, "verify_claim", verify_claim)
+        code, out, err = run(capsys, "verify", "claim")
+        assert (code, out) == (3, "")
         assert err.startswith("computational error:")
 
     def test_p3_warns(self, capsys):
