@@ -11,7 +11,7 @@ from .errors import (BallTooSmall, GermlabError, GridTooLarge,
                      OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch)
 from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
                     hilbert_symbol, legendre, val_p)
-from .sl2 import (ALL_ORBITS, ElementClass, GroupElement, OrbitLabel, REG_EPS,
+from .sl2 import (ALL_ORBITS, GroupElement, OrbitLabel, REG_EPS,
                   REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley,
                   cayley_inv, classify, depth, in_g_nil_r, is_top_nilpotent,
                   random_conjugate, random_sl2, rep_elliptic, rep_nilpotent)
@@ -21,7 +21,7 @@ from .tree import (BASE, LatticeDescriptor, TreeVertex, act, ball,
 from .lcfunc import (CosetCell, LCFunction, h_combination, indicator,
                      indicator_lattice, is_invariant_under, lcfunction_from_json,
                      lcfunction_to_json, unit_ball)
-from .orbital import (BClassRule, IntegralResult, Orbit, brute_force_cell_oracle,
+from .orbital import (IntegralResult, Orbit, brute_force_cell_oracle,
                       fingerprint, nilpotent_orbital, nilpotent_vector,
                       ss_orbital)
 from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,

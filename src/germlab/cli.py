@@ -84,7 +84,7 @@ def parse_f_spec(cfg: FieldConfig, spec: str) -> LCFunction:
         _, label, k = s.split(":")
         cls = _NIL_LABELS[label.lower()]
         from .sl2 import OrbitLabel, rep_nilpotent
-        Y = rep_nilpotent(cfg, OrbitLabel("regular", cls))
+        Y = rep_nilpotent(cfg, OrbitLabel("nil", cls))
         return indicator_lattice(cfg, BASE, int(k), center=Y)
     if not s.startswith("["):
         with open(s) as fh:

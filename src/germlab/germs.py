@@ -177,7 +177,7 @@ def default_basis(cfg: FieldConfig) -> GermBasis:
     out = [("unit-ball", ball), ("unit-ball-dilated", ball.dilate(cfg.zeta**2))]
     for label in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI):
         Y = rep_nilpotent(cfg, label)
-        out.append((f"nil-{label.cls.value}-2", indicator_lattice(cfg, BASE, 2, center=Y)))
+        out.append((f"nil-{label.nil_class.value}-2", indicator_lattice(cfg, BASE, 2, center=Y)))
     return GermBasis(out)
 
 
@@ -256,9 +256,9 @@ def nilpotent_center(cfg: FieldConfig, label: OrbitLabel, level: int) -> Sl2Elem
     b0 has the largest valuation below `level` compatible with the class
     parity, so the coset b0 + p^level O is a genuine off-zero cell.
     """
-    par = label.cls.parity
+    par = label.nil_class.parity
     v_star = level - 1 if (level - 1) % 2 == par else level - 2
-    b0 = label.cls.representative(cfg) * cfg.zeta ** (v_star - par)
+    b0 = label.nil_class.representative(cfg) * cfg.zeta ** (v_star - par)
     return Sl2Element.from_rationals(cfg, 0, b0, 0)
 
 

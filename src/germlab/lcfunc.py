@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .padic import INF, FieldConfig, mod_pk, val_p
+from .padic import FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, _exact, parse_matrix
 from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, basis_matrix,
                    cartan, distance, make_vertex, mp_lattice)
@@ -134,19 +134,6 @@ class LCFunction:
             return 0
         return max(cell.level + distance(self.cfg, BASE, cell.vertex)
                    for _, cell in self.terms)
-
-    def support_bound(self) -> int:
-        """Smallest M with every cell inside p^{-M} sl2(O) (entrywise)."""
-        if self.is_zero:
-            return 0
-        out = 0
-        for _, cell in self.terms:
-            d = distance(self.cfg, BASE, cell.vertex)
-            ent = min(val_p(x, self.cfg.p) for x in cell.center.exact_entries())
-            lat = cell.level - d
-            lo = min(ent, lat)
-            out = max(out, int(-lo) if lo is not INF and lo < 0 else 0)
-        return out
 
     def __add__(self, other: "LCFunction") -> "LCFunction":
         return LCFunction(self.cfg, list(self.terms) + list(other.terms))

@@ -8,13 +8,14 @@ integrals carry the extra factor q^floor(val(s)/2) = |u|_floor^{-1}, which
 makes the substitution covariance  I_{c X}(f) = I_X(f_c)  an exact identity
 of the engine for c = zeta^2 (and any even-valuation c).
 
-The engine integrates an Orbit, given by s and its b-class rule, never a
-matrix.  It reads a function as a sum of product cells
+The engine integrates an Orbit, given by s and the OrbitLabel that
+sl2.classify returns, never a matrix; the label says which b the orbit
+admits.  It reads a function as a sum of product cells
 a in alpha + p^N O,  b in beta + p^N O,  c in chi + p^N O, one per term: a
 coset of g_{v,N} is moved to the base vertex by Ad(g_v^{-1}) together with
 the orbit (LCFunction.integration_cells, Orbit.cell_value).  The move
-multiplies b by p^m (m = v.m), so the moved orbit keeps s and takes the rule
-of X when m is even and BClassRule.moved() when m is odd.  An integral is
+multiplies b by p^m (m = v.m), so the moved orbit keeps s and takes the label
+of X when m is even and OrbitLabel.moved(cfg) when m is odd.  An integral is
 linear in f, so it is a sum of per-cell values of the orbit; the suites
 evaluate each (orbit, cell) pair once (germs.CellTable).  For each cell the
 b-integral collapses, per valuation stratum, to at most (q-1)/2 quadratic
@@ -33,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import GridTooLarge, InvariantViolated, NotRegular
-from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
-                    hensel_sqrt, leading_digit, legendre, mod_pk, val_p)
-from .sl2 import ALL_ORBITS, ElementClass, OrbitLabel, Sl2Element, classify
+from .padic import (INF, FieldConfig, hensel_sqrt, leading_digit, legendre,
+                    mod_pk, unit_mod_pk, val_p)
+from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, classify
 from .lcfunc import LCFunction
 from .tree import BASE
 
@@ -59,77 +60,6 @@ class IntegralResult:
 
     def to_json(self) -> dict:
         return {"value": str(self.value), "v0": self.v0, "tail": self.tail}
-
-
-@dataclass(frozen=True)
-class BClassRule:
-    """Which b-strata and leading digits the orbit admits.
-
-    allowed(v) returns 'all', 'none', or the required Legendre value (+1/-1)
-    of the leading digit of b on the valuation-v stratum.  Rules built
-    separately for the same orbit are equal and hash equal, so they key the
-    cell memo of _cell_integral.
-    """
-
-    kind: str
-    cfg: FieldConfig
-    ext: Optional[QuadExtDescriptor] = None
-    tag: Optional[bool] = None
-    nil_class: Optional[SquareClass] = None
-
-    @classmethod
-    def split(cls, cfg) -> "BClassRule":
-        return cls("split", cfg)
-
-    @classmethod
-    def elliptic(cls, cfg, ext: QuadExtDescriptor, tag: bool) -> "BClassRule":
-        return cls("elliptic", cfg, ext=ext, tag=tag)
-
-    @classmethod
-    def nilpotent(cls, cfg, nil_class: SquareClass) -> "BClassRule":
-        return cls("nil", cfg, nil_class=nil_class)
-
-    def moved(self) -> "BClassRule":
-        """The rule of the orbit after b -> p b (an odd move to the base vertex).
-
-        The nilpotent class gains a factor pi; the norm tag of p b is the tag
-        of b when p is a norm and the other tag otherwise; split orbits admit
-        every b.  Squares p^2 change neither, so even moves keep the rule.
-        """
-        if self.kind == "nil":
-            return BClassRule.nilpotent(self.cfg, self.nil_class * SquareClass.PI)
-        if self.kind == "elliptic":
-            keep = self.ext.is_norm_rational(self.cfg.p, self.cfg)
-            return BClassRule.elliptic(self.cfg, self.ext, self.tag == keep)
-        return self
-
-    def allowed(self, v: int):
-        if self.kind == "split":
-            return "all"
-        if self.kind == "nil":
-            if v % 2 != self.nil_class.parity:
-                return "none"
-            return self.nil_class.unit_legendre
-        if not self.ext.ramified:
-            return "all" if (v % 2 == 0) == self.tag else "none"
-        need = self.ext.norm_unit_legendre(v, self.cfg)
-        return need if self.tag else -need
-
-    def digit_count(self, v: int) -> int:
-        a = self.allowed(v)
-        if a == "none":
-            return 0
-        if a == "all":
-            return self.cfg.p - 1
-        return (self.cfg.p - 1) // 2
-
-    def digit_ok(self, v: int, d0: int) -> bool:
-        a = self.allowed(v)
-        if a == "none":
-            return False
-        if a == "all":
-            return True
-        return legendre(d0, self.cfg.p) == a
 
 
 _SQMEAS_CACHE: Dict[tuple, Fraction] = {}
@@ -159,13 +89,11 @@ def sqmeas(cfg: FieldConfig, alpha: Fraction, N: int, theta: Fraction, m: int) -
     elif t % 2 != 0:
         out = Fraction(0)
     else:
-        tp = theta / Fraction(p) ** t
-        d0 = leading_digit(tp, p)
-        if legendre(d0, p) != 1:
+        K = int(m - t)
+        u = unit_mod_pk(theta, p, K)
+        if legendre(u, p) != 1:
             out = Fraction(0)
         else:
-            K = int(m - t)
-            u = (tp.numerator % p**K) * pow(tp.denominator, -1, p**K) % p**K
             rho = hensel_sqrt(u, p, K)
             half = t // 2
             center = Fraction(rho) * Fraction(p) ** half
@@ -175,7 +103,7 @@ def sqmeas(cfg: FieldConfig, alpha: Fraction, N: int, theta: Fraction, m: int) -
     return out
 
 
-def _stratum_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
+def _stratum_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
                    alpha: Fraction, beta: Fraction, chi: Fraction,
                    N: int, v: int) -> Fraction:
     """Exact contribution q^v * meas{(a,b): val b = v, cell conditions} of one stratum.
@@ -184,7 +112,7 @@ def _stratum_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     so strata run over v >= N.
     """
     p = cfg.p
-    cnt = rule.digit_count(v)
+    cnt = rule.digit_count(v, cfg)
     if cnt == 0:
         return Fraction(0)
     e = val_p(chi, p)
@@ -193,7 +121,7 @@ def _stratum_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
         return cfg.qpow(v) * vol_b * sqmeas(cfg, alpha, N, s, N + v)
     # c-condition pins b to a coset of radius p^(N+v-e) around (s - a^2)/chi
     w = v + int(e)
-    allowed = rule.allowed(v)
+    allowed = rule.allowed(v, cfg)
     lead_chi = leading_digit(chi, p)
     scale = cfg.qpow(int(e) - N)  # q^{v - T_v}
     if allowed == "all":
@@ -209,13 +137,13 @@ def _stratum_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     return scale * total
 
 
-def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: BClassRule,
+def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
                         alpha: Fraction, beta: Fraction, chi: Fraction,
                         N: int) -> Fraction:
     """Cell with val(beta) < N: a single stratum at v = val(beta), no tail."""
     p = cfg.p
     w_b = int(val_p(beta, p))
-    if not rule.digit_ok(w_b, leading_digit(beta, p)):
+    if not rule.digit_ok(w_b, leading_digit(beta, p), cfg):
         return Fraction(0)
     e = val_p(chi, p)
     if e >= N:
@@ -249,7 +177,7 @@ def _tail_start(cfg: FieldConfig, s: Fraction, chi: Fraction, N: int) -> int:
 
 
 @lru_cache(maxsize=1 << 14)
-def _cell_integral(cfg: FieldConfig, s: Fraction, rule: BClassRule,
+def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
                    cell: Tuple[Fraction, Fraction, Fraction],
                    N: int) -> Tuple[Fraction, int, str]:
     """Exact integral of one product cell: head sum plus closed-form tail.
@@ -276,50 +204,37 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: BClassRule,
     return sum(S[:-4], Fraction(0)) + B0 / (1 - rho), v_star, tail
 
 
-def _orbit_rule(cfg: FieldConfig, k: ElementClass) -> BClassRule:
-    """The b-class rule of the orbit of a nilpotent or regular element."""
-    if k.kind == "nilpotent":
-        return BClassRule.nilpotent(cfg, k.label.cls)
-    if k.is_split:
-        return BClassRule.split(cfg)
-    return BClassRule.elliptic(cfg, k.torus, k.ss_tag)
-
-
 @dataclass(frozen=True)
 class Orbit:
-    """An orbit as the engine integrates it: s = -det, rules and prefactor.
+    """An orbit as the engine integrates it: s = -det, labels and prefactor.
 
-    `rules` holds the b-class rule for cells moved from a vertex of even
-    and of odd m (see BClassRule.moved), or None for the zero orbit, the
-    point mass at 0.  Built once per X (one classify call); the integral of
-    every cell then depends on the orbit alone, so suites share one Orbit
+    `rules` holds the label for cells moved from a vertex of even and of
+    odd m (see OrbitLabel.moved); for the zero orbit, the point mass at 0,
+    both are ZERO_ORBIT.  Built once per X (one classify call); the integral
+    of every cell then depends on the orbit alone, so suites share one Orbit
     across all the functions they integrate.
     """
 
     cfg: FieldConfig
     s: Fraction
-    rules: Optional[Tuple[BClassRule, BClassRule]]
+    rules: Tuple[OrbitLabel, OrbitLabel]
     prefactor: Fraction
 
     @classmethod
     def of(cls, X: Sl2Element) -> "Orbit":
         """The orbit of a regular semisimple X, with |u|^{-1} floored to stay rational."""
         cfg = X.cfg
-        k = classify(X)
-        if not k.is_regular:
+        label = classify(X)
+        if not label.is_regular:
             raise NotRegular("ss_orbital needs a regular semisimple element")
         a, b, c = X.exact_entries()
         s = a * a + b * c  # -det
-        rule = _orbit_rule(cfg, k)
-        return cls(cfg, s, (rule, rule.moved()), cfg.qpow(int(val_p(s, cfg.p)) // 2))
+        return cls(cfg, s, (label, label.moved(cfg)), cfg.qpow(int(val_p(s, cfg.p)) // 2))
 
     @classmethod
     def nilpotent(cls, cfg: FieldConfig, label: OrbitLabel) -> "Orbit":
         """A nilpotent orbit: the s = 0 fiber with b in the label's class."""
-        if label.kind == "zero":
-            return cls(cfg, Fraction(0), None, Fraction(1))
-        rule = BClassRule.nilpotent(cfg, label.cls)
-        return cls(cfg, Fraction(0), (rule, rule.moved()), Fraction(1))
+        return cls(cfg, Fraction(0), (label, label.moved(cfg)), Fraction(1))
 
     def cell_value(self, key: Tuple[Fraction, Fraction, Fraction], n: int,
                    odd: int) -> Tuple[Fraction, int, str]:
@@ -329,7 +244,7 @@ class Orbit:
         The zero orbit's value is 1 when the cell holds 0, that is when its
         reduced centre is 0.
         """
-        if self.rules is None:
+        if self.rules[odd].kind == "zero":
             return Fraction(not any(key)), 0, "point"
         return _cell_integral(self.cfg, self.s, self.rules[odd], key, n)
 
@@ -343,7 +258,7 @@ class Orbit:
             total += coeff * val
             v0_max = max(v0_max, v0)
             tails.add(tail)
-        if self.rules is None:
+        if self.rules[0].kind == "zero":
             tail_desc = "point"
         else:
             tail_desc = "finite" if tails <= {"finite", "0"} else "geometric"
@@ -368,17 +283,15 @@ def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:
 # -- brute-force oracle ------------------------------------------------------
 
 
-def _oracle_rule(target, f: LCFunction):
-    cfg = f.cfg
+def _oracle_rule(target):
+    """(s, label) of a nilpotent label or a regular semisimple element."""
     if isinstance(target, OrbitLabel):
-        if target.kind == "zero":
-            return None, None
-        return Fraction(0), BClassRule.nilpotent(cfg, target.cls)
-    k = classify(target)
-    if not k.is_regular:
+        return Fraction(0), target
+    label = classify(target)
+    if not label.is_regular:
         raise NotRegular("oracle target must be regular or a nilpotent label")
     a, b, c = target.exact_entries()
-    return a * a + b * c, _orbit_rule(cfg, k)
+    return a * a + b * c, label
 
 
 def _interval_ameas(cfg: FieldConfig, alpha: Fraction, N: int,
@@ -440,8 +353,8 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     """
     cfg = f.cfg
     p = cfg.p
-    s, rule = _oracle_rule(target, f)
-    if rule is None:  # zero orbit: direct membership sum at 0
+    s, rule = _oracle_rule(target)
+    if rule.kind == "zero":  # direct membership sum at 0
         return f.at_zero()
     N = f.level()
     cells = f.canonical_cells(N)
@@ -465,11 +378,11 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     strata = []
     for v in range(lo, v_max + 1):
         acc = Fraction(0)
-        if rule.digit_count(v) != 0:
+        if rule.digit_count(v, cfg) != 0:
             vol_b = cfg.qpow(-(v + n_b))
             for ib in range(p ** (n_b - 1)):
                 for d0 in range(1, p):
-                    if not rule.digit_ok(v, d0):
+                    if not rule.digit_ok(v, d0, cfg):
                         continue
                     b = Fraction(d0 + p * ib) * Fraction(p) ** v
                     for al, ch, coeff in by_beta.get(mod_pk(b, p, N), ()):

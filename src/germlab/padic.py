@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 INF = math.inf
 
@@ -107,17 +107,6 @@ def hensel_sqrt(u: int, p: int, k: int) -> int:
     if r % p > (p - 1) // 2:
         r = p**k - r
     return r
-
-
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root in Q if one exists."""
-    if x < 0:
-        return None
-    n = math.isqrt(x.numerator)
-    d = math.isqrt(x.denominator)
-    if n * n == x.numerator and d * d == x.denominator:
-        return Fraction(n, d)
-    return None
 
 
 def hilbert_symbol(a: Rat, b: Rat, p: int) -> int:

@@ -2,11 +2,15 @@
 
 A trace-zero matrix ((a, b), (c, -a)) is regular semisimple iff its
 determinant -a^2 - bc is nonzero; the torus type is read off the square class
-of -det.  Nonzero nilpotents split into four orbits labelled by the square
-class of the b-entry (or -c when b = 0).  The Moy-Prasad depth is one number,
-depth(X) = val(-det X)/2: in (1/2)Z on regular X, and padic.INF on the
-nilpotent cone, zero included, so g_r is {depth >= r} and the topologically
-nilpotent part of it is {0 < depth}.  The Cayley map
+of -det, and an elliptic orbit is fixed by -det and the norm tag of the
+b-entry (or -c when b = 0).  Nonzero nilpotents split into four orbits
+labelled by the square class of that same entry.  classify returns one
+OrbitLabel for every kind of orbit, and the orbital engine integrates with
+that label: it says which b the orbit admits in the (a, b) chart.  The
+Moy-Prasad depth is one number, depth(X) = val(-det X)/2: in (1/2)Z on
+regular X, and padic.INF on the nilpotent cone, zero included, so g_r is
+{depth >= r} and the topologically nilpotent part of it is {0 < depth}.  The
+Cayley map
 
     phi(X) = (1 + X/2)(1 - X/2)^{-1} = ((1 - det/4) I + X) / (1 + det/4)
 
@@ -19,37 +23,108 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import OutsideDomain, SpecMismatch
-from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass,
+from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass, legendre,
                     square_class_of_rational, val_p)
 
 
 @dataclass(frozen=True)
 class OrbitLabel:
-    """One of the five nilpotent orbits: the zero orbit or Regular(class)."""
+    """An adjoint orbit as the engine integrates it, and what classify returns.
 
-    kind: str                       # 'zero' | 'regular'
-    cls: Optional[SquareClass] = None
+    kind is 'zero' (the point 0), 'nil' (the regular nilpotent orbit of b in
+    nil_class), 'split' (a regular element with -det a square) or 'elliptic'
+    (-det generates the extension ext; tag says whether b, or -c when b = 0,
+    is a norm from ext).  The engine reads only which b-strata and leading
+    digits of b the orbit admits (allowed).  Labels built separately for one
+    orbit are equal and hash equal, so they key the cell memo of
+    orbital._cell_integral.
+    """
 
-    def __post_init__(self):
-        if self.kind == "regular" and self.cls is None:
-            raise ValueError("regular label needs a square class")
+    kind: str
+    nil_class: Optional[SquareClass] = None
+    ext: Optional[QuadExtDescriptor] = None
+    tag: Optional[bool] = None
 
     @property
     def dim(self) -> int:
         return 0 if self.kind == "zero" else 2
 
+    @property
+    def is_regular(self) -> bool:
+        return self.kind in ("split", "elliptic")
+
+    @property
+    def is_split(self) -> bool:
+        return self.kind == "split"
+
+    def torus_kind(self) -> str:
+        if self.is_split:
+            return "split"
+        return "unramified" if not self.ext.ramified else f"ramified-{self.ext.disc_class.value}"
+
+    def moved(self, cfg: FieldConfig) -> "OrbitLabel":
+        """The label of the orbit after b -> p b (an odd move to the base vertex).
+
+        The nilpotent class gains a factor pi; the norm tag of p b is the tag
+        of b when p is a norm and the other tag otherwise; split orbits and
+        the zero orbit are unchanged.  Squares p^2 change nothing, so even
+        moves keep the label.
+        """
+        if self.kind == "nil":
+            return OrbitLabel("nil", self.nil_class * SquareClass.PI)
+        if self.kind == "elliptic":
+            keep = self.ext.is_norm_rational(cfg.p, cfg)
+            return OrbitLabel("elliptic", ext=self.ext, tag=self.tag == keep)
+        return self
+
+    def allowed(self, v: int, cfg: FieldConfig):
+        """'all', 'none', or the Legendre value (+1/-1) the leading digit of
+        b must have on the valuation-v stratum."""
+        if self.kind == "split":
+            return "all"
+        if self.kind == "nil":
+            if v % 2 != self.nil_class.parity:
+                return "none"
+            return self.nil_class.unit_legendre
+        if self.kind != "elliptic":
+            raise ValueError("the zero orbit has no (a, b) chart")
+        if not self.ext.ramified:
+            return "all" if (v % 2 == 0) == self.tag else "none"
+        need = self.ext.norm_unit_legendre(v, cfg)
+        return need if self.tag else -need
+
+    def digit_count(self, v: int, cfg: FieldConfig) -> int:
+        a = self.allowed(v, cfg)
+        if a == "none":
+            return 0
+        if a == "all":
+            return cfg.p - 1
+        return (cfg.p - 1) // 2
+
+    def digit_ok(self, v: int, d0: int, cfg: FieldConfig) -> bool:
+        a = self.allowed(v, cfg)
+        if a == "none":
+            return False
+        if a == "all":
+            return True
+        return legendre(d0, cfg.p) == a
+
     def __repr__(self):
-        return "Zero" if self.kind == "zero" else f"Regular({self.cls.value})"
+        if self.kind == "zero":
+            return "Zero"
+        if self.kind == "nil":
+            return f"Regular({self.nil_class.value})"
+        return self.torus_kind() if self.is_split else f"{self.torus_kind()}(tag={self.tag})"
 
 
 ZERO_ORBIT = OrbitLabel("zero")
-REG_ONE = OrbitLabel("regular", SquareClass.ONE)
-REG_EPS = OrbitLabel("regular", SquareClass.EPS)
-REG_PI = OrbitLabel("regular", SquareClass.PI)
-REG_EPSPI = OrbitLabel("regular", SquareClass.EPSPI)
+REG_ONE = OrbitLabel("nil", SquareClass.ONE)
+REG_EPS = OrbitLabel("nil", SquareClass.EPS)
+REG_PI = OrbitLabel("nil", SquareClass.PI)
+REG_EPSPI = OrbitLabel("nil", SquareClass.EPSPI)
 ALL_ORBITS = (ZERO_ORBIT, REG_ONE, REG_EPS, REG_PI, REG_EPSPI)
 
 
@@ -185,44 +260,20 @@ class GroupElement:
         return f"GroupElement({self.matrix_str()})"
 
 
-@dataclass
-class ElementClass:
-    """Classification of an sl2 element."""
-
-    kind: str                                  # 'zero' | 'nilpotent' | 'regular'
-    label: Optional[OrbitLabel] = None         # nilpotent orbit
-    torus: Optional[Union[str, QuadExtDescriptor]] = None  # 'split' or extension
-    ss_tag: Optional[bool] = None              # norm-coset flag (elliptic only)
-
-    @property
-    def is_regular(self) -> bool:
-        return self.kind == "regular"
-
-    @property
-    def is_split(self) -> bool:
-        return self.kind == "regular" and self.torus == "split"
-
-    def torus_kind(self) -> str:
-        if self.torus == "split":
-            return "split"
-        return "unramified" if not self.torus.ramified else f"ramified-{self.torus.disc_class.value}"
-
-
-def classify(X: Sl2Element) -> ElementClass:
-    """Regular semisimple / nilpotent / zero, with torus type and orbit tags."""
+def classify(X: Sl2Element) -> OrbitLabel:
+    """The label of X's orbit: zero, nilpotent, split, or elliptic with its tag."""
     if X.is_zero_elt():
-        return ElementClass("zero", label=ZERO_ORBIT)
+        return ZERO_ORBIT
     p = X.cfg.p
     tag_src = X.b if X.b else -X.c
     mdet = -X.det()
     if mdet == 0:
-        return ElementClass("nilpotent",
-                            label=OrbitLabel("regular", square_class_of_rational(tag_src, p)))
+        return OrbitLabel("nil", square_class_of_rational(tag_src, p))
     cls = square_class_of_rational(mdet, p)
     if cls == SquareClass.ONE:
-        return ElementClass("regular", torus="split")
+        return OrbitLabel("split")
     ext = QuadExtDescriptor(cls)
-    return ElementClass("regular", torus=ext, ss_tag=ext.is_norm_rational(tag_src, X.cfg))
+    return OrbitLabel("elliptic", ext=ext, tag=ext.is_norm_rational(tag_src, X.cfg))
 
 
 def depth(X: Sl2Element):
@@ -301,7 +352,7 @@ def rep_nilpotent(cfg: FieldConfig, label: OrbitLabel) -> Sl2Element:
     """Zero -> 0; Regular(lambda) -> ((0, lambda), (0, 0))."""
     if label.kind == "zero":
         return Sl2Element.zero(cfg)
-    lam = label.cls.representative(cfg)
+    lam = label.nil_class.representative(cfg)
     return Sl2Element.from_rationals(cfg, 0, lam, 0)
 
 
@@ -317,8 +368,7 @@ def rep_elliptic(cfg: FieldConfig, s, tag: bool = True) -> Sl2Element:
     else:
         b0 = Fraction(cfg.eps) if ext.ramified else Fraction(cfg.p)
     X = Sl2Element.from_rationals(cfg, 0, b0, s / b0)
-    got = classify(X)
-    if got.ss_tag != tag or got.torus != ext:
+    if classify(X) != OrbitLabel("elliptic", ext=ext, tag=tag):
         raise SpecMismatch("representative failed its classification round-trip")
     return X
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import BallTooSmall, NotRegular
-from .padic import INF, FieldConfig, mod_pk, rational_sqrt, val_p
+from .padic import INF, FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, classify
 
 
@@ -155,28 +155,6 @@ def depth_via_tree(cfg: FieldConfig, X: Sl2Element, R: int):
     return _ascend(cfg, X, INF, R)[0]
 
 
-def _apartment_vertices(cfg: FieldConfig, X: Sl2Element, k_range) -> List[TreeVertex]:
-    """Vertices of the apartment of the split torus centralizing X."""
-    a, b, c = X.exact_entries()
-    s = a * a + b * c  # -det
-    u = rational_sqrt(s)
-    if u is None:
-        raise NotRegular("split apartment needs a rational eigenvalue")
-    # eigenvectors for +u and -u
-    if b != 0:
-        w_plus, w_minus = (b, u - a), (b, -u - a)
-    elif c != 0:
-        w_plus, w_minus = (u + a, c), (-u + a, c)
-    else:
-        w_plus, w_minus = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
-    out = []
-    p = cfg.p
-    for k in k_range:
-        col2 = (w_minus[0] * Fraction(p) ** k, w_minus[1] * Fraction(p) ** k)
-        out.append(_lattice_class(cfg, (w_plus, col2)))
-    return out
-
-
 def _lattice_class(cfg: FieldConfig, cols) -> TreeVertex:
     """Canonical vertex of the lattice spanned by two column vectors."""
     c1, c2 = cols
@@ -237,12 +215,38 @@ def _fixed_vertices(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> List[Tre
     return fixed
 
 
+def _apartment_window(cfg: FieldConfig, X: Sl2Element, R: int) -> List[TreeVertex]:
+    """Columns -1..2 of the apartment of the split torus through X.
+
+    On that apartment min_level is val(-det X)/2, its maximum, and it drops
+    by one per step away from it; so the ascent to that level stops at a0,
+    the apartment vertex nearest BASE.  a1 is a0's first apartment
+    neighbour in `neighbors` order, a_-1 its other one and a2 the one of a1
+    past a0.  Raises BallTooSmall when a0 or a1 is not inside the R-ball.
+    """
+    top = val_p(X.det(), cfg.p) // 2
+
+    def on_apartment(v):
+        return [w for w in neighbors(cfg, v) if LatticeDescriptor(cfg, w, top).contains(X)]
+
+    lev, a0 = _ascend(cfg, X, top, R)
+    if lev < top:  # R steps did not reach the apartment
+        raise BallTooSmall("fundamental-domain columns not inside the ball")
+    a1, a_1 = on_apartment(a0)
+    if distance(cfg, BASE, a1) >= R:  # a1 is one step farther than a0
+        raise BallTooSmall("fundamental-domain columns not inside the ball")
+    a2 = next(w for w in on_apartment(a1) if w != a0)
+    return [a_1, a0, a1, a2]
+
+
 def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fraction:
     """Fixed-vertex count backing the orbital integral of 1_{g_{BASE,n}}.
 
     Counts vertices v within distance R of BASE, at even distance from it,
     with X in g_{v,n}; for split X only those projecting to apartment
-    columns 0 and 1 (a fundamental domain for the torus translations).
+    columns 0 and 1 (a fundamental domain for the torus translations, which
+    move the apartment by two steps), column 0 being the apartment vertex
+    nearest BASE (_apartment_window).
     Equals ss_orbital(X, indicator) up to one calibration constant per torus
     type.  Since d(v, apt[j]) = d(v, A) + |j - j_v|, with j_v the column v
     projects to, the argmin of d(v, apt[j]) over columns -1..2 lies in
@@ -261,9 +265,7 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
         raise NotRegular("tree count oracle needs a regular semisimple element")
     fixed = _fixed_vertices(cfg, X, n, R)
     if k.is_split:  # keep the vertices projecting to columns 0 and 1
-        apt = _apartment_vertices(cfg, X, range(-1, 3))
-        if any(distance(cfg, BASE, av) >= R for av in apt[1:3]):
-            raise BallTooSmall("fundamental-domain columns not inside the ball")
+        apt = _apartment_window(cfg, X, R)
         fixed = [v for v in fixed
                  if min(range(4), key=lambda j: distance(cfg, v, apt[j])) in (1, 2)]
     dists = [distance(cfg, BASE, v) for v in fixed]

@@ -6,8 +6,8 @@ equal
 
 * the per-term sum  prefactor * sum_i coeff_i * _cell_integral.__wrapped__,
   each term moved to the base vertex by ad_to_base and integrated against a
-  rule got by reclassifying Ad(g_v^{-1}) X (or the nilpotent representative),
-  with no memo and no BClassRule.moved();
+  label got by reclassifying Ad(g_v^{-1}) X (or the nilpotent representative),
+  with no memo and no OrbitLabel.moved();
 * the refinement path: ss_orbital / nilpotent_orbital of f.canonicalize(),
   whose standard cells all sit at the base vertex.
 
@@ -23,7 +23,7 @@ from germlab import (ALL_ORBITS, CellTable, CosetCell, FieldConfig, LCFunction,
                      Orbit, OrbitLabel, Sl2Element, ZERO_ORBIT, classify,
                      mp_lattice, nilpotent_orbital, random_conjugate,
                      rep_elliptic, rep_nilpotent, ss_orbital)
-from germlab.orbital import _cell_integral, _orbit_rule
+from germlab.orbital import _cell_integral
 from germlab.padic import mod_pk, val_p
 from germlab.tree import BASE, ad_to_base, ball, distance
 
@@ -95,7 +95,7 @@ def per_term(target, f):
         key = tuple(mod_pk(e, p, n) for e in ad_to_base(cfg, v, *cell.center.exact_entries()))
         moved = Sl2Element(cfg, *ad_to_base(cfg, v, *Y.exact_entries()))
         val, v0, tail = _cell_integral.__wrapped__(
-            cfg, s, _orbit_rule(cfg, classify(moved)), key, n)
+            cfg, s, classify(moved), key, n)
         total += coeff * val
         v0_max = max(v0_max, v0)
         tails.add(tail)

@@ -99,7 +99,7 @@ class TestExtraction:
         alt = [("ball", unit_ball(CFG)),
                ("ball4", unit_ball(CFG).dilate(CFG.zeta**4))]
         for om in (REG_ONE, REG_EPS, REG_PI):
-            alt.append((f"n{om.cls.value}", indicator_lattice(
+            alt.append((f"n{om.nil_class.value}", indicator_lattice(
                 CFG, BASE, 2, center=nilpotent_center(CFG, om, 2))))
         from germlab import REG_EPSPI
         alt.append(("nEpsPi", indicator_lattice(

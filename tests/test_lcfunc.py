@@ -140,10 +140,6 @@ class TestDepthFamilyInvariance:
         assert g.terms[0][1].level == 2
         assert g.proxy_depth() == f.proxy_depth()
 
-    def test_support_bound_recorded(self):
-        f = indicator_lattice(CFG, BASE, 1, center=M(0, Fraction(1, 5), 0))
-        assert f.support_bound() == 1
-
 
 class TestHCombination:
     def test_at_zero(self):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germlab import (ALL_ORBITS, FieldConfig, GridTooLarge, InvariantViolated,
-                     NotRegular, REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
+                     NotRegular, OrbitLabel, REG_EPS, REG_EPSPI, REG_ONE, REG_PI,
+                     Sl2Element,
                      GermBasis, ZERO_ORBIT, ad, brute_force_cell_oracle,
                      default_pool,
                      indicator_lattice, make_vertex, nilpotent_orbital,
@@ -15,8 +16,8 @@ from germlab import (ALL_ORBITS, FieldConfig, GridTooLarge, InvariantViolated,
 from germlab import orbital
 from germlab.cli import _standard_grid, _theorem_family
 from germlab.lcfunc import h_combination
-from germlab.orbital import (BClassRule, _cell_integral, _orbit_rule,
-                             _stratum_value, _tail_start, tree_oracle_compare)
+from germlab.orbital import (_cell_integral, _stratum_value, _tail_start,
+                             tree_oracle_compare)
 from germlab.padic import SquareClass, mod_pk, val_p
 from germlab.sl2 import classify
 from germlab.tree import BASE, ad_to_base, ball
@@ -334,8 +335,8 @@ def _moved_rule_cases(cfg):
 
 
 class TestMovedRule:
-    """The rule at vertex v is `rule` for even v.m and rule.moved() for odd
-    v.m; the oracle reclassifies Ad(g_v^{-1})X itself."""
+    """The label at vertex v is classify(X) for even v.m and its moved(cfg)
+    for odd v.m; the oracle reclassifies Ad(g_v^{-1})X itself."""
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_parity_rule_matches_reclassification(self, p):
@@ -343,14 +344,18 @@ class TestMovedRule:
         vertices = ball(cfg, BASE, 2)
         flips = 0
         for X in _moved_rule_cases(cfg):
-            rule = _orbit_rule(cfg, classify(X))
-            moved = rule.moved()
-            flips += moved != rule
+            label = classify(X)
+            moved = label.moved(cfg)
+            flips += moved != label
             for v in vertices:
                 Y = Sl2Element(cfg, *ad_to_base(cfg, v, *X.exact_entries()))
-                want = _orbit_rule(cfg, classify(Y))
-                assert (moved if v.m % 2 else rule) == want, (X, v)
+                assert (moved if v.m % 2 else label) == classify(Y), (X, v)
         assert flips > 0
+
+    def test_zero_orbit_moves_to_itself(self):
+        assert ZERO_ORBIT.moved(CFG) is ZERO_ORBIT
+        assert nilpotent_orbital(ZERO_ORBIT, unit_ball(CFG)).tail == "point"
+        assert orbital.Orbit.nilpotent(CFG, ZERO_ORBIT).rules == (ZERO_ORBIT, ZERO_ORBIT)
 
     def test_engine_classifies_once_per_call(self, monkeypatch):
         calls = []
@@ -376,16 +381,27 @@ class TestCellMemo:
           ("ram", rep_elliptic(CFG, 5, tag=False))]
 
     def test_rules_built_apart_are_equal(self):
-        for _, X in self.XS:
-            twin = Sl2Element.from_rationals(FieldConfig(5), *X.exact_entries())
-            r1, r2 = _orbit_rule(CFG, classify(X)), _orbit_rule(FieldConfig(5), classify(twin))
-            assert r1 is not r2
-            assert r1 == r2 and hash(r1) == hash(r2)
-        n1 = BClassRule.nilpotent(CFG, SquareClass.EPS)
-        n2 = BClassRule.nilpotent(FieldConfig(5), SquareClass.EPS)
-        assert n1 == n2 and hash(n1) == hash(n2)
-        assert n1 != BClassRule.nilpotent(CFG, SquareClass.PI)
-        assert BClassRule.split(CFG) != BClassRule.split(CFG3)
+        for p in (3, 5, 7):
+            cfg = FieldConfig(p)
+            for X in _moved_rule_cases(cfg):
+                twin = Sl2Element(FieldConfig(p), *X.exact_entries())
+                l1, l2 = classify(X), classify(twin)
+                assert l1 is not l2
+                assert l1 == l2 and hash(l1) == hash(l2)
+                assert l1.moved(cfg) == l2.moved(FieldConfig(p))
+            n1 = OrbitLabel("nil", SquareClass.EPS)
+            n2 = classify(rep_nilpotent(cfg, REG_EPS))
+            assert n1 == n2 and hash(n1) == hash(n2)
+            assert n1 != REG_PI
+
+    def test_memo_keys_on_the_prime(self):
+        # one label serves every p, so the prime is a key of its own
+        cell = (Fraction(0),) * 3
+        _cell_integral.cache_clear()
+        v5 = _cell_integral(CFG, Fraction(1), OrbitLabel("split"), cell, 0)
+        v3 = _cell_integral(CFG3, Fraction(1), OrbitLabel("split"), cell, 0)
+        assert _cell_integral.cache_info().hits == 0
+        assert v5[0] != v3[0]
 
     def test_cold_warm_and_unmemoised_results_agree(self, monkeypatch):
         # an off-base term (vertex (1,0)) next to two base-vertex cells
@@ -430,16 +446,16 @@ def unbounded_cells(draw):
     j = draw(st.integers(-2, 2))
     if kind == "nil":
         s = Fraction(0)
-        rule = BClassRule.nilpotent(cfg, draw(st.sampled_from(list(SquareClass))))
+        rule = OrbitLabel("nil", draw(st.sampled_from(list(SquareClass))))
     elif kind == "split":
         c = Fraction(unit) * Fraction(p) ** j
         s = c * c
-        rule = _orbit_rule(cfg, classify(M(c, 0, 0, cfg)))
+        rule = classify(M(c, 0, 0, cfg))
     else:
         cls = draw(st.sampled_from((SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI)))
         s = unit * unit * cls.representative(cfg) * Fraction(p) ** (2 * j)
         X = rep_elliptic(cfg, s, tag=draw(st.booleans()))
-        rule = _orbit_rule(cfg, classify(X))
+        rule = classify(X)
     entry = st.builds(lambda k, i: mod_pk(Fraction(k, p ** i), p, N),
                       st.integers(-p ** 3, p ** 3), st.integers(0, 2))
     cell = (draw(entry), Fraction(0), draw(entry))
@@ -509,7 +525,7 @@ class TestProvedTail:
 
     def test_a_start_index_too_early_is_caught(self, monkeypatch):
         # diag(5, -5) on p^0 sl2(O): S(v+2) = S(v)/25 only from v = 3 on
-        args = (CFG, Fraction(25), BClassRule.split(CFG), (Fraction(0),) * 3, 0)
+        args = (CFG, Fraction(25), classify(M(5, 0, 0)), (Fraction(0),) * 3, 0)
         cell_integral = _cell_integral.__wrapped__
         assert cell_integral(*args)[1] == 3
         monkeypatch.setattr(orbital, "_tail_start", lambda cfg, s, chi, N: N)

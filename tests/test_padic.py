@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from germlab import FieldConfig, QuadExtDescriptor, SquareClass, hilbert_symbol, val_p
-from germlab.padic import (INF, hensel_sqrt, leading_digit, mod_pk, rational_sqrt,
+from germlab.padic import (INF, hensel_sqrt, leading_digit, mod_pk,
                            square_class_of_rational)
 
 CFG5 = FieldConfig(5)
@@ -108,13 +108,14 @@ class TestSqrt:
         return r
 
     def test_perfect_square_canonical_branch(self):
-        assert rational_sqrt(Fraction(4)) == 2
+        assert square_class_of_rational(4, 5) == SquareClass.ONE
         for k in range(1, 9):
             assert self.check_root(4, 5, k) == 2   # leading digit 2 <= (p-1)/2
 
     def test_exact_non_rational_square_gets_hensel_root(self):
-        # -4 is a square in Q5 but not in Q: the root is a Hensel lift
-        assert rational_sqrt(Fraction(-4)) is None
+        # -4 is a square in Q5 but not in Q (it is negative): the root is a
+        # Hensel lift
+        assert square_class_of_rational(-4, 5) == SquareClass.ONE
         for k in range(1, 9):
             self.check_root(-4, 5, k)
 

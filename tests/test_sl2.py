@@ -26,12 +26,12 @@ def M(a, b, c, cfg=CFG):
 class TestClassify:
     def test_upper_nilpotent(self):
         k = classify(M(0, 1, 0))
-        assert k.kind == "nilpotent" and k.label == REG_ONE
+        assert k.kind == "nil" and k == REG_ONE
 
     def test_lower_nilpotent_minus_one_square(self):
         # -c = -1 is a square in Q5 (5 = 1 mod 4)
         k = classify(M(0, 0, 1))
-        assert k.kind == "nilpotent" and k.label == REG_ONE
+        assert k.kind == "nil" and k == REG_ONE
 
     def test_split_diag(self):
         k = classify(M(1, 0, 0))
@@ -40,7 +40,7 @@ class TestClassify:
     def test_unramified(self):
         k = classify(M(0, 1, 2))
         assert k.is_regular and not k.is_split
-        assert not k.torus.ramified and k.ss_tag is True
+        assert not k.ext.ramified and k.tag is True
 
     def test_zero(self):
         assert classify(M(0, 0, 0)).kind == "zero"
@@ -58,10 +58,7 @@ class TestClassify:
             for _ in range(100):
                 g = random_sl2(CFG, rng)
                 k = classify(ad(g, X))
-                assert k.kind == k0.kind
-                assert k.label == k0.label
-                assert k.torus == k0.torus
-                assert k.ss_tag == k0.ss_tag
+                assert k == k0
 
     def test_nilpotent_partition(self):
         rng = random.Random(22)
@@ -70,8 +67,8 @@ class TestClassify:
             lam = rng.choice([1, 2, 5, 10, 3, 8, 20, 45])
             X = ad(random_sl2(CFG, rng), M(0, lam, 0))
             k = classify(X)
-            assert k.kind == "nilpotent"
-            seen.add(k.label)
+            assert k.kind == "nil"
+            seen.add(k)
         assert len(seen) == 4
 
 
@@ -287,15 +284,21 @@ class TestRepresentatives:
     def test_nilpotent_reps(self):
         X = rep_nilpotent(CFG, REG_PI)
         assert X.b == 5
-        assert classify(X).label == REG_PI
+        assert classify(X) == REG_PI
         assert rep_nilpotent(CFG, ZERO_ORBIT).is_zero_elt()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_nilpotent_reps_classify_to_their_label(self, p):
+        cfg = FieldConfig(p)
+        for om in ALL_ORBITS:
+            assert classify(rep_nilpotent(cfg, om)) == om
 
     def test_elliptic_reps_roundtrip(self):
         for s in (2, 5, 10, 2 * 25, 125):
             for tag in (True, False):
                 X = rep_elliptic(CFG, s, tag=tag)
                 k = classify(X)
-                assert k.ss_tag is tag
+                assert k.tag is tag
                 assert -X.det() == s
 
     def test_elliptic_rejects_square(self):

@@ -1,17 +1,18 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from germlab import (BallTooSmall, FieldConfig, GroupElement,
-                     Sl2Element, ad, ball, depth_via_tree, distance, make_vertex,
-                     mp_lattice, neighbors, random_sl2, rep_elliptic,
-                     tree_count_oracle)
-from germlab.orbital import tree_oracle_cases
+                     Sl2Element, ad, ball, depth_via_tree, distance,
+                     indicator_lattice, make_vertex, mp_lattice, neighbors,
+                     random_sl2, rep_elliptic, ss_orbital, tree_count_oracle)
+from germlab.orbital import tree_oracle_cases, tree_oracle_compare
 from germlab.padic import INF, val_p
 from germlab.sl2 import classify, random_conjugate
-from germlab.tree import (BASE, LatticeDescriptor, _apartment_vertices, act,
+from germlab.tree import (BASE, LatticeDescriptor, _lattice_class, act,
                           ad_to_base, basis_matrix, cartan)
 
 CFG = FieldConfig(5)
@@ -220,9 +221,39 @@ def _scan_fixed(cfg, X, n, R):
     return [v for v in _ball(cfg.p, R) if LatticeDescriptor(cfg, v, n).contains(X)]
 
 
-def _scan_count(cfg, X, n, R):
+def _rational_sqrt(x):
+    """The square root of x in Q, or None."""
+    if x < 0:
+        return None
+    n, d = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(n, d) if n * n == x.numerator and d * d == x.denominator else None
+
+
+def _eigen_apartment(cfg, X, k_range):
+    """Columns k of the apartment of a split X with rational eigenvalues +-u:
+    the lattices spanned by an eigenvector of u and p^k times one of -u."""
+    a, b, c = X.exact_entries()
+    u = _rational_sqrt(a * a + b * c)  # -det
+    assert u is not None, "the eigenvector apartment needs rational eigenvalues"
+    if b != 0:
+        w_plus, w_minus = (b, u - a), (b, -u - a)
+    elif c != 0:
+        w_plus, w_minus = (u + a, c), (-u + a, c)
+    else:
+        w_plus, w_minus = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    pk = [Fraction(cfg.p) ** k for k in k_range]
+    return [_lattice_class(cfg, (w_plus, (w_minus[0] * t, w_minus[1] * t))) for t in pk]
+
+
+def _scan_count(cfg, X, n, R, window="nearest"):
     """tree_count_oracle (even distances from BASE count) with the fixed
-    set found by scanning the whole ball."""
+    set found by scanning the whole ball and, for split X, the apartment
+    built from eigenvectors.
+
+    The split count keeps the vertices projecting to two adjacent columns:
+    with window="nearest" the column nearest BASE and its first apartment
+    neighbour in `neighbors` order, as tree_count_oracle does; with
+    window="eigen" the lattices (w+, w-) and (w+, p w-)."""
     k = classify(X)
     fixed = _scan_fixed(cfg, X, n, R)
     if not k.is_split:
@@ -230,13 +261,20 @@ def _scan_count(cfg, X, n, R):
             raise BallTooSmall(f"fixed set reaches the R={R} boundary")
         return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == 0))
     span = 2 * R + 2
-    apt = _apartment_vertices(cfg, X, range(-span, span + 1))
-    if any(distance(cfg, BASE, apt[span + j]) >= R for j in (0, 1)):
+    apt = _eigen_apartment(cfg, X, range(-span, span + 1))
+    if window == "eigen":
+        cols = (span, span + 1)
+    else:
+        j0 = min(range(len(apt)), key=lambda j: distance(cfg, BASE, apt[j]))
+        assert 0 < j0 < len(apt) - 1, "nearest column at the end of the span"
+        j1 = min((j0 - 1, j0 + 1), key=lambda j: neighbors(cfg, apt[j0]).index(apt[j]))
+        cols = (j0, j1)
+    if any(distance(cfg, BASE, apt[j]) >= R for j in cols):
         raise BallTooSmall("fundamental-domain columns not inside the ball")
     count = 0
     for v in fixed:
         dists = [distance(cfg, v, av) for av in apt]
-        if dists.index(min(dists)) - span in (0, 1):
+        if dists.index(min(dists)) in cols:
             if distance(cfg, BASE, v) == R:
                 raise BallTooSmall(f"fixed set reaches the R={R} boundary")
             count += distance(cfg, BASE, v) % 2 == 0
@@ -256,7 +294,7 @@ class TestApartmentWindow:
             if not classify(X).is_split:
                 continue
             span = 2 * R + 2
-            apt = _apartment_vertices(cfg, X, range(-span, span + 1))
+            apt = _eigen_apartment(cfg, X, range(-span, span + 1))
             for v in _scan_fixed(cfg, X, n, R):
                 dists = [distance(cfg, v, av) for av in apt]
                 dmin = min(dists)
@@ -266,6 +304,41 @@ class TestApartmentWindow:
                 assert (window.index(min(window)) in (1, 2)) == (jv in (0, 1)), (name, v)
                 seen.add(jv)
         assert set(range(-2, 4)) <= seen   # projections inside and outside the window
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_nearest_and_eigenvector_windows_count_alike(self, p):
+        # the torus moves the apartment by two columns and keeps the fixed
+        # set and the parity of distances from BASE, so any two adjacent
+        # columns are a fundamental domain: the counts agree wherever the
+        # eigenvector window lies inside the ball
+        cfg = FieldConfig(p)
+        compared = 0
+        for i, (name, X, n, R) in enumerate(tree_oracle_cases(cfg)):
+            if not classify(X).is_split:
+                continue
+            for Y in [X] + [random_conjugate(X, seed=2 * i + j) for j in (1, 2)]:
+                for r in (R - 1, R, R + 1):
+                    old = _outcome(functools.partial(_scan_count, window="eigen"),
+                                   cfg, Y, n, r)
+                    if old is not BallTooSmall:
+                        assert _scan_count(cfg, Y, n, r) == old, (name, Y, r)
+                        compared += 1
+        assert compared >= 40
+
+    @pytest.mark.parametrize("s", [150, 275, 6])
+    def test_irrational_eigenvalues(self, s):
+        # -det X = s is a square in Q_5 but not in Q; the count still runs
+        # and matches the engine through the split calibration constant
+        X = M(0, 1, s)
+        assert classify(X).is_split and _rational_sqrt(Fraction(s)) is None
+        rows, ok = tree_oracle_compare(CFG)
+        split = Fraction(rows[-1]["calibration"]["split"])
+        assert ok and split == Fraction(6, 5)
+        top = val_p(s, 5) // 2
+        for n in (top - 1, top):
+            count = tree_count_oracle(CFG, X, n, 5)
+            assert count > 0
+            assert ss_orbital(X, indicator_lattice(CFG, BASE, n)).value == split * count
 
 
 def _scan_depth(cfg, X, R):
