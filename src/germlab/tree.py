@@ -17,14 +17,17 @@ adjacent to F_{n+1} whenever F_{n+1} is nonempty.  So min_level rises by one
 at each step toward a nonempty F_n, and every local maximum is a global one.
 The count oracle uses this: greedy ascent of min_level from BASE walks the
 geodesic to the projection of BASE onto F_n, and a flood fill from there
-finds F_n within any ball about BASE.
+finds F_n within any ball about BASE.  Both walk the int chart of _Chart;
+the Fraction primitives below are the public interface and its test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import List, Tuple
 
 from .errors import BallTooSmall, NotRegular
 from .padic import INF, FieldConfig, mod_pk, val_p
@@ -152,7 +155,7 @@ def depth_via_tree(cfg: FieldConfig, X: Sl2Element, R: int):
     """
     if X.is_zero_elt():
         raise ValueError("depth_via_tree needs X != 0")
-    return _ascend(cfg, X, INF, R)[0]
+    return _Chart(cfg, X, R).ascend(INF)[0]
 
 
 def _lattice_class(cfg: FieldConfig, cols) -> TreeVertex:
@@ -171,72 +174,130 @@ def _lattice_class(cfg: FieldConfig, cols) -> TreeVertex:
     return make_vertex(cfg, int(val_p(delta, p)), xq)
 
 
-def _ascend(cfg: FieldConfig, X: Sl2Element, n, R: int) -> Tuple[int, TreeVertex]:
-    """Greedy ascent of min_level from BASE: the (level, vertex) it stops at.
+class _Chart:
+    """The tree within distance R + 1 of BASE on int coordinates, for one X.
 
-    Each step moves to a neighbour of strictly larger min_level.  The ascent
-    stops on reaching level n, at a local maximum, or after R steps.  Its
-    path is the geodesic from BASE to the projection of BASE onto the fixed
-    set of the level reached, so R steps reach exactly the R-sphere.
+    A vertex (m, x) is the pair (m, xi) of ints with x = xi / p^S, S = R + 1,
+    and xi canonical modulo p^(m+S), so 0 <= x < p^m as `make_vertex` has it.
+    Every vertex within distance d <= R + 1 of BASE fits: d = m - 2 min(0, m,
+    val x) is at least |m|, so m + S >= 0; and when val x < 0, then val x < m
+    and d > -val x, so val x >= -R and p^S x is an int.  The walk takes the
+    neighbours of vertices within distance R only, whose neighbours are
+    within R + 1.
+
+    X = ((a, b), (c, -a)) is cleared once to ints A, B, C over a denominator
+    D.  Multiplying the three terms of LatticeDescriptor.min_level through by
+    D p^S, D and D p^2S gives the level test on ints:
+        min(val(A p^S + B xi) - S, val B + m,
+            val(C p^2S - xi (2A p^S + B xi)) - 2S - m) - val D.
+    The neighbours of (m, xi) are (m - 1, xi mod p^(m-1+S)) and
+    (m + 1, xi + c p^(m+S)) for c = 0..p-1, in `neighbors` order, and
+    distance reads val x_w - x_v as val(xi_w - xi_v) - S.
+
+    Each vertex is tested once per chart: `level` keeps every level found.
     """
-    v = BASE
-    lev = LatticeDescriptor(cfg, v, 0).min_level(X)
-    for _ in range(R):
-        if lev >= n:
-            break
-        up = max(((LatticeDescriptor(cfg, w, 0).min_level(X), w)
-                  for w in neighbors(cfg, v)), key=lambda t: t[0])
-        if up[0] <= lev:
-            break
-        lev, v = up
-    return lev, v
 
+    def __init__(self, cfg: FieldConfig, X: Sl2Element, R: int):
+        p, S = cfg.p, R + 1
+        a, b, c = X.exact_entries()
+        D = math.lcm(a.denominator, b.denominator, c.denominator)
+        A, B, C = (t.numerator * (D // t.denominator) for t in (a, b, c))
+        vD, pS = val_p(D, p), p**S
+        self.p, self.S, self.R, self.B = p, S, R, B
+        self.pw = [p**k for k in range(2 * S + 1)]  # p^(m+S) at index m + S
+        self.A1, self.A2, self.C2 = A * pS, 2 * A * pS, C * pS * pS
+        self.off1, self.off2, self.off3 = S + vD, val_p(B, p) - vD, 2 * S + vD
+        self.levels = {}
 
-def _fixed_vertices(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> List[TreeVertex]:
-    """F_n within distance R of BASE, by greedy ascent then flood fill.
+    def min_level(self, v) -> int:
+        """LatticeDescriptor(v, 0).min_level(X): the walk's one lattice test."""
+        m, xi = v
+        p, B = self.p, self.B
+        return min(val_p(self.A1 + B * xi, p) - self.off1, self.off2 + m,
+                   val_p(self.C2 - xi * (self.A2 + B * xi), p) - self.off3 - m)
 
-    The ascent stops at the projection of BASE onto F_n, the point of F_n
-    closest to BASE.  A local maximum below n means F_n is empty, and a
-    projection farther than R means F_n misses the ball.  F_n within the ball
-    is convex, hence connected and reached from that projection.
-    """
-    lev, v = _ascend(cfg, X, n, R)
-    if lev < n:
-        return []
-    fixed, todo, seen = [v], [v], {v}
-    while todo:
-        for w in neighbors(cfg, todo.pop()):
-            if w in seen:
-                continue
-            seen.add(w)
-            if distance(cfg, BASE, w) <= R and LatticeDescriptor(cfg, w, n).contains(X):
-                fixed.append(w)
-                todo.append(w)
-    return fixed
+    def level(self, v) -> int:
+        lev = self.levels.get(v)
+        if lev is None:
+            lev = self.levels[v] = self.min_level(v)
+        return lev
 
+    def neighbors(self, v) -> list:
+        m, xi = v
+        k = m + self.S
+        step = self.pw[k]
+        return [(m - 1, xi % self.pw[k - 1])] + [(m + 1, xi + c * step) for c in range(self.p)]
 
-def _apartment_window(cfg: FieldConfig, X: Sl2Element, R: int) -> List[TreeVertex]:
-    """Columns -1..2 of the apartment of the split torus through X.
+    def from_base(self, v) -> int:
+        """distance(BASE, v)."""
+        m, xi = v
+        return m - 2 * min(0, m, val_p(xi, self.p) - self.S)
 
-    On that apartment min_level is val(-det X)/2, its maximum, and it drops
-    by one per step away from it; so the ascent to that level stops at a0,
-    the apartment vertex nearest BASE.  a1 is a0's first apartment
-    neighbour in `neighbors` order, a_-1 its other one and a2 the one of a1
-    past a0.  Raises BallTooSmall when a0 or a1 is not inside the R-ball.
-    """
-    top = val_p(X.det(), cfg.p) // 2
+    def distance(self, v, w) -> int:
+        dm = w[0] - v[0]
+        return dm - 2 * min(0, dm, val_p(w[1] - v[1], self.p) - self.S - v[0])
 
-    def on_apartment(v):
-        return [w for w in neighbors(cfg, v) if LatticeDescriptor(cfg, w, top).contains(X)]
+    def ascend(self, goal, n=INF):
+        """Greedy ascent of the level from BASE, at most R steps.
 
-    lev, a0 = _ascend(cfg, X, top, R)
-    if lev < top:  # R steps did not reach the apartment
-        raise BallTooSmall("fundamental-domain columns not inside the ball")
-    a1, a_1 = on_apartment(a0)
-    if distance(cfg, BASE, a1) >= R:  # a1 is one step farther than a0
-        raise BallTooSmall("fundamental-domain columns not inside the ball")
-    a2 = next(w for w in on_apartment(a1) if w != a0)
-    return [a_1, a0, a1, a2]
+        Each step moves to a neighbour of strictly larger level; the ascent
+        stops on reaching level goal, at a local maximum, or after R steps.
+        Its path is the geodesic from BASE to the projection of BASE onto the
+        fixed set of the level reached, so R steps reach exactly the R-sphere,
+        and for n <= goal it passes through the projection onto F_n first.
+        Returns the level and vertex it stops at, and the first vertex of
+        level >= n on the way (None if there is none).
+        """
+        v = (0, 0)
+        lev = self.level(v)
+        proj = v if lev >= n else None
+        for _ in range(self.R):
+            if lev >= goal:
+                break
+            up, w = max(((self.level(w), w) for w in self.neighbors(v)), key=itemgetter(0))
+            if up <= lev:
+                break
+            lev, v = up, w
+            if proj is None and lev >= n:
+                proj = v
+        return lev, v, proj
+
+    def fill(self, v, n: int) -> list:
+        """F_n within distance R of BASE, by flood fill from its vertex v nearest BASE.
+
+        F_n within the ball is convex, hence connected and reached from v.
+        """
+        fixed, todo, seen = [v], [v], {v}
+        while todo:
+            for w in self.neighbors(todo.pop()):
+                if w in seen:
+                    continue
+                seen.add(w)
+                if self.from_base(w) <= self.R and self.level(w) >= n:
+                    fixed.append(w)
+                    todo.append(w)
+        return fixed
+
+    def window(self, lev, a0, top: int) -> list:
+        """Columns -1..2 of the apartment of the split torus through X.
+
+        On that apartment the level is top = val(-det X)/2, its maximum, and
+        it drops by one per step away from it; so an ascent to level top
+        stops at a0, the apartment vertex nearest BASE, having reached level
+        lev.  a1 is a0's first apartment neighbour in `neighbors` order, a_-1
+        its other one and a2 the one of a1 past a0.  Raises BallTooSmall when
+        a0 or a1 is not inside the R-ball.
+        """
+        def on_apartment(v):
+            return [w for w in self.neighbors(v) if self.level(w) >= top]
+
+        if lev < top:  # R steps did not reach the apartment
+            raise BallTooSmall("fundamental-domain columns not inside the ball")
+        a1, a_1 = on_apartment(a0)
+        if self.from_base(a1) >= self.R:  # a1 is one step farther than a0
+            raise BallTooSmall("fundamental-domain columns not inside the ball")
+        a2 = next(w for w in on_apartment(a1) if w != a0)
+        return [a_1, a0, a1, a2]
 
 
 def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fraction:
@@ -246,7 +307,7 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     with X in g_{v,n}; for split X only those projecting to apartment
     columns 0 and 1 (a fundamental domain for the torus translations, which
     move the apartment by two steps), column 0 being the apartment vertex
-    nearest BASE (_apartment_window).
+    nearest BASE (_Chart.window).
     Equals ss_orbital(X, indicator) up to one calibration constant per torus
     type.  Since d(v, apt[j]) = d(v, A) + |j - j_v|, with j_v the column v
     projects to, the argmin of d(v, apt[j]) over columns -1..2 lies in
@@ -257,18 +318,23 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     min_level from BASE stops at the projection of BASE onto the fixed set,
     and a flood fill from there finds exactly the fixed vertices of the
     R-ball, testing only the ascent path, those vertices and their
-    neighbours.  Only contains, min_level, neighbors and distance are used,
-    so the count stays independent of the engine.
+    neighbours.  For split X the one ascent goes on to the apartment, whose
+    geodesic from BASE passes through that projection.  The walk runs on
+    the int chart of _Chart and uses only its level test, neighbours and
+    distance, so the count stays independent of the engine.
     """
     k = classify(X)
     if not k.is_regular:
         raise NotRegular("tree count oracle needs a regular semisimple element")
-    fixed = _fixed_vertices(cfg, X, n, R)
+    chart = _Chart(cfg, X, R)
+    goal = val_p(X.det(), cfg.p) // 2 if k.is_split else n  # split: the apartment's level
+    lev, end, proj = chart.ascend(goal, n)
+    fixed = [] if proj is None else chart.fill(proj, n)
     if k.is_split:  # keep the vertices projecting to columns 0 and 1
-        apt = _apartment_window(cfg, X, R)
+        apt = chart.window(lev, end, goal)
         fixed = [v for v in fixed
-                 if min(range(4), key=lambda j: distance(cfg, v, apt[j])) in (1, 2)]
-    dists = [distance(cfg, BASE, v) for v in fixed]
+                 if min(range(4), key=lambda j: chart.distance(v, apt[j])) in (1, 2)]
+    dists = [chart.from_base(v) for v in fixed]
     if R in dists:
         raise BallTooSmall(f"fixed set reaches the R={R} boundary")
     return Fraction(sum(1 for d in dists if d % 2 == 0))

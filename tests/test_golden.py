@@ -7,7 +7,8 @@ moved to the shared cell table and are the same under PYTHONHASHSEED 1, 2
 and 3.  The three theorem CSV digests were re-recorded when CSV fields
 holding a comma (the theorem family's names) became quoted, and the oracles
 digest when its rows lost the "exact" key (the brute-force oracle returns
-an exact value or raises).  A change to any exact value, row order, verdict
+an exact value or raises).  The oracles digests at p = 3 and p = 13 were
+recorded before the tree count moved to int coordinates.  A change to any exact value, row order, verdict
 or exit code shows up here as a changed digest.
 """
 
@@ -40,6 +41,12 @@ GOLDEN = {
         "homogeneity.json": "a1d1caaeb2c67f2333b7db94445de41bcb8e63878e8a1d8cfbc16f258fdc56b0"}),
     ("verify", "oracles"): (0, {
         "oracles.json": "a6f3824bdbd71be2318aeb5d9cb03ef3bf744b83d251fe607933a45a14674c2a"}),
+    # the smallest tree, where the split apartment window sits nearest the
+    # ball's edge, and the largest prime the CI runs
+    ("--p", "3", "verify", "oracles"): (0, {
+        "oracles.json": "8415ca74fce0cf70660711c251a162297827f80b185ad6c325a8f88d702c3efc"}),
+    ("--p", "13", "verify", "oracles"): (0, {
+        "oracles.json": "2af707b2d168b13811451f41a115d19cca7636c5e2adb96b25ee2684ada50c58"}),
     ("--p", "7", "verify", "theorem", "--r", "0"): (0, {
         "theorem-r0.csv": "af3575e84a2395b9114d4b03d06a7f0d4e181dca60d8dcc2a2b52617e913bc7d",
         "theorem-r0.json": "b7ae31ece787eab7f9311df496efa4dd9fbb4c77024f7c03403898f6585a049f"}),

@@ -12,7 +12,7 @@ from germlab import (BallTooSmall, FieldConfig, GroupElement,
 from germlab.orbital import tree_oracle_cases, tree_oracle_compare
 from germlab.padic import INF, val_p
 from germlab.sl2 import classify, random_conjugate
-from germlab.tree import (BASE, LatticeDescriptor, _lattice_class, act,
+from germlab.tree import (BASE, LatticeDescriptor, _Chart, _lattice_class, act,
                           ad_to_base, basis_matrix, cartan)
 
 CFG = FieldConfig(5)
@@ -355,39 +355,33 @@ def _outcome(count, cfg, X, n, R):
 
 
 class _LatticeTests:
-    """Counts the lattice tests (contains or min_level calls) the oracle makes.
+    """Counts the lattice tests the walk makes: calls of _Chart.min_level,
+    the one level test of tree_count_oracle and depth_via_tree.
 
-    contains runs through min_level, so a call of one inside the other is
-    one test.  Passing `limit` turns a runaway search into a failure, not a
-    hang.
+    Passing `limit` turns a runaway search into a failure, not a hang.  A
+    run that counts no test fails too: every walk tests BASE, so a count of
+    0 means the counter no longer sees the walk.
     """
 
     def __init__(self, monkeypatch):
-        self.calls, self.limit, self._inside = 0, None, False
-        for name in ("contains", "min_level"):
-            monkeypatch.setattr(LatticeDescriptor, name,
-                                self._counted(getattr(LatticeDescriptor, name)))
+        self.calls, self.limit = 0, None
+        test = _Chart.min_level
 
-    def _counted(self, method):
-        def counted(lat, X):
-            if self._inside:
-                return method(lat, X)
+        def counted(chart, v):
             self.calls += 1
             if self.limit is not None and self.calls > self.limit:
                 raise AssertionError(f"more than {self.limit} lattice tests")
-            self._inside = True
-            try:
-                return method(lat, X)
-            finally:
-                self._inside = False
-        return counted
+            return test(chart, v)
+        monkeypatch.setattr(_Chart, "min_level", counted)
 
     def run(self, limit, fn, *args):
         self.calls, self.limit = 0, limit
         try:
-            return fn(*args)
+            out = fn(*args)
         finally:
             self.limit = None
+        assert self.calls > 0, "no lattice test counted"
+        return out
 
 
 @pytest.fixture
@@ -444,6 +438,7 @@ class TestFloodFill:
             steps = min(distance(cfg, BASE, v) for v in fixed)
             bound = (cfg.p + 1) * (len(fixed) + steps + 1)
             lattice_tests.run(bound, tree_count_oracle, cfg, X, n, R)
+            assert lattice_tests.calls >= len(fixed), name  # each fixed vertex is tested
 
 
 class TestDepthAscent:
@@ -477,3 +472,39 @@ class TestDepthAscent:
                 for R in range(5):
                     got, want = self._ascent_and_scan(lattice_tests, cfg, Y, R)
                     assert got == want, f"{Y!r} R={R}: ascent {got}, scan {want}"
+
+
+class TestIntChart:
+    """_Chart, the int coordinates the walk runs on, against the public
+    primitives on every vertex of the (R + 1)-ball: the fill measures the
+    distance of vertices there, and the split window tests their level."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_agrees_with_the_public_primitives(self, p):
+        cfg, R = FieldConfig(p), 2
+        pS = p ** (R + 1)
+        reps = [M(1, 0, 0, cfg), M(p, 0, 0, cfg), M(0, 1, 0, cfg),
+                rep_elliptic(cfg, cfg.eps, tag=True), rep_elliptic(cfg, p, tag=True),
+                M(Fraction(1, 2), Fraction(3, 4 * p), 7, cfg)]
+        xs = reps + [random_conjugate(X, seed=40 + i, size_bound=1 + i % 2)
+                     for i, X in enumerate(reps)]
+        assert any(val_p(t, p) < 0 for X in xs for t in X.exact_entries())
+        vs = _ball(p, R + 1)
+        coords = {}
+        for v in vs:  # x = xi / p^S with xi an int, canonical mod p^(m+S)
+            xi = v.x * pS
+            assert xi.denominator == 1 and 0 <= xi < p ** (v.m + R + 1), v
+            coords[v] = (v.m, int(xi))
+        for X in xs:
+            chart = _Chart(cfg, X, R)
+            for v in vs:
+                assert chart.min_level(coords[v]) == LatticeDescriptor(cfg, v, 0).min_level(X), (X, v)
+        rng = random.Random(p)
+        others = rng.sample(vs, 20)
+        for v in vs:
+            u = coords[v]
+            assert chart.from_base(u) == distance(cfg, BASE, v), v
+            for w in others:
+                assert chart.distance(u, coords[w]) == distance(cfg, v, w), (v, w)
+            if distance(cfg, BASE, v) <= R:  # the walk's neighbours stay in the (R + 1)-ball
+                assert chart.neighbors(u) == [coords[w] for w in neighbors(cfg, v)], v
