@@ -327,8 +327,7 @@ def scaling_checks(members: Sequence[Tuple[OrbitLabel, LCFunction]],
 
 
 def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
-                   X_grid: Sequence[Tuple[str, Sl2Element]],
-                   basis: Optional[GermBasis] = None) -> List[ExpansionReport]:
+                   X_grid: Sequence[Tuple[str, Sl2Element]]) -> List[ExpansionReport]:
     """Expansion residuals over (family x grid) with globally extended germs.
 
     Rows with depth(X) >= proxy depth of f and 0 < depth(X) < INF (X regular
@@ -339,8 +338,7 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
     cells = CellTable(f for _, f in family)
     nil_vecs = [_as_vector(nv) for nv in cells.nilpotent_rows()]
     proxy = [f.proxy_depth() for _, f in family]
-    if basis is None and X_grid:
-        basis = default_basis(X_grid[0][1].cfg)
+    basis = default_basis(X_grid[0][1].cfg) if X_grid else None
     reports = []
     for xname, X in X_grid:
         table = extract_germs_auto(X, basis=basis)

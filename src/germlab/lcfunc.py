@@ -20,8 +20,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .padic import FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, _exact, parse_matrix
-from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, basis_matrix,
-                   cartan, distance, make_vertex, mp_lattice)
+from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, cartan, distance,
+                   make_vertex, mp_lattice)
 
 Rat = Fraction
 
@@ -58,26 +58,6 @@ def _base_centre(cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
     return tuple(mod_pk(e, cfg.p, n) for e in moved)
 
 
-def _ad_matrix_triples(cfg: FieldConfig, K) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """Images of the basis H, E, F of sl2 under Ad(K), as (a, b, c) triples."""
-    (k11, k12), (k21, k22) = K
-    d = k11 * k22 - k12 * k21
-    out = []
-    for (a, b, c) in ((Fraction(1), Fraction(0), Fraction(0)),
-                      (Fraction(0), Fraction(1), Fraction(0)),
-                      (Fraction(0), Fraction(0), Fraction(1))):
-        # K * ((a,b),(c,-a)) * K^{-1}, with K^{-1} = adj/det
-        m11 = k11 * a + k12 * c
-        m12 = k11 * b - k12 * a
-        m21 = k21 * a + k22 * c
-        m22 = k21 * b - k22 * a
-        na = (m11 * k22 - m12 * k21) / d
-        nb = (-m11 * k12 + m12 * k11) / d
-        nc = (m21 * k22 - m22 * k21) / d
-        out.append((na, nb, nc))
-    return out
-
-
 def _refine_cell(cfg: FieldConfig, coeff: Rat, cell: CosetCell, N: int):
     """Split one coset of g_{v,n} into cosets of the standard p^N sl2(O).
 
@@ -87,16 +67,8 @@ def _refine_cell(cfg: FieldConfig, coeff: Rat, cell: CosetCell, N: int):
     p = cfg.p
     v, n = cell.vertex, cell.level
     a0, b0, c0 = cell.center.exact_entries()
-    if v == BASE:
-        dist = 0
-        triples = [(Fraction(1), Fraction(0), Fraction(0)),
-                   (Fraction(0), Fraction(1), Fraction(0)),
-                   (Fraction(0), Fraction(0), Fraction(1))]
-        e = f = 0
-    else:
-        K, e, f = cartan(cfg, basis_matrix(cfg, v))
-        dist = f - e
-        triples = _ad_matrix_triples(cfg, K)
+    triples, e, f = cartan(cfg, v)
+    dist = f - e
     if N < n + dist:
         raise ValueError("refinement level too coarse for this cell")
     exps = (n, n - dist, n + dist)  # adapted levels for Ad(K1)(H, E, F)

@@ -104,8 +104,7 @@ def sqmeas(cfg: FieldConfig, alpha: Fraction, N: int, theta: Fraction, m: int) -
 
 
 def _stratum_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
-                   alpha: Fraction, beta: Fraction, chi: Fraction,
-                   N: int, v: int) -> Fraction:
+                   alpha: Fraction, chi: Fraction, N: int, v: int) -> Fraction:
     """Exact contribution q^v * meas{(a,b): val b = v, cell conditions} of one stratum.
 
     Only called for cells whose b-coset is the full ball p^N O (val(beta) >= N),
@@ -193,7 +192,7 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
     if val_p(beta, p) < N:
         return _bounded_cell_value(cfg, s, rule, alpha, beta, chi, N), N, "finite"
     v_star = _tail_start(cfg, s, chi, N)
-    S = [_stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
+    S = [_stratum_value(cfg, s, rule, alpha, chi, N, v)
          for v in range(N, v_star + 4)]
     B0, B1 = S[-4] + S[-3], S[-2] + S[-1]
     rho = {"nil": cfg.qpow(-1), "split": cfg.qpow(-2)}.get(rule.kind, Fraction(0))

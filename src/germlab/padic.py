@@ -90,7 +90,10 @@ def leading_digit(x: Rat, p: int) -> int:
 def hensel_sqrt(u: int, p: int, k: int) -> int:
     """Square root of the unit u modulo p^k, canonical residue in 1..(p-1)/2.
 
-    Requires legendre(u, p) == 1 and k >= 1.
+    Requires legendre(u, p) == 1 and k >= 1.  The start root lies in
+    1..(p-1)/2 and each Newton step changes r by a multiple of the modulus
+    already reached, so r mod p, and with it the canonical choice, never
+    changes.
     """
     r = None
     for d in range(1, (p - 1) // 2 + 1):
@@ -104,8 +107,6 @@ def hensel_sqrt(u: int, p: int, k: int) -> int:
         prec = min(2 * prec, k)
         m = p**prec
         r = (r + u % m * pow(r, -1, m)) * pow(2, -1, m) % m
-    if r % p > (p - 1) // 2:
-        r = p**k - r
     return r
 
 

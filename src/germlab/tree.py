@@ -340,43 +340,24 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     return Fraction(sum(1 for d in dists if d % 2 == 0))
 
 
-def cartan(cfg: FieldConfig, M) -> Tuple[tuple, int, int]:
-    """Cartan decomposition M = K1 diag(p^e, p^f) K2 over Q with K1, K2 in GL2(O).
+def cartan(cfg: FieldConfig, v: TreeVertex) -> Tuple[tuple, int, int]:
+    """Adapted basis of g_{v,n}: ((Ad(K1)H, Ad(K1)E, Ad(K1)F), e, f).
 
-    Returns (K1, e, f) with e <= f; only the left factor is needed to build
-    adapted bases for lattice refinement.
+    g_v = K1 diag(p^e, p^f) K2 with K1, K2 in GL2(O) and e <= f, so
+    g_{v,n} = Ad(K1)(p^n O H + p^(n-d) O E + p^(n+d) O F) with d = f - e =
+    d(BASE, v); the triples are in (a, b, c) form.  The canonical x is 0 or
+    has val x < m, so e = min(0, m, val x) and f = m - e, in two cases:
+
+    * e = 0: g_v = u_x diag(1, p^m) with u_x = ((1, 0), (x, 1)) integral;
+    * e < 0: g_v = S u_y diag(p^e, p^(m-e)) K2 with S = ((0, 1), (1, 0)),
+      y = 1/x (y = 0 when x = 0, then e = m) and
+      K2 = ((x/p^e, p^(m-e)), (0, -p^e/x)) (K2 = S when x = 0).
     """
-    p = cfg.p
-    A = [[Fraction(M[0][0]), Fraction(M[0][1])], [Fraction(M[1][0]), Fraction(M[1][1])]]
-    L = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-
-    def lmul(L, B):  # L <- L @ B
-        return [[L[0][0] * B[0][0] + L[0][1] * B[1][0], L[0][0] * B[0][1] + L[0][1] * B[1][1]],
-                [L[1][0] * B[0][0] + L[1][1] * B[1][0], L[1][0] * B[0][1] + L[1][1] * B[1][1]]]
-
-    vals = {(i, j): (val_p(A[i][j], p) if A[i][j] != 0 else INF)
-            for i in range(2) for j in range(2)}
-    (i0, j0) = min(vals, key=lambda ij: vals[ij])
-    if i0 == 1:  # swap rows; A <- S A, L <- L S
-        A = [A[1], A[0]]
-        L = [[L[0][1], L[0][0]], [L[1][1], L[1][0]]]
-    if j0 == 1:  # swap columns (right factor, not tracked)
-        A = [[A[0][1], A[0][0]], [A[1][1], A[1][0]]]
-    # clear below the pivot: A <- E(-t) A with E(t) = ((1,0),(t,1)); L <- L E(t)
-    t = A[1][0] / A[0][0]
-    A = [A[0], [A[1][0] - t * A[0][0], A[1][1] - t * A[0][1]]]
-    L = lmul(L, [[Fraction(1), Fraction(0)], [t, Fraction(1)]])
-    # clear right of the pivot (right factor, not tracked)
-    s = A[0][1] / A[0][0]
-    A = [[A[0][0], A[0][1] - s * A[0][0]], A[1]]
-    d1, d2 = A[0][0], A[1][1]
-    e, f = int(val_p(d1, p)), int(val_p(d2, p))
-    # absorb units of the diagonal into L
-    u1 = d1 / Fraction(p) ** e
-    u2 = d2 / Fraction(p) ** f
-    L = lmul(L, [[u1, Fraction(0)], [Fraction(0), u2]])
-    if e > f:
-        # swap both sides: L <- L S (and the untracked right factor)
-        L = [[L[0][1], L[0][0]], [L[1][1], L[1][0]]]
-        e, f = f, e
-    return (tuple(tuple(r) for r in L), e, f)
+    x, m = v.x, v.m
+    e = min(0, m, val_p(x, cfg.p))
+    if e == 0:
+        triples = ((1, 0, 2 * x), (-x, 1, -x * x), (0, 0, 1))
+    else:
+        y = 1 / x if x else Fraction(0)
+        triples = ((-1, 2 * y, 0), (y, -y * y, 1), (0, 1, 0))
+    return triples, e, m - e

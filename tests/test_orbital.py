@@ -475,10 +475,10 @@ def _observed_tail_integral(cfg, s, rule, cell, N):
     hint = max(0, -min(N, *(val_p(e, p) for e in cell)))
     v0 = N + (abs(int(val_p(s, p))) if s != 0 else 0) + hint + 4
     for _attempt in range(3):
-        exact = sum((_stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
+        exact = sum((_stratum_value(cfg, s, rule, alpha, chi, N, v)
                      for v in range(N, v0)), Fraction(0))
-        B0, B1, B2 = (_stratum_value(cfg, s, rule, alpha, beta, chi, N, v0 + 2 * k)
-                      + _stratum_value(cfg, s, rule, alpha, beta, chi, N, v0 + 2 * k + 1)
+        B0, B1, B2 = (_stratum_value(cfg, s, rule, alpha, chi, N, v0 + 2 * k)
+                      + _stratum_value(cfg, s, rule, alpha, chi, N, v0 + 2 * k + 1)
                       for k in range(3))
         if B0 == 0:
             if B1 == 0 and B2 == 0:
@@ -498,7 +498,7 @@ class TestProvedTail:
         cfg, s, rule, (alpha, beta, chi), N = case
         v_star = _tail_start(cfg, s, chi, N)
         assert v_star >= N
-        S = [_stratum_value(cfg, s, rule, alpha, beta, chi, N, v)
+        S = [_stratum_value(cfg, s, rule, alpha, chi, N, v)
              for v in range(v_star, v_star + 43)]
         rho = _ratio(cfg, rule)
         for i in range(41):

@@ -13,7 +13,7 @@ from germlab.orbital import tree_oracle_cases, tree_oracle_compare
 from germlab.padic import INF, val_p
 from germlab.sl2 import classify, random_conjugate
 from germlab.tree import (BASE, LatticeDescriptor, _Chart, _lattice_class, act,
-                          ad_to_base, basis_matrix, cartan)
+                          ad_to_base, cartan)
 
 CFG = FieldConfig(5)
 
@@ -136,20 +136,24 @@ class TestMpLattice:
 
 
 class TestCartan:
-    def test_reconstruction(self):
-        rng = random.Random(34)
-        from germlab.padic import val_p
-        for _ in range(80):
-            v = rng.choice(ball(CFG, BASE, 3))
-            Mx = basis_matrix(CFG, v)
-            K, e, f = cartan(CFG, Mx)
-            assert e <= f
-            # K must be integral with unit determinant
-            det = K[0][0] * K[1][1] - K[0][1] * K[1][0]
-            assert val_p(det, 5) == 0
-            for row in K:
-                for x in row:
-                    assert x == 0 or val_p(x, 5) >= 0
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_adapted_basis_spans_the_lattice(self, p):
+        # p^n t1, p^(n-d) t2, p^(n+d) t3 lie in g_{v,n} and have a unit
+        # determinant; g_{v,n} has the covolume of p^n sl2(O), so they span it
+        cfg = FieldConfig(p)
+        for v in ball(cfg, BASE, 3):
+            (t1, t2, t3), e, f = cartan(cfg, v)
+            d = distance(cfg, BASE, v)
+            assert e <= f and f - e == d, v
+            det = (t1[0] * (t2[1] * t3[2] - t2[2] * t3[1])
+                   - t1[1] * (t2[0] * t3[2] - t2[2] * t3[0])
+                   + t1[2] * (t2[0] * t3[1] - t2[1] * t3[0]))
+            assert val_p(Fraction(det), p) == 0, v
+            for n in (0, 1):
+                lat = mp_lattice(cfg, v, n)
+                for k, t in ((n, t1), (n - d, t2), (n + d, t3)):
+                    scaled = [Fraction(p) ** k * x for x in t]
+                    assert lat.contains(M(*scaled, cfg)), (v, n, k)
 
 
 class TestDepthViaTree:
