@@ -12,9 +12,9 @@ Run:  python3 demos/demo_expansion_range.py
 
 from fractions import Fraction
 
-from germlab import (CosetCell, FieldConfig, Sl2Element, depth,
-                     extract_germs_auto, indicator, indicator_lattice,
-                     mp_lattice, nilpotent_vector, rep_elliptic, ss_orbital)
+from germlab import (FieldConfig, Sl2Element, extract_germs_auto,
+                     indicator_lattice, nilpotent_vector, rep_elliptic,
+                     ss_orbital)
 from germlab.tree import BASE
 
 cfg = FieldConfig(5)
@@ -41,11 +41,10 @@ print("-> nonzero exactly below depth 3/2: the vertex family at level 2")
 print("   is a depth-3/2 family, not depth-1.")
 
 # The edge-midpoint-invariant combination inside the same span is depth-1.
-lat = mp_lattice(cfg, BASE, 2)
 f_mid = None
 for ap in range(5):
     for bp in range(5):
-        g = indicator(cfg, CosetCell(M(5 * ap, 5 * bp, 0), lat))
+        g = indicator_lattice(cfg, BASE, 2, center=M(5 * ap, 5 * bp, 0))
         f_mid = g if f_mid is None else f_mid + g
 
 print("\nmidpoint-invariant sum of the same level-2 cells:")

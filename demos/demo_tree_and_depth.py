@@ -7,9 +7,8 @@ Run:  python3 demos/demo_tree_and_depth.py
 from fractions import Fraction
 
 from germlab import (FieldConfig, Sl2Element, ball, depth, depth_via_tree,
-                     distance, make_vertex, mp_lattice, neighbors,
-                     rep_elliptic, tree_count_oracle)
-from germlab.tree import BASE
+                     make_vertex, neighbors, rep_elliptic, tree_count_oracle)
+from germlab.tree import BASE, min_level
 
 cfg = FieldConfig(5)
 
@@ -21,7 +20,7 @@ for R in range(4):
 v = make_vertex(cfg, 1, 0)
 X = Sl2Element.from_rationals(cfg, 0, Fraction(1, 5), 5)
 print(f"\nlattice g_({v},0) contains [[0,1/5],[5,0]]:",
-      mp_lattice(cfg, v, 0).contains(X))
+      min_level(cfg, v, X) >= 0)
 
 # Depth read from the eigenvalue valuation, cross-checked on the tree.
 samples = [

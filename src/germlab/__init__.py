@@ -15,9 +15,8 @@ from .sl2 import (ALL_ORBITS, GroupElement, OrbitLabel, REG_EPS,
                   REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley,
                   cayley_inv, classify, depth, in_g_nil_r, is_top_nilpotent,
                   random_conjugate, random_sl2, rep_elliptic, rep_nilpotent)
-from .tree import (BASE, LatticeDescriptor, TreeVertex, act, ball,
-                   depth_via_tree, distance, make_vertex, mp_lattice,
-                   neighbors, tree_count_oracle)
+from .tree import (BASE, TreeVertex, act, ball, depth_via_tree, distance,
+                   make_vertex, neighbors, tree_count_oracle)
 from .lcfunc import (CosetCell, LCFunction, h_combination, indicator,
                      indicator_lattice, is_invariant_under, lcfunction_from_json,
                      lcfunction_to_json, unit_ball)

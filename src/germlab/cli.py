@@ -1,7 +1,8 @@
 """Command-line interface: exact orbital integrals and verification suites.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
---p, X spec or f spec, or a file that cannot be opened), 3 computational
+--p, X spec or f spec, a file that cannot be opened, or an --r that is
+negative or leaves the grid of an expansion suite empty), 3 computational
 error, a ValueError raised inside a computation included.  Identical
 configurations produce byte-identical output files; every emitted document
 embeds the run configuration and the measure fingerprint.
@@ -29,6 +30,10 @@ from .orbital import (brute_force_cell_oracle, fingerprint, nilpotent_orbital,
 from .germs import (GermBasis, construct_Hr_Omega, default_basis, default_pool,
                     extract_germs, homogeneity_extend, reports_to_csv,
                     scaling_checks, verify_claim, verify_theorem)
+
+
+class _UsageError(Exception):
+    """A flag or spec that cannot be parsed, or a file that cannot be opened."""
 
 
 @dataclass
@@ -145,6 +150,13 @@ def cmd_orbital(rc: RunConfig, x_spec: str, X: Sl2Element, f_spec: str,
 
 def _standard_grid(cfg: FieldConfig, r: int, seed: int, strict: bool
                    ) -> List[Tuple[str, Sl2Element]]:
+    """The points of the standard grid at depth >= r (> r when strict).
+
+    A negative r, or one that keeps no point, is a usage error: the suite
+    would check nothing.
+    """
+    if r < 0:
+        raise _UsageError(f"--r {r} is negative; a depth never is")
     p, e = cfg.p, cfg.eps
     out = []
     for k in (1, 2, 3):
@@ -158,7 +170,11 @@ def _standard_grid(cfg: FieldConfig, r: int, seed: int, strict: bool
         out.append((f"ramEpsPi-d{k}of2-T", rep_elliptic(cfg, e * p**k, tag=True)))
     out.append(("split-d1-conj", random_conjugate(out[0][1], seed=seed + 7)))
     out.append(("split-d2-conj", random_conjugate(out[1][1], seed=seed + 11)))
-    return [(n, X) for n, X in out if in_g_nil_r(X, r, strict=strict)]
+    grid = [(n, X) for n, X in out if in_g_nil_r(X, r, strict=strict)]
+    if not grid:
+        raise _UsageError(f"no grid point has depth {'>' if strict else '>='} {r}; "
+                          f"the deepest has depth {max(depth(X) for _, X in out)}")
+    return grid
 
 
 def _theorem_family(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
@@ -196,8 +212,8 @@ def _verify_claim(rc: RunConfig) -> int:
 
 def _verify_scaling(rc: RunConfig) -> int:
     cfg = rc.field()
-    pool = GermBasis(default_pool(cfg, rc.r))
     grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
+    pool = GermBasis(default_pool(cfg, rc.r))
     members = [(om, name, f) for om in ALL_ORBITS
                for name, f in construct_Hr_Omega(rc.r, om, pool)]
     checks = scaling_checks([(om, f) for om, _, f in members], [X for _, X in grid])
@@ -305,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--r", type=int, default=0)
     p_ver.set_defaults(run=lambda rc, ns, got: SUITES[ns.suite](rc))
     return ap
-
-
-class _UsageError(Exception):
-    """A flag or spec that cannot be parsed, or a file that cannot be opened."""
 
 
 def _parse_inputs(rc: RunConfig, ns: argparse.Namespace) -> dict:

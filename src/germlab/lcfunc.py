@@ -1,10 +1,12 @@
 """Locally constant compactly supported functions on sl2(F).
 
 An LCFunction is a finite rational combination of indicators of cosets
-Y + g_{v,n}.  Canonicalization refines every cell to the standard lattice
-p^N sl2(O) at a common level N, producing disjoint product cells in the
-(a, b, c) coordinates; that form drives equality tests, invariance
-certificates and the brute-force oracle.  It is rebuilt on each call: an
+Y + g_{v,n}, each one CosetCell(Y, v, n); X lies in it when
+tree.min_level(cfg, v, X - Y) >= n.  Canonicalization refines every cell to
+the standard lattice p^N sl2(O) at a common level N, producing disjoint
+product cells in the (a, b, c) coordinates; that form drives equality tests,
+invariance certificates (three translations, one per basis vector of
+g_{v,n}) and the brute-force oracle.  It is rebuilt on each call: an
 LCFunction holds its terms and nothing else.  The integration engine needs
 no refinement: it moves each cell to the base vertex by Ad(g_v^{-1}) (see
 integration_cells).
@@ -20,8 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .padic import FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, _exact, parse_matrix
-from .tree import (BASE, LatticeDescriptor, TreeVertex, ad_to_base, cartan, distance,
-                   make_vertex, mp_lattice)
+from .tree import BASE, TreeVertex, ad_to_base, cartan, distance, make_vertex, min_level
 
 Rat = Fraction
 
@@ -31,59 +32,56 @@ class CosetCell:
     """The coset center + g_{vertex, level}; membership is exactly decidable."""
 
     center: Sl2Element
-    lattice: LatticeDescriptor
-
-    @property
-    def vertex(self) -> TreeVertex:
-        return self.lattice.vertex
-
-    @property
-    def level(self) -> int:
-        return self.lattice.level
+    vertex: TreeVertex
+    level: int
 
     def contains(self, X: Sl2Element) -> bool:
-        return self.lattice.contains(X - self.center)
+        return min_level(X.cfg, self.vertex, X - self.center) >= self.level
 
 
 @lru_cache(maxsize=1 << 12)
-def _base_centre(cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
+def _base_centre(cfg: FieldConfig, cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
     """Centre of Ad(g_v^{-1}) cell at the base vertex, reduced mod p^n.
 
     The cell Y + g_{v,n} becomes Ad(g_v^{-1})Y + p^n sl2(O).  A pure function
-    of the (value-hashed) cell, memoised because the suites integrate the
-    same few cells inside many combinations.
+    of the field and the (value-hashed) cell, memoised because the suites
+    integrate the same few cells inside many combinations.  The field is
+    part of the key: a cell's entries and vertex do not name p.
     """
-    cfg, n = cell.lattice.cfg, cell.level
     moved = ad_to_base(cfg, cell.vertex, *cell.center.exact_entries())
-    return tuple(mod_pk(e, cfg.p, n) for e in moved)
+    return tuple(mod_pk(e, cfg.p, cell.level) for e in moved)
+
+
+def _basis(cfg: FieldConfig, v: TreeVertex, n: int) -> List[Tuple[int, List[Fraction]]]:
+    """An O-basis of g_{v,n} as (level k, p^k t): p^n t1, p^(n-d) t2, p^(n+d) t3.
+
+    The integral triples t_i and d = d(BASE, v) come from tree.cartan.
+    """
+    triples, e, f = cartan(cfg, v)
+    levels = (n, n - (f - e), n + (f - e))  # adapted levels for Ad(K1)(H, E, F)
+    return [(k, [Fraction(cfg.p) ** k * t for t in triple])
+            for k, triple in zip(levels, triples)]
 
 
 def _refine_cell(cfg: FieldConfig, coeff: Rat, cell: CosetCell, N: int):
     """Split one coset of g_{v,n} into cosets of the standard p^N sl2(O).
 
     Requires N >= n + d(v, base).  Yields (coeff, (alpha, beta, chi)) product
-    cells; centers are reduced mod p^N entrywise.
+    cells; centers are reduced mod p^N entrywise.  The centre steps through
+    the O-basis of g_{v,n}, c1 s1 + c2 s2 + c3 s3 with c_i < p^(N - k_i).
     """
     p = cfg.p
-    v, n = cell.vertex, cell.level
-    a0, b0, c0 = cell.center.exact_entries()
-    triples, e, f = cartan(cfg, v)
-    dist = f - e
-    if N < n + dist:
+    (k1, s1), (k2, s2), (k3, s3) = _basis(cfg, cell.vertex, cell.level)
+    if N < k3:
         raise ValueError("refinement level too coarse for this cell")
-    exps = (n, n - dist, n + dist)  # adapted levels for Ad(K1)(H, E, F)
-    ranges = [p ** (N - ex) for ex in exps]
-    pw = [Fraction(p) ** ex for ex in exps]
-    for c1 in range(ranges[0]):
-        for c2 in range(ranges[1]):
-            for c3 in range(ranges[2]):
-                da = c1 * pw[0] * triples[0][0] + c2 * pw[1] * triples[1][0] + c3 * pw[2] * triples[2][0]
-                db = c1 * pw[0] * triples[0][1] + c2 * pw[1] * triples[1][1] + c3 * pw[2] * triples[2][1]
-                dc = c1 * pw[0] * triples[0][2] + c2 * pw[1] * triples[1][2] + c3 * pw[2] * triples[2][2]
-                alpha = mod_pk(a0 + da, p, N)
-                beta = mod_pk(b0 + db, p, N)
-                chi = mod_pk(c0 + dc, p, N)
-                yield coeff, (alpha, beta, chi)
+    y0 = cell.center.exact_entries()
+    for c1 in range(p ** (N - k1)):
+        y1 = [y + c1 * s for y, s in zip(y0, s1)]
+        for c2 in range(p ** (N - k2)):
+            a, b, c = (y + c2 * s for y, s in zip(y1, s2))
+            for _ in range(p ** (N - k3)):
+                yield coeff, (mod_pk(a, p, N), mod_pk(b, p, N), mod_pk(c, p, N))
+                a, b, c = a + s3[0], b + s3[1], c + s3[2]
 
 
 class LCFunction:
@@ -153,11 +151,10 @@ class LCFunction:
         """Equivalent function written in disjoint standard cells."""
         N = self.level()
         cells = self.canonical_cells(N)
-        lat = mp_lattice(self.cfg, BASE, N)
         terms = []
         for (al, be, ch), coeff in sorted(cells.items()):
             center = Sl2Element.from_rationals(self.cfg, al, be, ch)
-            terms.append((coeff, CosetCell(center, lat)))
+            terms.append((coeff, CosetCell(center, BASE, N)))
         return LCFunction(self.cfg, terms)
 
     def integration_cells(self) -> List[Tuple[Fraction, Tuple[Fraction, Fraction, Fraction],
@@ -169,7 +166,7 @@ class LCFunction:
         reduced mod p^n.  The engine integrates it against the orbit moved by
         the same Ad(g_v^{-1}), so no cell is refined, however far v lies.
         """
-        return [(coeff, _base_centre(cell), cell.level, cell.vertex)
+        return [(coeff, _base_centre(self.cfg, cell), cell.level, cell.vertex)
                 for coeff, cell in self.terms]
 
     def equals(self, other: "LCFunction") -> bool:
@@ -187,8 +184,7 @@ class LCFunction:
         terms = []
         for coeff, cell in self.terms:
             center = cell.center.scale(Fraction(1) / c)
-            lat = cell.lattice.scaled(-vc)
-            terms.append((coeff, CosetCell(center, lat)))
+            terms.append((coeff, CosetCell(center, cell.vertex, cell.level - vc)))
         return LCFunction(self.cfg, terms)
 
     def ad_pullback(self, g: GroupElement) -> "LCFunction":
@@ -200,7 +196,7 @@ class LCFunction:
         for coeff, cell in self.terms:
             center = ad(ginv, cell.center)
             vert = act(self.cfg, ginv, cell.vertex)
-            terms.append((coeff, CosetCell(center, mp_lattice(self.cfg, vert, cell.level))))
+            terms.append((coeff, CosetCell(center, vert, cell.level)))
         return LCFunction(self.cfg, terms)
 
     def proxy_depth(self) -> int:
@@ -221,7 +217,7 @@ def indicator(cfg: FieldConfig, cell: CosetCell) -> LCFunction:
 def indicator_lattice(cfg: FieldConfig, v: TreeVertex, n: int,
                       center: Optional[Sl2Element] = None) -> LCFunction:
     center = Sl2Element.zero(cfg) if center is None else center
-    return indicator(cfg, CosetCell(center, mp_lattice(cfg, v, n)))
+    return indicator(cfg, CosetCell(center, v, n))
 
 
 def unit_ball(cfg: FieldConfig) -> LCFunction:
@@ -229,22 +225,24 @@ def unit_ball(cfg: FieldConfig) -> LCFunction:
     return indicator_lattice(cfg, BASE, 0)
 
 
-def is_invariant_under(f: LCFunction, L: LatticeDescriptor) -> bool:
-    """Exact decision of translation-invariance of f under the lattice L."""
-    cfg = f.cfg
-    N = max(f.level(), L.level + distance(cfg, BASE, L.vertex))
-    base_cells = f.canonical_cells(N)
-    # translate f by every representative of L / p^N sl2(O) and compare
-    probe = indicator_lattice(cfg, L.vertex, L.level)
-    for _, key in _refine_cell(cfg, Fraction(1), probe.terms[0][1], N):
-        shifted: Dict[tuple, Fraction] = {}
-        p = cfg.p
-        for (al, be, ch), coeff in base_cells.items():
-            nk = (mod_pk(al + key[0], p, N), mod_pk(be + key[1], p, N),
-                  mod_pk(ch + key[2], p, N))
-            shifted[nk] = shifted.get(nk, Fraction(0)) + coeff
-        shifted = {k: v for k, v in shifted.items() if v != 0}
-        if shifted != base_cells:
+def is_invariant_under(f: LCFunction, v: TreeVertex, n: int) -> bool:
+    """Exact decision of invariance of f under translation by g_{v,n}.
+
+    The translations fixing f form a group, which contains p^N sl2(O) for
+    N >= f.level().  Take N >= n + d(BASE, v) too: an O-multiple of a basis
+    vector p^k t of g_{v,n} (see _basis; t integral) is an integer multiple
+    of it modulo p^N sl2(O).  So f is invariant under g_{v,n} exactly when
+    it is invariant under the three basis vectors.
+    """
+    p = f.cfg.p
+    basis = _basis(f.cfg, v, n)
+    N = max(f.level(), basis[2][0])
+    cells = f.canonical_cells(N)
+    for _, step in basis:
+        # a translation permutes the cosets of p^N sl2(O): no two cells merge
+        shifted = {tuple(mod_pk(y + s, p, N) for y, s in zip(key, step)): coeff
+                   for key, coeff in cells.items()}
+        if shifted != cells:
             return False
     return True
 
@@ -278,6 +276,6 @@ def lcfunction_from_json(cfg: FieldConfig, data: list) -> LCFunction:
         m_str, x_str = item["vertex"].strip("()").split(",", 1)
         v = make_vertex(cfg, int(m_str), Fraction(x_str))
         center = parse_matrix(cfg, item["center"])
-        lat = mp_lattice(cfg, v, operator.index(item["level"]))
-        terms.append((_exact(item["coeff"]), CosetCell(center, lat)))
+        cell = CosetCell(center, v, operator.index(item["level"]))
+        terms.append((_exact(item["coeff"]), cell))
     return LCFunction(cfg, terms)

@@ -3,8 +3,9 @@
 A vertex is a homothety class of O-lattices in F^2.  Canonical coordinates:
 (m, x) with x in F/p^m O labels the class of  O(e1 + x e2) + O(p^m e2),
 with basis matrix  g_v = ((1, 0), (x, p^m)).  The base vertex is (0, 0).
-The level-n lattice at v is  g_{v,n} = Ad(g_v)(p^n sl2(O)), realized by the
-contains test  Ad(g_v^{-1}) X  in  p^n sl2(O).
+The level-n lattice at v is  g_{v,n} = Ad(g_v)(p^n sl2(O)): X lies in it
+exactly when min_level(cfg, v, X) >= n, that is Ad(g_v^{-1}) X in p^n sl2(O).
+A lattice is the pair (v, n); the coset type lcfunc.CosetCell carries both.
 
 These lattices drive three oracles: depth via fixed lattices, membership
 tests for coset functions, and fixed-point counts that cross-check the
@@ -104,34 +105,9 @@ def ad_to_base(cfg: FieldConfig, v: TreeVertex, a, b, c):
     return a2, b * pm, (c - x * a - x * a2) / pm
 
 
-@dataclass(frozen=True)
-class LatticeDescriptor:
-    """g_{v,n} = Ad(g_v)(p^n sl2(O)) for a vertex v and level n."""
-
-    cfg: FieldConfig
-    vertex: TreeVertex
-    level: int
-
-    def min_level(self, X: Sl2Element):
-        """Largest n with X in g_{v,n}; INF for X = 0."""
-        # ad_to_base's valuations, without forming p^m b or dividing by p^m
-        p, x, m = self.cfg.p, self.vertex.x, self.vertex.m
-        a, b, c = X.exact_entries()
-        a2 = a + b * x
-        return min(val_p(a2, p), val_p(b, p) + m, val_p(c - x * (a + a2), p) - m)
-
-    def contains(self, X: Sl2Element) -> bool:
-        return self.min_level(X) >= self.level
-
-    def scaled(self, dlevel: int) -> "LatticeDescriptor":
-        return LatticeDescriptor(self.cfg, self.vertex, self.level + dlevel)
-
-    def __repr__(self):
-        return f"g_[{self.vertex!r},{self.level}]"
-
-
-def mp_lattice(cfg: FieldConfig, v: TreeVertex, n: int) -> LatticeDescriptor:
-    return LatticeDescriptor(cfg, v, n)
+def min_level(cfg: FieldConfig, v: TreeVertex, X: Sl2Element):
+    """Largest n with X in g_{v,n}: the least valuation of Ad(g_v^{-1}) X; INF for X = 0."""
+    return min(val_p(t, cfg.p) for t in ad_to_base(cfg, v, *X.exact_entries()))
 
 
 def act(cfg: FieldConfig, g: GroupElement, v: TreeVertex) -> TreeVertex:
@@ -186,8 +162,9 @@ class _Chart:
     within R + 1.
 
     X = ((a, b), (c, -a)) is cleared once to ints A, B, C over a denominator
-    D.  Multiplying the three terms of LatticeDescriptor.min_level through by
-    D p^S, D and D p^2S gives the level test on ints:
+    D.  The entries of ad_to_base have valuations val(a + b x), val b + m and
+    val(c - x(2a + b x)) - m; multiplying those three through by D p^S, D and
+    D p^2S gives the level test on ints:
         min(val(A p^S + B xi) - S, val B + m,
             val(C p^2S - xi (2A p^S + B xi)) - 2S - m) - val D.
     The neighbours of (m, xi) are (m - 1, xi mod p^(m-1+S)) and
@@ -210,7 +187,7 @@ class _Chart:
         self.levels = {}
 
     def min_level(self, v) -> int:
-        """LatticeDescriptor(v, 0).min_level(X): the walk's one lattice test."""
+        """min_level(cfg, v, X) on the chart: the walk's one lattice test."""
         m, xi = v
         p, B = self.p, self.B
         return min(val_p(self.A1 + B * xi, p) - self.off1, self.off2 + m,

@@ -19,7 +19,7 @@ from germlab import (ALL_ORBITS, CellTable, CosetCell, FieldConfig, GermBasis,
                      default_basis, default_pool, depth, extract_germs,
                      extract_germs_auto, h_combination, homogeneity_extend,
                      in_g_nil_r, indicator_lattice, kernel_combinations,
-                     make_vertex, mp_lattice, nilpotent_orbital,
+                     make_vertex, nilpotent_orbital,
                      nilpotent_vector, random_sl2, rep_elliptic,
                      rep_nilpotent, scaling_checks, ss_orbital, unit_ball,
                      verify_claim, verify_theorem)
@@ -86,13 +86,12 @@ def midpoint_coset(cfg, center, to_plus):
     b in p^2 O}), written as a union of p^2 sl2(O) cosets."""
     p = cfg.p
     a, b, c = center
-    lat = mp_lattice(cfg, BASE, 2)
     cells = []
     for s in range(p):
         for t in range(p):
             Y = (M(cfg, a + p * s, b + p * t, c) if to_plus
                  else M(cfg, a + p * s, b, c + p * t))
-            cells.append((1, CosetCell(Y, lat)))
+            cells.append((1, CosetCell(Y, BASE, 2)))
     return LCFunction(cfg, cells)
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from germlab import (ALL_ORBITS, CellTable, CosetCell, FieldConfig, LCFunction,
                      Orbit, OrbitLabel, Sl2Element, ZERO_ORBIT, classify,
-                     mp_lattice, nilpotent_orbital, random_conjugate,
+                     nilpotent_orbital, random_conjugate,
                      rep_elliptic, rep_nilpotent, ss_orbital)
 from germlab.orbital import _cell_integral
 from germlab.padic import mod_pk, val_p
@@ -63,7 +63,7 @@ def families(draw):
     for _ in range(draw(st.integers(1, 4))):
         v = draw(st.sampled_from(VERTICES[p]))
         Y = Sl2Element(cfg, draw(entry), draw(entry), draw(entry))
-        cells.append(CosetCell(Y, mp_lattice(cfg, v, N - distance(cfg, BASE, v))))
+        cells.append(CosetCell(Y, v, N - distance(cfg, BASE, v)))
     coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2)))
     functions = []
     for _ in range(draw(st.integers(1, 3))):
@@ -123,7 +123,7 @@ def test_table_matches_the_per_term_sum_and_refinement(case):
 
 def test_nilpotent_rows_are_the_nilpotent_vectors():
     cfg = CFGS[5]
-    functions = [LCFunction(cfg, [(Fraction(1), CosetCell(Y, mp_lattice(cfg, BASE, n)))])
+    functions = [LCFunction(cfg, [(Fraction(1), CosetCell(Y, BASE, n))])
                  for Y in (Sl2Element.zero(cfg), rep_nilpotent(cfg, ALL_ORBITS[3]))
                  for n in (0, 2)]
     rows = CellTable(functions).nilpotent_rows()
@@ -136,8 +136,8 @@ def test_a_cancelled_cell_is_still_integrated():
     # the table drops the cell from the member's vector but evaluates it, so
     # its tail re-check runs; ss_orbital still reports its v0
     cfg = CFGS[5]
-    far = CosetCell(Sl2Element.zero(cfg), mp_lattice(cfg, BASE, 3))
-    ball0 = CosetCell(Sl2Element.zero(cfg), mp_lattice(cfg, BASE, 0))
+    far = CosetCell(Sl2Element.zero(cfg), BASE, 3)
+    ball0 = CosetCell(Sl2Element.zero(cfg), BASE, 0)
     f = LCFunction(cfg, [(Fraction(1), ball0), (Fraction(2), far), (Fraction(-2), far)])
     table = CellTable([f])
     assert table.vectors == [[(0, Fraction(1))]] and len(table.cells) == 2

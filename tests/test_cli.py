@@ -175,6 +175,21 @@ class TestVerifyCommand:
         assert run(capsys, "verify", suite, "--r", "1")[0] == 1
         assert run(capsys, "verify", suite, "--r", "1", "--depth-strict")[0] == 0
 
+    @pytest.mark.parametrize("suite", ["claim", "theorem", "scaling"])
+    @pytest.mark.parametrize("args", [["--r", "-1"], ["--r", "4"],
+                                      ["--r", "3", "--depth-strict"]])
+    def test_a_grid_that_checks_nothing_exits_2(self, capsys, tmp_path, suite, args):
+        # the grid's deepest point has depth 3: these --r keep no point
+        code, _, err = run(capsys, "--out", str(tmp_path), "verify", suite, *args)
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert ("is negative" if args[1] == "-1" else "the deepest has depth 3") in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("suite", ["claim", "theorem", "scaling"])
+    def test_r3_checks_the_deepest_points(self, capsys, tmp_path, suite):
+        assert run(capsys, "--out", str(tmp_path), "verify", suite, "--r", "3")[0] == 1
+
     def test_oracles_p7(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--p", "7", "--out", str(tmp_path), "verify", "oracles")
         assert code == 0

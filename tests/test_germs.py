@@ -277,12 +277,10 @@ class TestTheorem:
         # a level-2 combination invariant under the edge-midpoint lattice
         # {a in pO, b in pO, c in p^2 O} is a true depth-1 function and its
         # expansion holds at depth exactly 1
-        from germlab import CosetCell, indicator, mp_lattice
-        lat = mp_lattice(CFG, BASE, 2)
         f = None
         for ap in range(5):
             for bp in range(5):
-                g = indicator(CFG, CosetCell(M(5 * ap, 5 * bp, 0), lat))
+                g = indicator_lattice(CFG, BASE, 2, center=M(5 * ap, 5 * bp, 0))
                 f = g if f is None else f + g
         X = M(5, 0, 0)
         t = extract_germs_auto(X)

@@ -7,7 +7,7 @@ from germlab import (CosetCell, FieldConfig, LCFunction, Sl2Element,
                      h_combination, indicator, indicator_lattice,
                      is_invariant_under,
                      lcfunction_from_json, lcfunction_to_json, make_vertex,
-                     mp_lattice, random_sl2, unit_ball)
+                     random_sl2, unit_ball)
 from germlab.lcfunc import _base_centre
 from germlab.padic import mod_pk
 from germlab.tree import BASE, ad_to_base
@@ -40,7 +40,7 @@ class TestIndicatorEvaluate:
         vs = [BASE, make_vertex(CFG, 1, 0), make_vertex(CFG, -1, 0)]
         for _ in range(100):
             Y = rand_point(rng)
-            cell = CosetCell(Y, mp_lattice(CFG, rng.choice(vs), rng.randint(-1, 2)))
+            cell = CosetCell(Y, rng.choice(vs), rng.randint(-1, 2))
             assert indicator(CFG, cell).evaluate(Y) == 1
 
     def test_linearity(self):
@@ -81,13 +81,18 @@ class TestDilate:
 
 class TestCanonicalize:
     def test_preserves_evaluation(self):
+        # the last term sits at distance 2, where cartan reads x = 1/5 != 0
         rng = random.Random(44)
+        far = make_vertex(CFG, 0, Fraction(1, 5))
         f = (unit_ball(CFG) + 3 * indicator_lattice(CFG, make_vertex(CFG, 1, 0), 1)
-             - indicator_lattice(CFG, BASE, 1))
+             - indicator_lattice(CFG, BASE, 1)
+             + 2 * indicator_lattice(CFG, far, 0, center=M(0, Fraction(1, 5), 1)))
         N = f.level()
         cells = f.canonical_cells()
-        for _ in range(1000):
-            X = rand_point(rng)
+        points = [rand_point(rng) for _ in range(1000)]  # 2 of them in the far cell
+        Y = f.terms[-1][1].center
+        points += [Y + rand_point(rng, 0) for _ in range(1000)]  # 38 in the far cell
+        for X in points:
             key = tuple(mod_pk(x, CFG.p, N) for x in X.exact_entries())
             assert f.evaluate(X) == cells.get(key, Fraction(0))
 
@@ -108,17 +113,16 @@ class TestDepthFamilyInvariance:
         assert len(fam) == 4
         for f in fam:
             cell = f.terms[0][1]
-            assert is_invariant_under(f, cell.lattice)
+            assert is_invariant_under(f, cell.vertex, cell.level)
             assert f.proxy_depth() == 0
 
     def test_indicator_invariance_levels(self):
         f1 = indicator_lattice(CFG, BASE, 1)
-        assert is_invariant_under(f1, mp_lattice(CFG, BASE, 1))
-        assert not is_invariant_under(f1, mp_lattice(CFG, BASE, 0))
+        assert is_invariant_under(f1, BASE, 1)
+        assert not is_invariant_under(f1, BASE, 0)
 
     def test_invariance_survives_combinations(self):
         rng = random.Random(45)
-        L = mp_lattice(CFG, BASE, 1)
         fam = [indicator_lattice(CFG, BASE, 1, center=Y)
                for Y in (Sl2Element.zero(CFG), M(0, 1, 0), M(0, 2, 0))]
         for _ in range(50):
@@ -126,13 +130,24 @@ class TestDepthFamilyInvariance:
             for g in fam:
                 c = Fraction(rng.randint(-3, 3))
                 f = c * g if f is None else f + c * g
-            assert is_invariant_under(f, L)
+            assert is_invariant_under(f, BASE, 1)
+
+    @pytest.mark.parametrize("i", [0, 1, 2], ids=["H", "E", "F"])
+    def test_each_generator_is_checked(self, i):
+        # {X : entry i in p^2 O, the other two in pO}, as p^2 cells of
+        # p^2 sl2(O): invariant under p times the other two generators of
+        # g_{BASE,1}, not under p times generator i
+        p = CFG.p
+        centres = [[p * s, p * t] for s in range(p) for t in range(p)]
+        f = LCFunction(CFG, [(1, CosetCell(M(*c[:i], 0, *c[i:]), BASE, 2)) for c in centres])
+        assert not is_invariant_under(f, BASE, 1)
+        assert is_invariant_under(f, BASE, 2)
 
     def test_dilate_shifts_level_down(self):
         f = indicator_lattice(CFG, BASE, 3)
         g = f.dilate(CFG.zeta**2)
         assert g.terms[0][1].level == 1
-        assert is_invariant_under(g, mp_lattice(CFG, BASE, 1))
+        assert is_invariant_under(g, BASE, 1)
 
     def test_unit_dilation_preserves_level(self):
         f = indicator_lattice(CFG, BASE, 2)
@@ -190,7 +205,7 @@ class TestIntegrationCells:
                   make_vertex(CFG, 2, 7)):
             for n in (0, 1, 2):
                 terms.append((Fraction(rng.randint(1, 9)),
-                              CosetCell(rand_point(rng), mp_lattice(CFG, v, n))))
+                              CosetCell(rand_point(rng), v, n)))
         f = LCFunction(CFG, terms)
         out = f.integration_cells()
         assert len(out) == len(terms)

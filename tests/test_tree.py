@@ -7,13 +7,12 @@ import pytest
 
 from germlab import (BallTooSmall, FieldConfig, GroupElement,
                      Sl2Element, ad, ball, depth_via_tree, distance,
-                     indicator_lattice, make_vertex, mp_lattice, neighbors,
+                     indicator_lattice, make_vertex, neighbors,
                      random_sl2, rep_elliptic, ss_orbital, tree_count_oracle)
 from germlab.orbital import tree_oracle_cases, tree_oracle_compare
 from germlab.padic import INF, val_p
 from germlab.sl2 import classify, random_conjugate
-from germlab.tree import (BASE, LatticeDescriptor, _Chart, _lattice_class, act,
-                          ad_to_base, cartan)
+from germlab.tree import BASE, _Chart, _lattice_class, act, cartan, min_level
 
 CFG = FieldConfig(5)
 
@@ -88,13 +87,13 @@ class TestDistance:
 class TestMpLattice:
     def test_base_contains_unit(self):
         X = M(1, 0, 0)
-        assert mp_lattice(CFG, BASE, 0).contains(X)
-        assert not mp_lattice(CFG, BASE, 1).contains(X)
+        assert min_level(CFG, BASE, X) == 0
+        assert min_level(CFG, BASE, M(0, 0, 0)) == INF
 
     def test_shifted_vertex_example(self):
         v = make_vertex(CFG, 1, 0)
         X = M(0, Fraction(1, 5), 5)
-        assert mp_lattice(CFG, v, 0).contains(X)
+        assert min_level(CFG, v, X) == 0
 
     def test_inexact_element_raises(self):
         # matrix entries are exact rationals; a float is refused, not rounded
@@ -104,8 +103,7 @@ class TestMpLattice:
     def test_scaling_by_zeta(self):
         v = make_vertex(CFG, 1, 0)
         X = M(1, 5, Fraction(2, 5))
-        lat = mp_lattice(CFG, v, 0)
-        assert lat.contains(X) == lat.scaled(1).contains(X.scale(5))
+        assert min_level(CFG, v, X.scale(5)) == min_level(CFG, v, X) + 1
 
     def test_act_compatibility(self):
         from germlab.tree import act
@@ -115,24 +113,7 @@ class TestMpLattice:
             v = rng.choice(vs)
             g = random_sl2(CFG, rng)
             X = M(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-            n = rng.randint(-1, 1)
-            lhs = mp_lattice(CFG, act(CFG, g, v), n).contains(ad(g, X))
-            rhs = mp_lattice(CFG, v, n).contains(X)
-            assert lhs == rhs
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_min_level_is_the_least_valuation_of_ad_to_base(self, p):
-        # ad_to_base conjugates the element explicitly: min_level's slow oracle
-        cfg = FieldConfig(p)
-        xs = {X for _, X, _, _ in tree_oracle_cases(cfg)}
-        xs = sorted(xs, key=repr)
-        xs += [random_conjugate(X, seed=80 + i) for i, X in enumerate(xs)]
-        xs.append(M(0, 0, 0, cfg))
-        for v in ball(cfg, BASE, 3):
-            for X in xs:
-                want = min(val_p(t, p) for t in ad_to_base(cfg, v, *X.exact_entries()))
-                assert LatticeDescriptor(cfg, v, 0).min_level(X) == want, (v, X)
-        assert LatticeDescriptor(cfg, BASE, 0).min_level(xs[-1]) == INF
+            assert min_level(CFG, act(CFG, g, v), ad(g, X)) == min_level(CFG, v, X)
 
 
 class TestCartan:
@@ -150,10 +131,9 @@ class TestCartan:
                    + t1[2] * (t2[0] * t3[1] - t2[1] * t3[0]))
             assert val_p(Fraction(det), p) == 0, v
             for n in (0, 1):
-                lat = mp_lattice(cfg, v, n)
                 for k, t in ((n, t1), (n - d, t2), (n + d, t3)):
                     scaled = [Fraction(p) ** k * x for x in t]
-                    assert lat.contains(M(*scaled, cfg)), (v, n, k)
+                    assert min_level(cfg, v, M(*scaled, cfg)) >= n, (v, n, k)
 
 
 class TestDepthViaTree:
@@ -220,9 +200,13 @@ def _ball(p, R):
     return tuple(ball(FieldConfig(p), BASE, R))
 
 
+@functools.lru_cache(maxsize=64)
 def _scan_fixed(cfg, X, n, R):
-    """Every vertex of the R-ball tested: the fixed vertices it holds."""
-    return [v for v in _ball(cfg.p, R) if LatticeDescriptor(cfg, v, n).contains(X)]
+    """Every vertex of the R-ball tested: the fixed vertices it holds.
+
+    Memoised: both windows of _scan_count scan the same ball for one X.
+    """
+    return tuple(v for v in _ball(cfg.p, R) if min_level(cfg, v, X) >= n)
 
 
 def _rational_sqrt(x):
@@ -347,7 +331,7 @@ class TestApartmentWindow:
 
 def _scan_depth(cfg, X, R):
     """depth_via_tree with every vertex of the R-ball tested."""
-    return max(LatticeDescriptor(cfg, v, 0).min_level(X) for v in _ball(cfg.p, R))
+    return max(min_level(cfg, v, X) for v in _ball(cfg.p, R))
 
 
 def _outcome(count, cfg, X, n, R):
@@ -502,7 +486,7 @@ class TestIntChart:
         for X in xs:
             chart = _Chart(cfg, X, R)
             for v in vs:
-                assert chart.min_level(coords[v]) == LatticeDescriptor(cfg, v, 0).min_level(X), (X, v)
+                assert chart.min_level(coords[v]) == min_level(cfg, v, X), (X, v)
         rng = random.Random(p)
         others = rng.sample(vs, 20)
         for v in vs:
