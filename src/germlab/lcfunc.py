@@ -40,14 +40,15 @@ class CosetCell:
 
 
 @lru_cache(maxsize=1 << 12)
-def _base_centre(cfg: FieldConfig, cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
+def _base_centre(cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
     """Centre of Ad(g_v^{-1}) cell at the base vertex, reduced mod p^n.
 
     The cell Y + g_{v,n} becomes Ad(g_v^{-1})Y + p^n sl2(O).  A pure function
-    of the field and the (value-hashed) cell, memoised because the suites
-    integrate the same few cells inside many combinations.  The field is
-    part of the key: a cell's entries and vertex do not name p.
+    of the (value-hashed) cell, memoised because the suites integrate the
+    same few cells inside many combinations.  The cell names its field: its
+    centre compares and hashes with its FieldConfig.
     """
+    cfg = cell.center.cfg
     moved = ad_to_base(cfg, cell.vertex, *cell.center.exact_entries())
     return tuple(mod_pk(e, cfg.p, cell.level) for e in moved)
 
@@ -166,7 +167,7 @@ class LCFunction:
         reduced mod p^n.  The engine integrates it against the orbit moved by
         the same Ad(g_v^{-1}), so no cell is refined, however far v lies.
         """
-        return [(coeff, _base_centre(self.cfg, cell), cell.level, cell.vertex)
+        return [(coeff, _base_centre(cell), cell.level, cell.vertex)
                 for coeff, cell in self.terms]
 
     def equals(self, other: "LCFunction") -> bool:

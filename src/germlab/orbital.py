@@ -10,7 +10,9 @@ of the engine for c = zeta^2 (and any even-valuation c).
 
 The engine integrates an Orbit, given by s and the OrbitLabel that
 sl2.classify returns, never a matrix; the label says which b the orbit
-admits.  It reads a function as a sum of product cells
+admits (OrbitLabel.admits, the class test of classify), read on each
+b-stratum as the set of admitted leading digits (OrbitLabel.digits).  It
+reads a function as a sum of product cells
 a in alpha + p^N O,  b in beta + p^N O,  c in chi + p^N O, one per term: a
 coset of g_{v,N} is moved to the base vertex by Ad(g_v^{-1}) together with
 the orbit (LCFunction.integration_cells, Orbit.cell_value).  The move
@@ -111,27 +113,24 @@ def _stratum_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
     so strata run over v >= N.
     """
     p = cfg.p
-    cnt = rule.digit_count(v, cfg)
-    if cnt == 0:
+    digits = rule.digits(v, cfg)
+    if not digits:
         return Fraction(0)
     e = val_p(chi, p)
     if e >= N:  # c-condition reads s - a^2 in p^(N+v) O, independent of b
-        vol_b = Fraction(cnt) * cfg.qpow(-v - 1)
+        vol_b = Fraction(len(digits)) * cfg.qpow(-v - 1)
         return cfg.qpow(v) * vol_b * sqmeas(cfg, alpha, N, s, N + v)
     # c-condition pins b to a coset of radius p^(N+v-e) around (s - a^2)/chi
     w = v + int(e)
-    allowed = rule.allowed(v, cfg)
-    lead_chi = leading_digit(chi, p)
     scale = cfg.qpow(int(e) - N)  # q^{v - T_v}
-    if allowed == "all":
+    if len(digits) == p - 1:
         meas = (sqmeas(cfg, alpha, N, s, w) - sqmeas(cfg, alpha, N, s, w + 1))
         return scale * meas
+    lead_chi = leading_digit(chi, p)
     total = Fraction(0)
-    for d in range(1, p):
-        # leading digit of b* = psi/chi must have Legendre value `allowed`
-        if legendre(d * pow(lead_chi, -1, p) % p, p) != allowed:
-            continue
-        theta = s - Fraction(d) * Fraction(p) ** w
+    for delta in digits:
+        # b* = psi/chi leads with delta, so psi = s - a^2 leads with delta * lead(chi)
+        theta = s - Fraction(delta * lead_chi % p) * Fraction(p) ** w
         total += sqmeas(cfg, alpha, N, theta, w + 1)
     return scale * total
 
@@ -142,7 +141,7 @@ def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
     """Cell with val(beta) < N: a single stratum at v = val(beta), no tail."""
     p = cfg.p
     w_b = int(val_p(beta, p))
-    if not rule.digit_ok(w_b, leading_digit(beta, p), cfg):
+    if leading_digit(beta, p) not in rule.digits(w_b, cfg):
         return Fraction(0)
     e = val_p(chi, p)
     if e >= N:
@@ -377,12 +376,11 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     strata = []
     for v in range(lo, v_max + 1):
         acc = Fraction(0)
-        if rule.digit_count(v, cfg) != 0:
+        digits = rule.digits(v, cfg)
+        if digits:
             vol_b = cfg.qpow(-(v + n_b))
             for ib in range(p ** (n_b - 1)):
-                for d0 in range(1, p):
-                    if not rule.digit_ok(v, d0, cfg):
-                        continue
+                for d0 in digits:
                     b = Fraction(d0 + p * ib) * Fraction(p) ** v
                     for al, ch, coeff in by_beta.get(mod_pk(b, p, N), ()):
                         # a-condition: val(s - a^2 - b*chi) >= N + v

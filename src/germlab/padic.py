@@ -66,9 +66,9 @@ def val_p(x: Rat, p: int):
 def unit_mod_pk(x: Rat, p: int, k: int) -> int:
     """Integer u with x = p^val(x) * u mod p^(val+k); requires x != 0, k >= 1."""
     v = val_p(x, p)
-    u = x / Fraction(p) ** v
+    n, d = x.numerator // p ** max(v, 0), x.denominator // p ** max(-v, 0)
     m = p**k
-    return (u.numerator % m) * pow(u.denominator, -1, m) % m
+    return n % m * pow(d, -1, m) % m
 
 
 def mod_pk(x: Rat, p: int, k: int) -> Fraction:
@@ -224,15 +224,3 @@ class QuadExtDescriptor:
         if not self.ramified:
             return val_p(x, cfg.p) % 2 == 0
         return hilbert_symbol(self.disc_rep(cfg), x, cfg.p) == 1
-
-    def norm_unit_legendre(self, v: int, cfg: FieldConfig) -> int:
-        """Legendre value required of unit(b) for b with val(b)=v to be a norm.
-
-        Only meaningful for ramified extensions; unramified norms are exactly
-        the even-valuation elements.
-        """
-        eps_exp = ((cfg.p - 1) // 2) % 2
-        sign = (-1) ** (v * eps_exp)
-        if self.disc_class == SquareClass.EPSPI:
-            sign *= (-1) ** v
-        return sign

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import OutsideDomain, SpecMismatch
@@ -37,10 +38,11 @@ class OrbitLabel:
     kind is 'zero' (the point 0), 'nil' (the regular nilpotent orbit of b in
     nil_class), 'split' (a regular element with -det a square) or 'elliptic'
     (-det generates the extension ext; tag says whether b, or -c when b = 0,
-    is a norm from ext).  The engine reads only which b-strata and leading
-    digits of b the orbit admits (allowed).  Labels built separately for one
-    orbit are equal and hash equal, so they key the cell memo of
-    orbital._cell_integral.
+    is a norm from ext).  The engine reads only which b the orbit admits:
+    admits is the class test classify applies, and digits the leading digits
+    it leaves on one b-stratum.  Labels built separately for one orbit are
+    equal and hash equal, so they key the cell memo of
+    orbital._cell_integral and of digits.
     """
 
     kind: str
@@ -80,37 +82,23 @@ class OrbitLabel:
             return OrbitLabel("elliptic", ext=self.ext, tag=self.tag == keep)
         return self
 
-    def allowed(self, v: int, cfg: FieldConfig):
-        """'all', 'none', or the Legendre value (+1/-1) the leading digit of
-        b must have on the valuation-v stratum."""
+    def admits(self, b, cfg: FieldConfig) -> bool:
+        """Whether the orbit meets the chart at b != 0: the class test of classify.
+
+        Every b for split orbits; b in nil_class for nilpotent ones; for
+        elliptic ones, b a norm from ext exactly when tag is True.
+        """
         if self.kind == "split":
-            return "all"
+            return True
         if self.kind == "nil":
-            if v % 2 != self.nil_class.parity:
-                return "none"
-            return self.nil_class.unit_legendre
+            return square_class_of_rational(b, cfg.p) == self.nil_class
         if self.kind != "elliptic":
             raise ValueError("the zero orbit has no (a, b) chart")
-        if not self.ext.ramified:
-            return "all" if (v % 2 == 0) == self.tag else "none"
-        need = self.ext.norm_unit_legendre(v, cfg)
-        return need if self.tag else -need
+        return self.ext.is_norm_rational(b, cfg) == self.tag
 
-    def digit_count(self, v: int, cfg: FieldConfig) -> int:
-        a = self.allowed(v, cfg)
-        if a == "none":
-            return 0
-        if a == "all":
-            return cfg.p - 1
-        return (cfg.p - 1) // 2
-
-    def digit_ok(self, v: int, d0: int, cfg: FieldConfig) -> bool:
-        a = self.allowed(v, cfg)
-        if a == "none":
-            return False
-        if a == "all":
-            return True
-        return legendre(d0, cfg.p) == a
+    def digits(self, v: int, cfg: FieldConfig) -> frozenset:
+        """The leading digits of the b of valuation v that the orbit admits."""
+        return _digit_set(self, v % 2, cfg)
 
     def __repr__(self):
         if self.kind == "zero":
@@ -126,6 +114,21 @@ REG_EPS = OrbitLabel("nil", SquareClass.EPS)
 REG_PI = OrbitLabel("nil", SquareClass.PI)
 REG_EPSPI = OrbitLabel("nil", SquareClass.EPSPI)
 ALL_ORBITS = (ZERO_ORBIT, REG_ONE, REG_EPS, REG_PI, REG_EPSPI)
+
+
+@lru_cache(maxsize=256)
+def _digit_set(label: OrbitLabel, parity: int, cfg: FieldConfig) -> frozenset:
+    """OrbitLabel.digits on the strata v = parity mod 2.
+
+    Both tests in admits read only the square class of b, and the class of
+    d p^v depends only on v mod 2 and legendre(d, p), so two admits calls,
+    on p^parity and eps p^parity, decide every digit.
+    """
+    p = cfg.p
+    square = label.admits(p**parity, cfg)
+    nonsquare = label.admits(cfg.eps * p**parity, cfg)
+    return frozenset(d for d in range(1, p)
+                     if (square if legendre(d, p) == 1 else nonsquare))
 
 
 def _exact(x) -> Fraction:
@@ -178,10 +181,10 @@ class Sl2Element:
     def __eq__(self, other):
         if not isinstance(other, Sl2Element):
             return NotImplemented
-        return self.exact_entries() == other.exact_entries()
+        return (self.cfg, self.a, self.b, self.c) == (other.cfg, other.a, other.b, other.c)
 
     def __hash__(self):
-        return hash(self.exact_entries())
+        return hash((self.cfg, self.a, self.b, self.c))
 
     def __repr__(self):
         return f"Sl2Element({self.matrix_str()})"
@@ -250,7 +253,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.m == other.m
+        return (self.cfg, self.m) == (other.cfg, other.m)
 
     def matrix_str(self) -> str:
         (a, b), (c, d) = self.m

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from germlab import orbital
+from germlab import FieldConfig, Sl2Element, classify, orbital, rep_elliptic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,6 +37,17 @@ def test_trace_target_resolves(prefix, modname, attr):
         cls_name, attr = attr.split(".")
         owner = getattr(owner, cls_name, None)
     assert callable(getattr(owner, attr, None)), f"{prefix}: germlab.{modname}.{attr}"
+
+
+def test_rule_key_reads_every_kind_of_label():
+    # the traced cell memo keys on the label's fields
+    cfg = FieldConfig(5)
+    xs = [Sl2Element(cfg, 0, 0, 0), Sl2Element(cfg, 0, 1, 0), Sl2Element(cfg, 1, 0, 0),
+          rep_elliptic(cfg, 2, tag=False), rep_elliptic(cfg, 5, tag=True)]
+    labels = [classify(X) for X in xs]
+    assert {label.kind for label in labels} == {"zero", "nil", "split", "elliptic"}
+    keys = [tracing._rule_key(label) for label in labels]
+    assert len(set(keys)) == len(keys)
 
 
 def test_sqmeas_cache_is_a_dict():

@@ -216,3 +216,17 @@ class TestIntegrationCells:
 
     def test_memo_is_bounded(self):
         assert _base_centre.cache_info().maxsize is not None
+
+    def test_cells_at_two_primes_keep_their_own_centres(self):
+        # one centre and vertex coordinates read at p = 3 and at p = 5
+        cells = {}
+        for p in (3, 5):
+            cfg = FieldConfig(p)
+            cells[p] = CosetCell(M(Fraction(1, 3), 0, 0, cfg), make_vertex(cfg, 1, 0), 1)
+        assert cells[3] != cells[5] and hash(cells[3]) != hash(cells[5])
+        _base_centre.cache_clear()
+        for p in (3, 5):
+            cell = cells[p]
+            moved = ad_to_base(FieldConfig(p), cell.vertex, *cell.center.exact_entries())
+            assert _base_centre(cell) == tuple(mod_pk(e, p, 1) for e in moved)
+        assert _base_centre(cells[3]) != _base_centre(cells[5])

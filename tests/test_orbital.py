@@ -253,6 +253,35 @@ class TestOracleTriangle:
         assert len(rows) - 1 >= 20
 
 
+class TestPinnedBOracle:
+    """Engine against the brute-force oracle on cells with val(chi) < N.
+
+    There the c-condition pins b near (s - a^2)/chi, so the admitted digits
+    of b become digits of s - a^2 shifted by lead(chi): the branch of
+    _stratum_value that the unit ball and indicator_lattice(cfg, BASE, 1)
+    never reach.
+    """
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_base_cells_at_lower_nilpotents(self, p):
+        cfg = FieldConfig(p)
+        targets = [rep_elliptic(cfg, s, tag=tag)
+                   for s in (p, cfg.eps * p, cfg.eps) for tag in (True, False)]
+        targets += [M(1, 0, 0, cfg), REG_ONE, REG_EPS, REG_PI, REG_EPSPI]
+        nonzero = 0
+        for n in (1, 2):
+            for c in (1, cfg.eps, p):
+                f = indicator_lattice(cfg, BASE, n, center=M(0, 0, c, cfg))
+                for target in targets:
+                    if isinstance(target, Sl2Element):
+                        eng = ss_orbital(target, f).value
+                    else:
+                        eng = nilpotent_orbital(target, f).value
+                    assert brute_force_cell_oracle(target, f) == eng, (n, c, target)
+                    nonzero += eng != 0
+        assert nonzero > 0
+
+
 def _residue_ameas(p, alpha, N, theta, m):
     """meas{a in alpha + p^N O : val(a^2 - theta) >= m} by counting t mod p^L.
 

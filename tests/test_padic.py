@@ -5,7 +5,7 @@ import pytest
 
 from germlab import FieldConfig, QuadExtDescriptor, SquareClass, hilbert_symbol, val_p
 from germlab.padic import (INF, hensel_sqrt, leading_digit, mod_pk,
-                           square_class_of_rational)
+                           square_class_of_rational, unit_mod_pk)
 
 CFG5 = FieldConfig(5)
 CFG3 = FieldConfig(3)
@@ -299,3 +299,14 @@ class TestValuationAndReduction:
             assert val_p(n, p) == val_p(Fraction(n), p)
             for k in range(-2, 5):
                 assert mod_pk(n, p, k) == mod_pk(Fraction(n), p, k)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_unit_mod_pk_is_the_unit_residue(self, p):
+        rng = random.Random(70 + p)
+        for x in _random_numbers(rng, p, 300)[2:]:
+            v = val_p(x, p)
+            for k in (1, rng.randint(2, 6)):
+                u = unit_mod_pk(x, p, k)
+                assert 0 < u < p**k and u % p, (x, k, u)
+                assert val_p(Fraction(x) - u * Fraction(p) ** v, p) >= v + k, (x, k, u)
+                assert unit_mod_pk(Fraction(x), p, k) == u

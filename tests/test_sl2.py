@@ -12,8 +12,8 @@ from germlab import (FieldConfig, GermBasis, GroupElement, OutsideDomain,
                      is_top_nilpotent, random_sl2, rep_elliptic,
                      rep_nilpotent, sl2, verify_claim)
 from germlab.cli import _standard_grid
-from germlab.padic import INF, val_p
-from germlab.sl2 import ALL_ORBITS
+from germlab.padic import INF, QuadExtDescriptor, val_p
+from germlab.sl2 import ALL_ORBITS, OrbitLabel
 from germlab.tree import BASE, depth_via_tree
 
 CFG = FieldConfig(5)
@@ -70,6 +70,79 @@ class TestClassify:
             assert k.kind == "nil"
             seen.add(k)
         assert len(seen) == 4
+
+
+def _chart_labels():
+    """Every label with an (a, b) chart: nilpotent, split and elliptic."""
+    out = [om for om in ALL_ORBITS if om.kind != "zero"] + [OrbitLabel("split")]
+    for cls in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI):
+        out += [OrbitLabel("elliptic", ext=QuadExtDescriptor(cls), tag=tag)
+                for tag in (True, False)]
+    return out
+
+
+class TestAdmits:
+    """OrbitLabel.admits is the class test of classify; digits reads it per
+    b-stratum."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_digits_are_the_admitted_leading_digits(self, p):
+        cfg = FieldConfig(p)
+        sizes = set()
+        for label in _chart_labels():
+            for v in range(-3, 5):
+                want = {d for d in range(1, p)
+                        if label.admits(Fraction(d) * Fraction(p) ** v, cfg)}
+                assert label.digits(v, cfg) == want, (label, v)
+                sizes.add(len(want))
+        assert sizes == {0, (p - 1) // 2, p - 1}
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_moved_label_admits_p_times_b(self, p):
+        cfg = FieldConfig(p)
+        rng = random.Random(80 + p)
+        for label in _chart_labels():
+            for _ in range(40):
+                b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4),
+                             rng.randint(1, 50)) * Fraction(p) ** rng.randint(-3, 3)
+                assert label.moved(cfg).admits(b, cfg) == label.admits(p * b, cfg), (label, b)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_classify_admits_the_b_of_x(self, p):
+        cfg = FieldConfig(p)
+        rng = random.Random(90 + p)
+        kinds = set()
+        for _ in range(300):
+            a, b, c = (Fraction(rng.randint(-p**3, p**3), p ** rng.randint(0, 2))
+                       for _ in range(3))
+            if rng.random() < 0.3:  # nilpotent: c = -a^2/b, or b = a = 0
+                if b:
+                    c = -a * a / b
+                else:
+                    a = Fraction(0)
+            X = M(a, b, c, cfg)
+            if X.is_zero_elt():
+                continue
+            label = classify(X)
+            kinds.add(label.kind)
+            assert label.admits(X.b if X.b else -X.c, cfg), X
+        assert kinds == {"nil", "split", "elliptic"}
+
+    def test_zero_orbit_has_no_chart(self):
+        with pytest.raises(ValueError, match="zero orbit"):
+            ZERO_ORBIT.admits(1, CFG)
+        with pytest.raises(ValueError, match="zero orbit"):
+            ZERO_ORBIT.digits(0, CFG)
+
+
+class TestFieldInEquality:
+    def test_elements_at_two_primes_differ(self):
+        X3 = M(Fraction(1, 3), 0, 0, FieldConfig(3))
+        X5 = M(Fraction(1, 3), 0, 0, FieldConfig(5))
+        assert X3 != X5 and hash(X3) != hash(X5)
+        assert X5 == M(Fraction(1, 3), 0, 0, FieldConfig(5))
+        g3, g5 = GroupElement.identity(FieldConfig(3)), GroupElement.identity(FieldConfig(5))
+        assert g3 != g5 and g5 == GroupElement.identity(FieldConfig(5))
 
 
 class TestDepth:
