@@ -19,10 +19,12 @@ integrals obey the law implemented here, and the scaling suite checks it.)
 Both sides of the expansion are linear in f, so every suite reads its
 function family once into a CellTable and runs X in the outer loop: one
 Orbit and one table row per X (or nilpotent orbit) give every function's
-integral.  An extraction basis or a pool is a GermBasis, built once from its
-member list: it owns the pool's linear algebra (table, nilpotent matrix,
-rank, and the kernel of the transposed matrix), and every entry point that
-needs a basis takes one.
+integral, as int dot products over one common denominator.  The expansion
+is linear in its right-hand side too.  An extraction basis or a pool is a
+GermBasis, built once from its member list: it owns the pool's linear
+algebra (table, nilpotent matrix, and one linalg.RowReduction each of A^T
+and A), so the rank, the kernel and every solve share one reduction, and
+every entry point that needs a basis takes one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
                      RankDeficient)
-from .linalg import nullspace, rank, solve_consistent
+from .linalg import RowReduction
 from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
 from .padic import INF, FieldConfig
@@ -97,19 +99,22 @@ CSV_HEADER = ["f_id", "X_id", "torus", "depth", "r", "lhs", "rhs", "residual", "
 
 
 class CellTable:
-    """A function family as sparse coefficient vectors over its distinct cells.
+    """A function family as sparse int coefficient vectors over its distinct cells.
 
     Every term of every member is read once, as the base-vertex cell the
     engine integrates (LCFunction.integration_cells); equal cells share a
-    column.  An orbital integral is linear in f, so integrals(orbit)
-    evaluates each column once and returns every member's integral as a dot
-    product.  A column is evaluated even where the coefficients cancel, so
-    each cell's tail re-check still runs.
+    column.  Each member is stored as one positive int denominator (the lcm
+    of its coefficients' denominators) and int numerators on its nonzero
+    columns.  An orbital integral is linear in f, so integrals(orbit)
+    evaluates each column once, clears that row to ints over one common
+    denominator and returns every member's integral as one int dot product,
+    normalised once.  A column is evaluated even where the coefficients
+    cancel, so each cell's tail re-check still runs.
     """
 
     def __init__(self, functions: Iterable[LCFunction]):
         columns: Dict[tuple, int] = {}
-        self.vectors: List[List[Tuple[int, Fraction]]] = []
+        self.vectors: List[Tuple[int, List[Tuple[int, int]]]] = []
         self.cfg: Optional[FieldConfig] = None
         for f in functions:
             self.cfg = f.cfg
@@ -117,14 +122,21 @@ class CellTable:
             for coeff, key, n, v in f.integration_cells():
                 j = columns.setdefault((key, n, v.m % 2), len(columns))
                 vec[j] = vec.get(j, Fraction(0)) + coeff
-            self.vectors.append([(j, c) for j, c in vec.items() if c != 0])
+            nonzero = [(j, c) for j, c in vec.items() if c != 0]
+            den = math.lcm(*(c.denominator for _, c in nonzero))
+            self.vectors.append((den, [(j, c.numerator * (den // c.denominator))
+                                       for j, c in nonzero]))
         self.cells = list(columns)
 
     def integrals(self, orbit: Orbit) -> List[Fraction]:
         """I_orbit(f) for every member f, in member order."""
         row = [orbit.cell_value(*cell)[0] for cell in self.cells]
-        return [orbit.prefactor * sum((c * row[j] for j, c in vec if row[j]), Fraction(0))
-                for vec in self.vectors]
+        D = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (D // x.denominator) for x in row]
+        pre = orbit.prefactor
+        return [Fraction(pre.numerator * sum(n * ints[j] for j, n in vec),
+                         pre.denominator * den * D)
+                for den, vec in self.vectors]
 
     def nilpotent_rows(self) -> List[Tuple[Fraction, ...]]:
         """(I_Omega(f))_Omega in ORBIT_ORDER for every member: five table rows."""
@@ -139,26 +151,33 @@ def _as_vector(row: Sequence[Fraction]) -> Dict[OrbitLabel, Fraction]:
 
 
 class GermBasis:
-    """Named functions with their cell table, nilpotent matrix, rank and kernel.
+    """Named functions with their cell table, nilpotent matrix and its reductions.
 
-    Row i of `matrix` is (I_Omega(f_i))_Omega with columns in ORBIT_ORDER;
-    `transposed` is A^T, one row per orbit.  An extraction basis is shared by
-    every X of a suite, and a pool by its kernel and single-orbit solves, so
-    the table is read once, each member's five nilpotent integrals are
-    computed once, and the kernel of A^T is solved at most once.
+    Row i of `matrix` is (I_Omega(f_i))_Omega with columns in ORBIT_ORDER.
+    An extraction basis is shared by every X of a suite, and a pool by its
+    kernel and single-orbit solves, so the table is read once and each
+    member's five nilpotent integrals are computed once.  A^T is reduced
+    once, at construction: that reduction gives the rank, the kernel and
+    every single-orbit solve.  A is reduced at most once, on the first
+    extraction, and each X then costs one application of its row operations.
     """
 
     def __init__(self, members: Iterable[Tuple[str, LCFunction]]):
         self.members = tuple(members)
         self.table = CellTable(f for _, f in self.members)
         self.matrix = tuple(self.table.nilpotent_rows())
-        self.rank = rank(self.matrix)
-        self.transposed = tuple(zip(*self.matrix))
+        self.transpose_reduction = RowReduction(list(zip(*self.matrix)))
+        self.rank = self.transpose_reduction.rank
 
-    @cached_property
+    @property
     def kernel(self) -> List[List[Fraction]]:
         """Coefficient vectors whose combinations have zero nilpotent vector."""
-        return nullspace(self.transposed)
+        return self.transpose_reduction.kernel
+
+    @cached_property
+    def matrix_reduction(self) -> RowReduction:
+        """The reduction of A that solves the expansion at every X."""
+        return RowReduction(self.matrix)
 
 
 def _combination(coeffs: Sequence[Fraction], pool: GermBasis) -> Optional[LCFunction]:
@@ -190,7 +209,7 @@ def extract_germs(X: Sl2Element, basis: GermBasis) -> GermTable:
     """
     if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
-    x = solve_consistent(basis.matrix, basis.table.integrals(Orbit.of(X)))
+    x = basis.matrix_reduction.solve(basis.table.integrals(Orbit.of(X)))
     if x is None:
         raise InconsistentSystem("nonzero residual over the basis")
     values = {om: x[i] for i, om in enumerate(ORBIT_ORDER)}
@@ -234,7 +253,7 @@ def construct_Hr_Omega(r: int, omega: OrbitLabel,
     if pool.rank < 5:
         raise PoolDeficient("pool spans fewer than 5 independent nilpotent vectors")
     target = [Fraction(1) if om == omega else Fraction(0) for om in ORBIT_ORDER]
-    x0 = solve_consistent(pool.transposed, target)
+    x0 = pool.transpose_reduction.solve(target)
     if x0 is None:
         raise PoolDeficient("target orbit vector not in the pool's span")
     combos = [x0] + [[a + b for a, b in zip(x0, kv)] for kv in pool.kernel[:2]]

@@ -100,9 +100,12 @@ def ad_to_base(cfg: FieldConfig, v: TreeVertex, a, b, c):
     chart of an orbit it reads (a, b) -> (a + b x, p^m b), which keeps det and
     the invariant measure da db/|b|.
     """
-    x, pm = v.x, Fraction(cfg.p) ** v.m
+    x, pm = v.x, cfg.p ** abs(v.m)
     a2 = a + b * x
-    return a2, b * pm, (c - x * a - x * a2) / pm
+    c2 = c - x * (a + a2)
+    if v.m >= 0:
+        return a2, b * pm, c2 / pm
+    return a2, Fraction(b, pm), c2 * pm
 
 
 def min_level(cfg: FieldConfig, v: TreeVertex, X: Sl2Element):

@@ -64,7 +64,9 @@ def families(draw):
         v = draw(st.sampled_from(VERTICES[p]))
         Y = Sl2Element(cfg, draw(entry), draw(entry), draw(entry))
         cells.append(CosetCell(Y, v, N - distance(cfg, BASE, v)))
-    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2)))
+    # composite and p-power denominators exercise the table's lcm clearing
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                      st.sampled_from((1, 2, 3, 4, 6, 7, p, p * p)))
     functions = []
     for _ in range(draw(st.integers(1, 3))):
         terms = [(draw(coeff), draw(st.sampled_from(cells)))
@@ -133,14 +135,16 @@ def test_nilpotent_rows_are_the_nilpotent_vectors():
 
 
 def test_a_cancelled_cell_is_still_integrated():
-    # the table drops the cell from the member's vector but evaluates it, so
-    # its tail re-check runs; ss_orbital still reports its v0
+    # the table drops the cell from the member's vector but keeps its column
+    # and evaluates it, so its tail re-check runs; ss_orbital still reports
+    # its v0
     cfg = CFGS[5]
     far = CosetCell(Sl2Element.zero(cfg), BASE, 3)
     ball0 = CosetCell(Sl2Element.zero(cfg), BASE, 0)
     f = LCFunction(cfg, [(Fraction(1), ball0), (Fraction(2), far), (Fraction(-2), far)])
     table = CellTable([f])
-    assert table.vectors == [[(0, Fraction(1))]] and len(table.cells) == 2
+    (_, vec), = table.vectors
+    assert [j for j, _ in vec] == [0] and len(table.cells) == 2
     X = Sl2Element(cfg, 1, 0, 0)
     _cell_integral.cache_clear()
     assert table.integrals(Orbit.of(X)) == [ss_orbital(X, LCFunction(cfg, [(1, ball0)])).value]

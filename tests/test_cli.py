@@ -2,10 +2,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import germlab
 from germlab import cli
 from germlab.cli import main, parse_f_spec, parse_x_spec
 from germlab import (CSV_HEADER, FieldConfig, InvariantViolated, Sl2Element,
@@ -19,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_python_dash_m_germlab_runs_the_cli():
+    # the package runs as a module: its exit code is main's
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(germlab.__file__)))
+    for argv, code in ((["--help"], 0), (["--precision", "3", "verify", "oracles"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "germlab", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
 
 
 class TestParsers:

@@ -17,7 +17,7 @@ from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
                      verify_claim, verify_theorem)
 from germlab.cli import _standard_grid
 from germlab.germs import ORBIT_ORDER, CellTable, GermBasis, nilpotent_center
-from germlab.linalg import nullspace, rank, solve_consistent
+from germlab.linalg import RowReduction, nullspace, rank, solve_consistent
 from germlab.orbital import Orbit, _cell_integral
 from germlab.tree import BASE
 
@@ -179,11 +179,10 @@ class TestInvariantChecks:
     """The re-checks raise a GermlabError, so python -O keeps them."""
 
     def test_construct_Hr_Omega_rejects_an_off_target_combination(self, monkeypatch):
-        from germlab import germs
-        solve = germs.solve_consistent
+        solve = RowReduction.solve
         # solving for the next orbit in ORBIT_ORDER misses the requested one
-        monkeypatch.setattr(germs, "solve_consistent",
-                            lambda A, y: solve(A, y[-1:] + y[:-1]))
+        monkeypatch.setattr(RowReduction, "solve",
+                            lambda self, y: solve(self, y[-1:] + y[:-1]))
         with pytest.raises(InvariantViolated):
             construct_Hr_Omega(0, REG_ONE, GermBasis(default_pool(CFG, 0)))
 
@@ -303,6 +302,21 @@ class TestTheorem:
         assert dict(zip(header, row))["X_id"] == "split-d1"
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The matrices that germs hands to RowReduction, in order."""
+    from germlab import germs
+    seen = []
+
+    class Counted(RowReduction):
+        def __init__(self, M):
+            seen.append(M)
+            super().__init__(M)
+
+    monkeypatch.setattr(germs, "RowReduction", Counted)
+    return seen
+
+
 class TestGermBasis:
     def test_nilpotent_vectors_are_computed_once_per_suite(self, monkeypatch):
         # one nilpotent row per orbit and cell table: a row evaluates each of
@@ -322,15 +336,21 @@ class TestGermBasis:
         # function made 14 calls, 70 one-function integrals)
         assert len(calls) == 5 * 2
 
-    def test_verify_claim_solves_the_pool_kernel_once(self, monkeypatch):
-        # the kernel combinations and the five single-orbit solves share the
-        # basis's kernel of A^T (solving it per call made six nullspace calls)
-        from germlab import germs
-        calls = []
-        real = germs.nullspace
-        monkeypatch.setattr(germs, "nullspace", lambda M: calls.append(M) or real(M))
-        verify_claim(0, GermBasis(default_pool(CFG, 0)), _standard_grid(CFG, 0, 0, False))
-        assert len(calls) == 1
+    def test_verify_claim_solves_the_pool_kernel_once(self, reductions):
+        # the rank, the kernel combinations and the five single-orbit solves
+        # share one reduction of A^T (solving the kernel per call made six
+        # nullspace calls, and each solve reduced A^T again)
+        pool = GermBasis(default_pool(CFG, 0))
+        verify_claim(0, pool, _standard_grid(CFG, 0, 0, False))
+        assert reductions == [list(zip(*pool.matrix))]
+
+    def test_extraction_reduces_the_basis_once(self, reductions):
+        # every X of the theorem suite applies the row operations of one
+        # reduction of A (each extraction row-reduced A | y again)
+        basis = default_basis(CFG)
+        for X in (M(25, 0, 0), M(125, 0, 0), rep_elliptic(CFG, 2 * 5**4, tag=True)):
+            extract_germs(X, basis)
+        assert reductions == [list(zip(*basis.matrix)), basis.matrix]
 
 
 def test_cell_table_lookups_of_verify_claim():

@@ -12,7 +12,8 @@ from germlab import (BallTooSmall, FieldConfig, GroupElement,
 from germlab.orbital import tree_oracle_cases, tree_oracle_compare
 from germlab.padic import INF, val_p
 from germlab.sl2 import classify, random_conjugate
-from germlab.tree import BASE, _Chart, _lattice_class, act, cartan, min_level
+from germlab.tree import (BASE, _Chart, _lattice_class, act, ad_to_base, basis_matrix,
+                          cartan, min_level)
 
 CFG = FieldConfig(5)
 
@@ -104,6 +105,30 @@ class TestMpLattice:
         v = make_vertex(CFG, 1, 0)
         X = M(1, 5, Fraction(2, 5))
         assert min_level(CFG, v, X.scale(5)) == min_level(CFG, v, X) + 1
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("m", range(-2, 4))
+    def test_ad_to_base_is_conjugation_by_the_basis_matrix(self, p, m):
+        # the exact product g_v^{-1} X g_v, with m < 0 as in default_pool
+        cfg = FieldConfig(p)
+        rng = random.Random(100 * p + m)
+
+        def mul(g, h):
+            return [[sum(g[i][k] * h[k][j] for k in range(2)) for j in range(2)]
+                    for i in range(2)]
+
+        def rat():
+            return Fraction(rng.randint(-p**3, p**3), p ** rng.randint(0, 3))
+
+        for _ in range(20):
+            v = make_vertex(cfg, m, rat())
+            (g00, g01), (g10, g11) = basis_matrix(cfg, v)
+            det = g00 * g11 - g01 * g10
+            g_inv = [[g11 / det, -g01 / det], [-g10 / det, g00 / det]]
+            a, b, c = rat(), rat(), rat()
+            (a2, b2), (c2, d2) = mul(mul(g_inv, [[a, b], [c, -a]]), basis_matrix(cfg, v))
+            assert d2 == -a2
+            assert ad_to_base(cfg, v, a, b, c) == (a2, b2, c2), (v, a, b, c)
 
     def test_act_compatibility(self):
         from germlab.tree import act
