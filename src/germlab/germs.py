@@ -81,8 +81,9 @@ class ExpansionReport:
     expected: bool                 # inside the claimed validity range? contrast
                                    # rows (False) never gate an exit code
 
-    @property
+    @cached_property
     def residual(self) -> Fraction:
+        """lhs - rhs, formed once per row; the CSV row and passed both read it."""
         return self.lhs - self.rhs
 
     @property

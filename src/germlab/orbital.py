@@ -29,6 +29,11 @@ each of which is zero, one ball, or two Hensel-branch cosets.  Strata are
 summed exactly up to the index v* of _tail_start, past which Hensel's lemma
 makes them exactly geometric; the tail is summed in closed form and one
 further block re-checks the ratio, raising InvariantViolated if it fails.
+
+Every such measure and stratum is an int multiple of a power of q, so the
+engine carries it as the int pair (count, k), meaning count q^-k; the only
+other denominator is the tail's q^j - 1.  A distinct cell costs one
+Fraction, its value.
 """
 
 from __future__ import annotations
@@ -64,50 +69,61 @@ class IntegralResult:
         return {"value": str(self.value), "v0": self.v0, "tail": self.tail}
 
 
-_SQMEAS_CACHE: Dict[tuple, Fraction] = {}
+_SQMEAS_CACHE: Dict[tuple, Tuple[int, int]] = {}
+_ZERO = (0, 0)
 
 
-def _coset_meet(cfg: FieldConfig, c1: Fraction, k1: int, c2: Fraction, k2: int) -> Fraction:
-    """Measure of (c1 + p^k1 O) intersect (c2 + p^k2 O)."""
-    if k1 > k2:
-        c1, k1, c2, k2 = c2, k2, c1, k1
-    d = c1 - c2
-    if d != 0 and val_p(d, cfg.p) < k1:
-        return Fraction(0)
-    return cfg.qpow(-k2)
+def _common(p: int, pairs) -> Tuple[list, int]:
+    """The counts of measures (count, k) over one power q^-K, K their largest k."""
+    K = max(k for _c, k in pairs)
+    return [c * p ** (K - k) for c, k in pairs], K
 
 
-def sqmeas(cfg: FieldConfig, alpha: Fraction, N: int, theta: Fraction, m: int) -> Fraction:
-    """meas{a in alpha + p^N O : val(a^2 - theta) >= m} as an exact rational."""
-    key = (cfg.p, alpha, N, theta, m)
+def _fraction(p: int, num: int, k: int, den: int = 1) -> Fraction:
+    """num / (den q^k) for any integer k."""
+    return Fraction(num, den * p**k) if k >= 0 else Fraction(num * p**-k, den)
+
+
+def sqmeas(p: int, alpha: Fraction, N: int, theta: Fraction, m: int) -> Tuple[int, int]:
+    """meas{a in alpha + p^N O : val(a^2 - theta) >= m} as (count, k): count q^-k.
+
+    The set is the ball p^ceil(m/2) O when val(theta) >= m, else empty or the
+    two Hensel-branch cosets +-r p^(t/2) + p^(m - t/2) O (t = val theta even,
+    r the root of the unit part mod p^(m - t)).  Each of them that meets
+    alpha + p^N O adds q^-max(N, radius).  Memoised on the ints of its
+    arguments in _SQMEAS_CACHE.
+    """
+    an, ad = alpha.numerator, alpha.denominator
+    key = (p, an, ad, N, theta.numerator, theta.denominator, m)
     hit = _SQMEAS_CACHE.get(key)
     if hit is not None:
         return hit
-    p = cfg.p
     t = val_p(theta, p)
     if t >= m:
-        k = -((-m) // 2)  # ceil(m/2)
-        out = _coset_meet(cfg, alpha, N, Fraction(0), k)
+        level = -(-m // 2)  # ceil(m/2)
+        out = (1, max(N, level)) if val_p(alpha, p) >= min(N, level) else _ZERO
     elif t % 2 != 0:
-        out = Fraction(0)
+        out = _ZERO
     else:
-        K = int(m - t)
-        u = unit_mod_pk(theta, p, K)
+        u = unit_mod_pk(theta, p, m - t)
         if legendre(u, p) != 1:
-            out = Fraction(0)
+            out = _ZERO
         else:
-            rho = hensel_sqrt(u, p, K)
-            half = t // 2
-            center = Fraction(rho) * Fraction(p) ** half
-            out = (_coset_meet(cfg, alpha, N, center, m - half)
-                   + _coset_meet(cfg, alpha, N, -center, m - half))
+            r, half = hensel_sqrt(u, p, m - t), t // 2
+            level = m - half
+            # the centres +-r p^half as cn / cd; alpha - c = (an cd - cn ad) / (ad cd)
+            cn, cd = (r * p**half, 1) if half >= 0 else (r, p**-half)
+            mod = p ** max(0, min(N, level) + val_p(ad * cd, p))
+            count = ((an * cd - cn * ad) % mod == 0) + ((an * cd + cn * ad) % mod == 0)
+            out = (count, max(N, level))
     _SQMEAS_CACHE[key] = out
     return out
 
 
 def _stratum_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
-                   alpha: Fraction, chi: Fraction, N: int, v: int) -> Fraction:
-    """Exact contribution q^v * meas{(a,b): val b = v, cell conditions} of one stratum.
+                   alpha: Fraction, chi: Fraction, N: int, v: int) -> Tuple[int, int]:
+    """Contribution q^v * meas{(a,b): val b = v, cell conditions} of one stratum,
+    as (count, k): count q^-k.
 
     Only called for cells whose b-coset is the full ball p^N O (val(beta) >= N),
     so strata run over v >= N.
@@ -115,41 +131,41 @@ def _stratum_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
     p = cfg.p
     digits = rule.digits(v, cfg)
     if not digits:
-        return Fraction(0)
+        return _ZERO
     e = val_p(chi, p)
     if e >= N:  # c-condition reads s - a^2 in p^(N+v) O, independent of b
-        vol_b = Fraction(len(digits)) * cfg.qpow(-v - 1)
-        return cfg.qpow(v) * vol_b * sqmeas(cfg, alpha, N, s, N + v)
-    # c-condition pins b to a coset of radius p^(N+v-e) around (s - a^2)/chi
-    w = v + int(e)
-    scale = cfg.qpow(int(e) - N)  # q^{v - T_v}
+        c, k = sqmeas(p, alpha, N, s, N + v)  # times q^v * vol_b, vol_b = #digits q^(-v-1)
+        return len(digits) * c, k + 1
+    # c-condition pins b to a coset of radius p^(N+v-e) around (s - a^2)/chi;
+    # the stratum is q^{v - T_v} = q^(e - N) times an a-measure
+    w = v + e
     if len(digits) == p - 1:
-        meas = (sqmeas(cfg, alpha, N, s, w) - sqmeas(cfg, alpha, N, s, w + 1))
-        return scale * meas
+        (c0, c1), k = _common(p, (sqmeas(p, alpha, N, s, w), sqmeas(p, alpha, N, s, w + 1)))
+        return c0 - c1, k + N - e
     lead_chi = leading_digit(chi, p)
-    total = Fraction(0)
-    for delta in digits:
-        # b* = psi/chi leads with delta, so psi = s - a^2 leads with delta * lead(chi)
-        theta = s - Fraction(delta * lead_chi % p) * Fraction(p) ** w
-        total += sqmeas(cfg, alpha, N, theta, w + 1)
-    return scale * total
+    pw = p**w if w >= 0 else Fraction(1, p**-w)
+    # b* = psi/chi leads with delta, so psi = s - a^2 leads with delta * lead(chi)
+    counts, k = _common(p, [sqmeas(p, alpha, N, s - delta * lead_chi % p * pw, w + 1)
+                            for delta in digits])
+    return sum(counts), k + N - e
 
 
 def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
                         alpha: Fraction, beta: Fraction, chi: Fraction,
-                        N: int) -> Fraction:
-    """Cell with val(beta) < N: a single stratum at v = val(beta), no tail."""
+                        N: int) -> Tuple[int, int]:
+    """Cell with val(beta) < N: a single stratum at v = val(beta), no tail;
+    (count, k) as in _stratum_value."""
     p = cfg.p
-    w_b = int(val_p(beta, p))
+    w_b = val_p(beta, p)
     if leading_digit(beta, p) not in rule.digits(w_b, cfg):
-        return Fraction(0)
+        return _ZERO
     e = val_p(chi, p)
-    if e >= N:
-        return cfg.qpow(w_b) * cfg.qpow(-N) * sqmeas(cfg, alpha, N, s, N + w_b)
-    e = int(e)
+    if e >= N:  # q^w_b * q^-N * SQMEAS(alpha, N, s, N + w_b)
+        c, k = sqmeas(p, alpha, N, s, N + w_b)
+        return c, k + N - w_b
     expo = w_b - max(N, N + w_b - e)
-    m = N + min(e, w_b)
-    return cfg.qpow(expo) * sqmeas(cfg, alpha, N, s - chi * beta, m)
+    c, k = sqmeas(p, alpha, N, s - chi * beta, N + min(e, w_b))
+    return c, k - expo
 
 
 def _tail_start(cfg: FieldConfig, s: Fraction, chi: Fraction, N: int) -> int:
@@ -180,26 +196,36 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
                    N: int) -> Tuple[Fraction, int, str]:
     """Exact integral of one product cell: head sum plus closed-form tail.
 
-    Past v* = _tail_start, S(v+2) = rho S(v) with rho = 1/q (nilpotent),
-    1/q^2 (split) or 0 (elliptic), so the tail is B0/(1 - rho) with
-    B0 = S(v*) + S(v*+1); the next block re-checks rho.  Memoised: a pure
-    function of exact, value-hashed arguments, and the suites integrate the
-    same cells against many X.
+    Past v* = _tail_start, S(v+2) = rho S(v) with rho = q^-j, j = 1
+    (nilpotent) or 2 (split), or rho = 0 (elliptic), so the tail is
+    B0/(1 - rho) with B0 = S(v*) + S(v*+1); the next block B1 re-checks rho.
+    The strata are int counts over one power q^-K, so the check is an int
+    equality and the value is the one Fraction
+    (head (q^j - 1) + B0 q^j) / (q^K (q^j - 1)), or (head + B0) / q^K.
+    Memoised: a pure function of exact, value-hashed arguments, and the
+    suites integrate the same cells against many X.
     """
     alpha, beta, chi = cell
     p = cfg.p
     if val_p(beta, p) < N:
-        return _bounded_cell_value(cfg, s, rule, alpha, beta, chi, N), N, "finite"
+        c, k = _bounded_cell_value(cfg, s, rule, alpha, beta, chi, N)
+        return _fraction(p, c, k), N, "finite"
     v_star = _tail_start(cfg, s, chi, N)
-    S = [_stratum_value(cfg, s, rule, alpha, chi, N, v)
-         for v in range(N, v_star + 4)]
-    B0, B1 = S[-4] + S[-3], S[-2] + S[-1]
-    rho = {"nil": cfg.qpow(-1), "split": cfg.qpow(-2)}.get(rule.kind, Fraction(0))
-    if B1 != rho * B0:
-        raise InvariantViolated(f"strata from v*={v_star} are not geometric "
-                                f"with ratio {rho}: {B0}, {B1}")
-    tail = "0" if B0 == 0 or rho == 0 else "geometric"
-    return sum(S[:-4], Fraction(0)) + B0 / (1 - rho), v_star, tail
+    counts, K = _common(p, [_stratum_value(cfg, s, rule, alpha, chi, N, v)
+                            for v in range(N, v_star + 4)])
+    head = sum(counts[:-4])
+    B0, B1 = counts[-4] + counts[-3], counts[-2] + counts[-1]
+    j = {"nil": 1, "split": 2}.get(rule.kind)
+    if j is None:  # elliptic: rho = 0
+        geometric, num, den = B1 == 0, head + B0, 1
+    else:
+        qj = p**j
+        geometric, num, den = B1 * qj == B0, head * (qj - 1) + B0 * qj, qj - 1
+    if not geometric:
+        raise InvariantViolated(f"strata from v*={v_star} are not geometric with ratio "
+                                f"{'q^-' + str(j) if j else 0}: {B0}, {B1} (times q^-{K})")
+    tail = "0" if B0 == 0 or j is None else "geometric"
+    return _fraction(p, num, K, den), v_star, tail
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -259,7 +260,8 @@ class TestPinnedBOracle:
     There the c-condition pins b near (s - a^2)/chi, so the admitted digits
     of b become digits of s - a^2 shifted by lead(chi): the branch of
     _stratum_value that the unit ball and indicator_lattice(cfg, BASE, 1)
-    never reach.
+    never reach.  Centres with a = 1 meet the roots a = +-1 of the split
+    target diag(1, -1), whose strata there are differences of two measures.
     """
 
     @pytest.mark.parametrize("p", [3, 5])
@@ -270,14 +272,14 @@ class TestPinnedBOracle:
         targets += [M(1, 0, 0, cfg), REG_ONE, REG_EPS, REG_PI, REG_EPSPI]
         nonzero = 0
         for n in (1, 2):
-            for c in (1, cfg.eps, p):
-                f = indicator_lattice(cfg, BASE, n, center=M(0, 0, c, cfg))
+            for a, c in itertools.product((0, 1), (1, cfg.eps, p)):
+                f = indicator_lattice(cfg, BASE, n, center=M(a, 0, c, cfg))
                 for target in targets:
                     if isinstance(target, Sl2Element):
                         eng = ss_orbital(target, f).value
                     else:
                         eng = nilpotent_orbital(target, f).value
-                    assert brute_force_cell_oracle(target, f) == eng, (n, c, target)
+                    assert brute_force_cell_oracle(target, f) == eng, (n, a, c, target)
                     nonzero += eng != 0
         assert nonzero > 0
 
@@ -342,6 +344,57 @@ class TestIntervalAmeas:
             want = Fraction(1, 5**N)
             assert _residue_ameas(5, alpha, N, theta, m) == want
             assert orbital._interval_ameas(CFG, alpha, N, theta, m) == want
+
+
+def _sqmeas_cases(cfg, seed, count):
+    """Seeded (alpha, N, theta, m), by i mod 4: theta = 0, theta of odd
+    valuation, theta a non-square unit times p^(2j), and theta a square near
+    the coset plus a deeper perturbation (the Hensel branches).  alpha has a
+    p-power denominator, N runs over -2..3 and m over N - 1..N + 6."""
+    p = cfg.p
+    rng = random.Random(seed)
+
+    def unit():
+        return rng.choice((1, -1)) * rng.choice([u for u in range(1, p * p) if u % p])
+
+    cases = []
+    for i in range(count):
+        N = rng.randint(-2, 3)
+        alpha = Fraction(rng.randint(-p ** 4, p ** 4), p ** rng.randint(0, 2))
+        deep = rng.randint(-p ** 2, p ** 2) * Fraction(p) ** rng.randint(N, N + 7)
+        kind = i % 4
+        if kind == 0:
+            theta = Fraction(0)
+        elif kind == 1:
+            theta = unit() * Fraction(p) ** (2 * rng.randint(-2, 2) + 1)
+        elif kind == 2:
+            w = unit()
+            theta = (cfg.eps * w * w + p * rng.randint(-p, p)) * Fraction(p) ** (2 * rng.randint(-2, 2))
+        else:
+            a0 = alpha + rng.randint(0, p ** 3) * Fraction(p) ** rng.randint(N - 1, N + 1)
+            theta = a0 * a0 + deep
+        cases.append((kind, alpha, N, theta, rng.randint(N - 1, N + 6)))
+    return cases
+
+
+class TestSqmeas:
+    """sqmeas, which reads Hensel branches, against the oracle's
+    _interval_ameas, which subdivides cosets and shares no square-root logic."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_agrees_with_interval_subdivision(self, p):
+        cfg = FieldConfig(p)
+        nonzero = [0, 0, 0, 0]   # per kind of theta
+        branches = set()         # counts of branch cosets that meet the cell
+        for kind, alpha, N, theta, m in _sqmeas_cases(cfg, 90 + p, 400):
+            count, k = orbital.sqmeas(p, alpha, N, theta, m)
+            want = orbital._interval_ameas(cfg, alpha, N, theta, m)
+            assert count * Fraction(p) ** -k == want, (alpha, N, theta, m, count, k)
+            nonzero[kind] += want != 0
+            if kind == 3 and val_p(theta, p) < m:
+                branches.add(count)
+        assert all(n >= 10 for n in nonzero), nonzero
+        assert branches == {0, 1, 2}
 
 
 class TestCertificates:
@@ -491,6 +544,12 @@ def unbounded_cells(draw):
     return cfg, s, rule, cell, N
 
 
+def _stratum(cfg, s, rule, alpha, chi, N, v):
+    """_stratum_value's measure (count, k) read as the rational count q^-k."""
+    count, k = _stratum_value(cfg, s, rule, alpha, chi, N, v)
+    return count * Fraction(cfg.p) ** -k
+
+
 def _observed_tail_integral(cfg, s, rule, cell, N):
     """The engine's former tail, kept as a reference for the proved one.
 
@@ -504,10 +563,10 @@ def _observed_tail_integral(cfg, s, rule, cell, N):
     hint = max(0, -min(N, *(val_p(e, p) for e in cell)))
     v0 = N + (abs(int(val_p(s, p))) if s != 0 else 0) + hint + 4
     for _attempt in range(3):
-        exact = sum((_stratum_value(cfg, s, rule, alpha, chi, N, v)
+        exact = sum((_stratum(cfg, s, rule, alpha, chi, N, v)
                      for v in range(N, v0)), Fraction(0))
-        B0, B1, B2 = (_stratum_value(cfg, s, rule, alpha, chi, N, v0 + 2 * k)
-                      + _stratum_value(cfg, s, rule, alpha, chi, N, v0 + 2 * k + 1)
+        B0, B1, B2 = (_stratum(cfg, s, rule, alpha, chi, N, v0 + 2 * k)
+                      + _stratum(cfg, s, rule, alpha, chi, N, v0 + 2 * k + 1)
                       for k in range(3))
         if B0 == 0:
             if B1 == 0 and B2 == 0:
@@ -527,7 +586,7 @@ class TestProvedTail:
         cfg, s, rule, (alpha, beta, chi), N = case
         v_star = _tail_start(cfg, s, chi, N)
         assert v_star >= N
-        S = [_stratum_value(cfg, s, rule, alpha, chi, N, v)
+        S = [_stratum(cfg, s, rule, alpha, chi, N, v)
              for v in range(v_star, v_star + 43)]
         rho = _ratio(cfg, rule)
         for i in range(41):
