@@ -101,7 +101,7 @@ def sqmeas(p: int, alpha: Fraction, N: int, theta: Fraction, m: int) -> Tuple[in
     t = val_p(theta, p)
     if t >= m:
         level = -(-m // 2)  # ceil(m/2)
-        out = (1, max(N, level)) if val_p(alpha, p) >= min(N, level) else _ZERO
+        out = (1, max(N, level)) if not an or val_p(alpha, p) >= min(N, level) else _ZERO
     elif t % 2 != 0:
         out = _ZERO
     else:
