@@ -222,8 +222,9 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
         qj = p**j
         geometric, num, den = B1 * qj == B0, head * (qj - 1) + B0 * qj, qj - 1
     if not geometric:
+        rho = f"q^-{j}" if j else "0"
         raise InvariantViolated(f"strata from v*={v_star} are not geometric with ratio "
-                                f"{'q^-' + str(j) if j else 0}: {B0}, {B1} (times q^-{K})")
+                                f"{rho}: {B0}, {B1} (times q^-{K})")
     tail = "0" if B0 == 0 or j is None else "geometric"
     return _fraction(p, num, K, den), v_star, tail
 
