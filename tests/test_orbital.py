@@ -361,7 +361,6 @@ def _sqmeas_cases(cfg, seed, count):
     for i in range(count):
         N = rng.randint(-2, 3)
         alpha = Fraction(rng.randint(-p ** 4, p ** 4), p ** rng.randint(0, 2))
-        deep = rng.randint(-p ** 2, p ** 2) * Fraction(p) ** rng.randint(N, N + 7)
         kind = i % 4
         if kind == 0:
             theta = Fraction(0)
@@ -372,7 +371,7 @@ def _sqmeas_cases(cfg, seed, count):
             theta = (cfg.eps * w * w + p * rng.randint(-p, p)) * Fraction(p) ** (2 * rng.randint(-2, 2))
         else:
             a0 = alpha + rng.randint(0, p ** 3) * Fraction(p) ** rng.randint(N - 1, N + 1)
-            theta = a0 * a0 + deep
+            theta = a0 * a0 + rng.randint(-p ** 2, p ** 2) * Fraction(p) ** rng.randint(N, N + 7)
         cases.append((kind, alpha, N, theta, rng.randint(N - 1, N + 6)))
     return cases
 
