@@ -25,6 +25,12 @@ GermBasis, built once from its member list: it owns the pool's linear
 algebra (table, nilpotent matrix, and one linalg.RowReduction each of A^T
 and A), so the rank, the kernel and every solve share one reduction, and
 every entry point that needs a basis takes one.
+
+The per-X linear algebra runs on ints: extract_germs solves A j = I_X(basis)
+on the basis integrals as int numerators over one denominator and builds
+one Fraction per germ, and verify_theorem forms each right-hand side
+sum_Omega j_Omega I_Omega(f) as one int dot product of the cleared germs
+with the member's cleared nilpotent row, and one Fraction.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
                      RankDeficient)
-from .linalg import RowReduction
+from .linalg import RowReduction, clear_denominators
 from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
 from .padic import INF, FieldConfig
@@ -124,20 +130,30 @@ class CellTable:
                 j = columns.setdefault((key, n, v.m % 2), len(columns))
                 vec[j] = vec.get(j, Fraction(0)) + coeff
             nonzero = [(j, c) for j, c in vec.items() if c != 0]
-            den = math.lcm(*(c.denominator for _, c in nonzero))
-            self.vectors.append((den, [(j, c.numerator * (den // c.denominator))
-                                       for j, c in nonzero]))
+            den, nums = clear_denominators([c for _, c in nonzero])
+            self.vectors.append((den, [(j, n) for (j, _), n in zip(nonzero, nums)]))
         self.cells = list(columns)
+        self.common_den = math.lcm(*(den for den, _ in self.vectors))
+
+    def _cleared_row(self, orbit: Orbit) -> Tuple[int, List[int]]:
+        """(D, ints): the orbit's value on every column, as ints over D."""
+        return clear_denominators([orbit.cell_value(*cell)[0] for cell in self.cells])
 
     def integrals(self, orbit: Orbit) -> List[Fraction]:
         """I_orbit(f) for every member f, in member order."""
-        row = [orbit.cell_value(*cell)[0] for cell in self.cells]
-        D = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (D // x.denominator) for x in row]
+        D, ints = self._cleared_row(orbit)
         pre = orbit.prefactor
         return [Fraction(pre.numerator * sum(n * ints[j] for j, n in vec),
                          pre.denominator * den * D)
                 for den, vec in self.vectors]
+
+    def integral_numerators(self, orbit: Orbit) -> Tuple[List[int], int]:
+        """(nums, den) with I_orbit(f_i) = nums[i] / den for every member f_i:
+        one common denominator, and no Fraction."""
+        D, ints = self._cleared_row(orbit)
+        pre, common = orbit.prefactor, self.common_den
+        return ([pre.numerator * (common // den) * sum(n * ints[j] for j, n in vec)
+                 for den, vec in self.vectors], pre.denominator * common * D)
 
     def nilpotent_rows(self) -> List[Tuple[Fraction, ...]]:
         """(I_Omega(f))_Omega in ORBIT_ORDER for every member: five table rows."""
@@ -145,10 +161,6 @@ class CellTable:
             return []
         cols = [self.integrals(Orbit.nilpotent(self.cfg, om)) for om in ORBIT_ORDER]
         return list(zip(*cols))
-
-
-def _as_vector(row: Sequence[Fraction]) -> Dict[OrbitLabel, Fraction]:
-    return dict(zip(ORBIT_ORDER, row))
 
 
 class GermBasis:
@@ -204,16 +216,19 @@ def default_basis(cfg: FieldConfig) -> GermBasis:
 def extract_germs(X: Sl2Element, basis: GermBasis) -> GermTable:
     """Solve the five-orbit expansion over the basis with exact linear algebra.
 
-    The matrix of nilpotent vectors must have rank 5; every basis row beyond
-    the first five must have zero residual, otherwise the system is reported
-    inconsistent (X too shallow for some f).
+    The basis integrals at X are int numerators over one denominator, the
+    solve runs on ints (RowReduction.solve_ints) and each germ is one
+    Fraction.  The matrix of nilpotent vectors must have rank 5; every basis
+    row beyond the first five must have zero residual, otherwise the system
+    is reported inconsistent (X too shallow for some f).
     """
     if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
-    x = basis.matrix_reduction.solve(basis.table.integrals(Orbit.of(X)))
-    if x is None:
+    solved = basis.matrix_reduction.solve_ints(*basis.table.integral_numerators(Orbit.of(X)))
+    if solved is None:
         raise InconsistentSystem("nonzero residual over the basis")
-    values = {om: x[i] for i, om in enumerate(ORBIT_ORDER)}
+    x, den = solved
+    values = {om: Fraction(x[i], den) for i, om in enumerate(ORBIT_ORDER)}
     return GermTable(X, values, provenance=[name for name, _ in basis.members])
 
 
@@ -353,22 +368,27 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
     Rows with depth(X) >= proxy depth of f and 0 < depth(X) < INF (X regular
     and topologically nilpotent, the domain of the group-side transfer) are
     gated; shallower rows are contrast rows and only recorded.  One germ
-    basis and one cell table of the family serve the whole grid.
+    basis and one cell table of the family serve the whole grid; each
+    member's nilpotent row is cleared to ints once, and each rhs is
+    GermTable.expansion_rhs of it, formed as one int dot product.
     """
     cells = CellTable(f for _, f in family)
-    nil_vecs = [_as_vector(nv) for nv in cells.nilpotent_rows()]
+    nil_rows = [clear_denominators(nv) for nv in cells.nilpotent_rows()]
     proxy = [f.proxy_depth() for _, f in family]
     basis = default_basis(X_grid[0][1].cfg) if X_grid else None
     reports = []
     for xname, X in X_grid:
         table = extract_germs_auto(X, basis=basis)
+        G, j_ints = clear_denominators([table[om] for om in ORBIT_ORDER])
         torus, d = classify(X).torus_kind(), depth(X)
         gate = 0 < d < INF
-        for (fname, _), nv, rf, lhs in zip(family, nil_vecs, proxy,
-                                           cells.integrals(Orbit.of(X))):
+        for (fname, _), (den, nv), rf, lhs in zip(family, nil_rows, proxy,
+                                                  cells.integrals(Orbit.of(X))):
+            # GermTable.expansion_rhs(nv), as one int dot product
+            rhs = Fraction(sum(g * n for g, n in zip(j_ints, nv)), G * den)
             reports.append(ExpansionReport(
                 f_id=fname, x_id=xname, torus=torus, depth=d, r=rf,
-                lhs=lhs, rhs=table.expansion_rhs(nv), expected=gate and d >= rf))
+                lhs=lhs, rhs=rhs, expected=gate and d >= rf))
     return reports
 
 

@@ -1,61 +1,103 @@
-"""Small exact linear algebra over Fraction: one row reduction per matrix.
+"""Small exact linear algebra: one integer row reduction per rational matrix.
 
-A RowReduction brings [M | I] to reduced row echelon form once, pivoting on
-the columns of M only.  The left block is then the reduced form R = E M and
-the right block the row operations E, so one reduction gives the rank, the
-pivots and the kernel of M, and solves M x = y for every right-hand side y by
-applying E to y.  rank, solve_consistent and nullspace are one-shot wrappers.
+A RowReduction clears each row of [M | I] to ints and brings it to reduced
+row echelon form once, pivoting on the columns of M only and without
+fractions: a row is cleared by an int combination with the pivot row and
+divided by its content, so entries stay small.  The left block is then the
+reduced form R = E M, up to one positive or negative scale per pivot row,
+and the right block the row operations E, so one reduction gives the rank,
+the pivots and the kernel of M, and solves M x = y for every right-hand side
+y by applying E to y.  E is kept as one int matrix over one denominator and
+M as one int matrix over another, so a solve is int dot products and an int
+substitution check.  The reduced form is unique, so `reduced` and `kernel`
+are the Fractions a Fraction Gauss-Jordan gives.  rank, solve_consistent and
+nullspace are one-shot wrappers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 
-def _rref(A: List[List[Fraction]], cols: int) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form of A in place, pivoting on its first `cols` columns."""
+def clear_denominators(row: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(d, ints) with row = ints / d for a row of Fractions or ints: d > 0 is
+    the lcm of the entries' denominators."""
+    d = math.lcm(*(x.denominator for x in row))
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """row divided by the gcd of its entries (a zero row is returned as is)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _rref_ints(A: List[List[int]], cols: int) -> List[int]:
+    """Fraction-free Gauss-Jordan of the int matrix A in place; its pivot columns.
+
+    Pivot row r ends with entry A[r][c_r] != 0 in its pivot column and zeros
+    in every other pivot column; rows past the rank are zero in the first
+    `cols` columns.
+    """
     rows = len(A)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        piv = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
+        top = A[r]
         for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+            lead = A[i][c]
+            if i != r and lead:
+                g = math.gcd(top[c], lead)
+                a, b = top[c] // g, lead // g
+                A[i] = _primitive([a * x - b * y for x, y in zip(A[i], top)])
         pivots.append(c)
         r += 1
-    return A, pivots
+    return pivots
 
 
 class RowReduction:
     """One exact reduction of a rows x cols matrix M, shared by every query.
 
-    Row i of `reduced` is row i of E M and row i of `ops` is row i of E, for
-    the invertible E that one _rref of [M | I] applies.  Rows of E M past the
-    rank are zero, so M x = y is consistent exactly when E y vanishes past the
-    rank.
+    M = matrix_ints / matrix_den and E = ops_ints / ops_den, for the
+    invertible E whose product E M has row i equal to row i of `reduced`
+    below the rank and zero past it.  So M x = y is consistent exactly when
+    E y vanishes past the rank.
     """
 
     def __init__(self, M: Sequence[Sequence[Fraction]]):
-        self.matrix = [[Fraction(x) for x in row] for row in M]
-        rows = len(self.matrix)
-        self.cols = len(self.matrix[0]) if rows else 0
-        aug = [row + [Fraction(int(i == j)) for j in range(rows)]
-               for i, row in enumerate(self.matrix)]
-        R, self.pivots = _rref(aug, self.cols)
-        self.reduced = [row[:self.cols] for row in R]
-        self.ops = [row[self.cols:] for row in R]
+        rows = len(M)
+        self.cols = len(M[0]) if rows else 0
+        self.matrix_den = math.lcm(*(x.denominator for row in M for x in row))
+        self.matrix_ints = [[x.numerator * (self.matrix_den // x.denominator) for x in row]
+                            for row in M]
+        # row i of [M | I] times matrix_den, over its content
+        aug = [_primitive(row + [self.matrix_den * (i == j) for j in range(rows)])
+               for i, row in enumerate(self.matrix_ints)]
+        self.pivots = _rref_ints(aug, self.cols)
         self.rank = len(self.pivots)
+        # pivot row i of R is left_i / lead_i and of E right_i / lead_i; past
+        # the rank E keeps right_i, where only whether E y vanishes matters
+        self._left = [row[:self.cols] for row in aug[:self.rank]]
+        self._leads = [row[c] for row, c in zip(aug, self.pivots)]
+        self.ops_den = math.lcm(*(abs(lead) for lead in self._leads))
+        self.ops_ints = [[x * (self.ops_den // lead) for x in row[self.cols:]]
+                         for row, lead in zip(aug, self._leads)]
+        self.ops_ints += [row[self.cols:] for row in aug[self.rank:]]
+
+    @cached_property
+    def reduced(self) -> List[List[Fraction]]:
+        """The reduced row echelon form of M, zero rows past the rank included."""
+        rows = [[Fraction(x, lead) for x in row] for row, lead in zip(self._left, self._leads)]
+        return rows + [[Fraction(0)] * self.cols for _ in range(len(self.ops_ints) - self.rank)]
 
     @cached_property
     def kernel(self) -> List[List[Fraction]]:
@@ -66,27 +108,42 @@ class RowReduction:
                 continue
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
-            for i, pc in enumerate(self.pivots):
-                v[pc] = -self.reduced[i][fc]
+            for row, lead, pc in zip(self._left, self._leads, self.pivots):
+                v[pc] = Fraction(-row[fc], lead)
             basis.append(v)
         return basis
+
+    def solve_ints(self, y: Sequence[int], D: int = 1) -> Optional[Tuple[List[int], int]]:
+        """One exact solution of M x = y / D for an int vector y, as (ints, den)
+        with x = ints / den, or None when the system is inconsistent.
+
+        Free variables are set to zero; den = ops_den D.
+        """
+        ey = [sum(e * t for e, t in zip(row, y) if e) for row in self.ops_ints]
+        if any(ey[self.rank:]):
+            return None
+        x = [0] * self.cols
+        for i, c in enumerate(self.pivots):
+            x[c] = ey[i]
+        # substitution check: x is tested against M itself, not against E;
+        # M x = y / D reads matrix_ints x == matrix_den ops_den y
+        scale = self.matrix_den * self.ops_den
+        for row, t in zip(self.matrix_ints, y):
+            if sum(a * b for a, b in zip(row, x) if a) != scale * t:
+                return None
+        return x, self.ops_den * D
 
     def solve(self, y: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """One exact solution of M x = y, or None when the system is inconsistent.
 
         Free variables are set to zero.
         """
-        ey = [sum((e * t for e, t in zip(row, y) if e), Fraction(0)) for row in self.ops]
-        if any(ey[self.rank:]):
+        D, ints = clear_denominators(y)
+        solved = self.solve_ints(ints, D)
+        if solved is None:
             return None
-        x = [Fraction(0)] * self.cols
-        for i, c in enumerate(self.pivots):
-            x[c] = ey[i]
-        # substitution check: x is tested against M itself, not against E
-        for row, t in zip(self.matrix, y):
-            if sum(a * b for a, b in zip(row, x)) != t:
-                return None
-        return x
+        x, den = solved
+        return [Fraction(t, den) for t in x]
 
 
 def rank(M: Sequence[Sequence[Fraction]]) -> int:

@@ -46,7 +46,7 @@ from typing import Dict, Tuple
 from .errors import GridTooLarge, InvariantViolated, NotRegular
 from .padic import (INF, FieldConfig, hensel_sqrt, leading_digit, legendre,
                     mod_pk, unit_mod_pk, val_p)
-from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, classify
+from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, _classify, classify
 from .lcfunc import LCFunction
 from .tree import BASE
 
@@ -120,16 +120,16 @@ def sqmeas(p: int, alpha: Fraction, N: int, theta: Fraction, m: int) -> Tuple[in
     return out
 
 
-def _stratum_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
+def _stratum_value(cfg: FieldConfig, s: Fraction, digits: frozenset,
                    alpha: Fraction, chi: Fraction, N: int, v: int) -> Tuple[int, int]:
     """Contribution q^v * meas{(a,b): val b = v, cell conditions} of one stratum,
-    as (count, k): count q^-k.
+    as (count, k): count q^-k.  `digits` are the leading digits of b the
+    orbit admits on this stratum, rule.digits(v, cfg).
 
     Only called for cells whose b-coset is the full ball p^N O (val(beta) >= N),
     so strata run over v >= N.
     """
     p = cfg.p
-    digits = rule.digits(v, cfg)
     if not digits:
         return _ZERO
     e = val_p(chi, p)
@@ -211,7 +211,8 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
         c, k = _bounded_cell_value(cfg, s, rule, alpha, beta, chi, N)
         return _fraction(p, c, k), N, "finite"
     v_star = _tail_start(cfg, s, chi, N)
-    counts, K = _common(p, [_stratum_value(cfg, s, rule, alpha, chi, N, v)
+    by_parity = (rule.digits(0, cfg), rule.digits(1, cfg))
+    counts, K = _common(p, [_stratum_value(cfg, s, by_parity[v % 2], alpha, chi, N, v)
                             for v in range(N, v_star + 4)])
     head = sum(counts[:-4])
     B0, B1 = counts[-4] + counts[-3], counts[-2] + counts[-1]
@@ -235,7 +236,7 @@ class Orbit:
 
     `rules` holds the label for cells moved from a vertex of even and of
     odd m (see OrbitLabel.moved); for the zero orbit, the point mass at 0,
-    both are ZERO_ORBIT.  Built once per X (one classify call); the integral
+    both are ZERO_ORBIT.  Built once per X (one classification); the integral
     of every cell then depends on the orbit alone, so suites share one Orbit
     across all the functions they integrate.
     """
@@ -249,11 +250,9 @@ class Orbit:
     def of(cls, X: Sl2Element) -> "Orbit":
         """The orbit of a regular semisimple X, with |u|^{-1} floored to stay rational."""
         cfg = X.cfg
-        label = classify(X)
+        label, s = _classify(X)
         if not label.is_regular:
             raise NotRegular("ss_orbital needs a regular semisimple element")
-        a, b, c = X.exact_entries()
-        s = a * a + b * c  # -det
         return cls(cfg, s, (label, label.moved(cfg)), cfg.qpow(int(val_p(s, cfg.p)) // 2))
 
     @classmethod

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import OutsideDomain, SpecMismatch
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass, legendre,
@@ -265,18 +265,23 @@ class GroupElement:
 
 def classify(X: Sl2Element) -> OrbitLabel:
     """The label of X's orbit: zero, nilpotent, split, or elliptic with its tag."""
+    return _classify(X)[0]
+
+
+def _classify(X: Sl2Element) -> Tuple[OrbitLabel, Fraction]:
+    """classify(X) together with the s = -det X = a^2 + bc it reads."""
+    s = X.a * X.a + X.b * X.c
     if X.is_zero_elt():
-        return ZERO_ORBIT
+        return ZERO_ORBIT, s
     p = X.cfg.p
     tag_src = X.b if X.b else -X.c
-    mdet = -X.det()
-    if mdet == 0:
-        return OrbitLabel("nil", square_class_of_rational(tag_src, p))
-    cls = square_class_of_rational(mdet, p)
+    if s == 0:
+        return OrbitLabel("nil", square_class_of_rational(tag_src, p)), s
+    cls = square_class_of_rational(s, p)
     if cls == SquareClass.ONE:
-        return OrbitLabel("split")
+        return OrbitLabel("split"), s
     ext = QuadExtDescriptor(cls)
-    return OrbitLabel("elliptic", ext=ext, tag=ext.is_norm_rational(tag_src, X.cfg))
+    return OrbitLabel("elliptic", ext=ext, tag=ext.is_norm_rational(tag_src, X.cfg)), s
 
 
 def depth(X: Sl2Element):

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
                      indicator_lattice, kernel_combinations, make_vertex,
                      nilpotent_vector, random_sl2, rep_elliptic,
                      reports_to_csv, scaling_checks, ss_orbital, unit_ball,
-                     verify_claim, verify_theorem)
-from germlab.cli import _standard_grid
+                     depth, verify_claim, verify_theorem)
+from germlab.cli import _standard_grid, _theorem_family
 from germlab.germs import ORBIT_ORDER, CellTable, GermBasis, nilpotent_center
 from germlab.linalg import RowReduction, nullspace, rank, solve_consistent
 from germlab.orbital import Orbit, _cell_integral
@@ -225,7 +226,6 @@ class TestClaim:
 
 
 def _at_boundary(X, r):
-    from germlab import depth
     return depth(X) == r
 
 
@@ -291,6 +291,35 @@ class TestTheorem:
         t = extract_germs_auto(X)
         residual = ss_orbital(X, f3).value - t.expansion_rhs(nilpotent_vector(f3))
         assert residual != 0
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_rhs_is_the_germ_table_expansion(self, r, p):
+        # verify_theorem forms each rhs as one int dot product over the
+        # cleared germs and nilpotent rows; GermTable.expansion_rhs is the
+        # plain Fraction sum it stands for.  The germs themselves come from
+        # the int solve and are checked here by Fraction substitution,
+        # A j == I_X(basis), at the deepened X that extract_germs_auto solves at
+        cfg = FieldConfig(p)
+        family = _theorem_family(cfg, r)
+        grid = _standard_grid(cfg, r, 0, False)
+        reports = verify_theorem(r, family, grid)
+        assert len(reports) == len(family) * len(grid)
+        nil = [nilpotent_vector(f) for _, f in family]
+        basis = default_basis(cfg)
+        basis_nil = [nilpotent_vector(f) for _, f in basis.members]
+        rows = iter(reports)
+        for _, X in grid:
+            t = extract_germs_auto(X, basis)
+            for nv in nil:
+                rep = next(rows)
+                assert type(rep.rhs) is Fraction and rep.rhs == t.expansion_rhs(nv)
+            k = max(0, math.ceil((2 - depth(X)) / 2))
+            Xk = X.scale(cfg.zeta ** (2 * k))
+            solved = extract_germs(Xk, basis)
+            assert homogeneity_extend(solved, -k).same_values(t)
+            for (_, f), nv in zip(basis.members, basis_nil):
+                assert sum(nv[om] * solved[om] for om in ORBIT_ORDER) == ss_orbital(Xk, f).value
 
     def test_report_serialization(self):
         pool = default_pool(CFG, 0)

@@ -2,11 +2,13 @@
 
 Each case builds M = P [C; 0] with P invertible (a product of unit lower and
 upper triangular matrices), so the column space of M lies in P span(e_1..e_r)
-and y = P u is outside it whenever u has a nonzero entry past r.  Nothing
-here reads the reduction's own bookkeeping: a solution is checked by M x == y,
-a kernel vector by M k == 0.
+and y = P u is outside it whenever u has a nonzero entry past r.  A solution
+is checked by M x == y and a kernel vector by M k == 0; the pivots, the
+reduced form and the kernel of the integer reduction are compared with a
+plain Fraction Gauss-Jordan written here, which shares no code with linalg.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +33,31 @@ def _invertible(rng, n):
     lower = [[Fraction(int(i == j)) if j >= i else _rat(rng) for j in range(n)] for i in range(n)]
     upper = [[Fraction(int(i == j)) if j <= i else _rat(rng) for j in range(n)] for i in range(n)]
     return _matmul(lower, upper)
+
+
+def _gauss_jordan(M):
+    """(pivots, reduced rows, kernel basis) of M by Fraction Gauss-Jordan."""
+    A = [[Fraction(x) for x in row] for row in M]
+    cols = len(A[0]) if A else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                A[i] = [x - A[i][c] * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        k = [Fraction(int(c == fc)) for c in range(cols)]
+        for i, pc in enumerate(pivots):
+            k[pc] = -A[i][fc]
+        kernel.append(k)
+    return pivots, A, kernel
 
 
 def _case(seed):
@@ -76,6 +103,29 @@ def test_reduction_agrees_with_substitution(seed):
     assert rank(M) == rr.rank and nullspace(M) == rr.kernel
 
 
+@pytest.mark.parametrize("seed", range(80))
+def test_integer_reduction_is_the_fraction_rref(seed):
+    M = _case(seed)[0]
+    rr = RowReduction(M)
+    assert (rr.pivots, rr.reduced, rr.kernel) == _gauss_jordan(M)
+    assert all(type(x) is Fraction for row in rr.reduced + rr.kernel for x in row)
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_integer_solve_agrees_with_substitution(seed):
+    M, good, bad = _case(seed)
+    rr = RowReduction(M)
+    for y in good:
+        D = math.lcm(*(t.denominator for t in y))
+        ints = [int(t * D) for t in y]
+        x, den = rr.solve_ints(ints, D)
+        assert den > 0 and _mul(M, [Fraction(t, den) for t in x]) == y, (M, y)
+        assert rr.solve_ints([3 * t for t in ints], 3 * D) is not None
+    for y in bad:
+        D = math.lcm(*(t.denominator for t in y))
+        assert rr.solve_ints([int(t * D) for t in y], D) is None, (M, y)
+
+
 def test_shapes_with_no_entries():
     empty = RowReduction([])
     assert (empty.rank, empty.kernel, empty.solve([])) == (0, [], [])
@@ -89,5 +139,16 @@ def test_a_solution_is_checked_against_the_matrix():
     # substitution check M x == y turns it into None
     rr = RowReduction([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert rr.solve([1, 1]) == [1, 1]
-    rr.ops[0] = [Fraction(2), Fraction(0)]
+    assert rr.ops_ints == [[1, 0], [0, 1]] and rr.ops_den == 1
+    rr.ops_ints[0] = [2, 0]
+    assert rr.solve_ints([1, 1]) is None and rr.solve([1, 1]) is None
+
+
+def test_an_inconsistent_system_is_caught_by_substitution_too():
+    # E read as zero past the rank takes every y for consistent; M x == y
+    # still refuses the one outside the column space
+    rr = RowReduction([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]])
+    assert rr.rank == 1 and rr.solve([1, 2]) == [2, 0]
     assert rr.solve([1, 1]) is None
+    rr.ops_ints[1] = [0, 0]
+    assert rr.solve_ints([1, 1]) is None and rr.solve([1, 1]) is None

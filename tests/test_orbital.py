@@ -439,14 +439,15 @@ class TestMovedRule:
         assert orbital.Orbit.nilpotent(CFG, ZERO_ORBIT).rules == (ZERO_ORBIT, ZERO_ORBIT)
 
     def test_engine_classifies_once_per_call(self, monkeypatch):
+        # Orbit.of reads the label and s = -det X from one sl2._classify call
         calls = []
-        real = orbital.classify
+        real = orbital._classify
 
         def counting(X):
             calls.append(X)
             return real(X)
 
-        monkeypatch.setattr(orbital, "classify", counting)
+        monkeypatch.setattr(orbital, "_classify", counting)
         f = (indicator_lattice(CFG, make_vertex(CFG, 1, 0), 1)
              - indicator_lattice(CFG, make_vertex(CFG, -1, 0), 0)
              + unit_ball(CFG))
@@ -545,7 +546,7 @@ def unbounded_cells(draw):
 
 def _stratum(cfg, s, rule, alpha, chi, N, v):
     """_stratum_value's measure (count, k) read as the rational count q^-k."""
-    count, k = _stratum_value(cfg, s, rule, alpha, chi, N, v)
+    count, k = _stratum_value(cfg, s, rule.digits(v, cfg), alpha, chi, N, v)
     return count * Fraction(cfg.p) ** -k
 
 

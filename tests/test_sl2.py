@@ -228,9 +228,11 @@ def test_depth_is_half_the_valuation_of_minus_det(X, r, strict):
 
 
 def _count_classify(monkeypatch):
-    """Count classify calls wherever a germlab module binds it."""
+    """Count classifications: calls of sl2._classify, which classify wraps and
+    Orbit.of calls for the label and s = -det together, wherever a germlab
+    module binds it."""
     calls = []
-    real = sl2.classify
+    real = sl2._classify
 
     def counting(X):
         calls.append(X)
