@@ -38,14 +38,15 @@ Fraction, its value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import GridTooLarge, InvariantViolated, NotRegular
-from .padic import (INF, FieldConfig, hensel_sqrt, leading_digit, legendre,
-                    mod_pk, unit_mod_pk, val_p)
+from .padic import (FieldConfig, hensel_sqrt, leading_digit, legendre, mod_pk,
+                    unit_mod_pk, val_p)
 from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, _classify, classify
 from .lcfunc import LCFunction
 from .tree import BASE
@@ -332,32 +333,40 @@ def _interval_ameas(cfg: FieldConfig, alpha: Fraction, N: int,
     p-integral, levels are >= 0 and every valuation above shifts by 2e: the
     target is M = m + 2e, each branch decision is unchanged and the measure
     gains a factor q^e.  No decision tells valuations >= M apart, so centres
-    are ints mod p^M (a residue of 0 reads INF) and no level >= M is
-    subdivided.  If M <= 0 the whole coset qualifies.
+    are ints mod p^M and no level >= M is subdivided.  If M <= 0 the whole
+    coset qualifies.
+
+    Each decision is a divisibility test of the centre value
+    phi = theta - gamma^2 mod p^M.  The perturbation 2 gamma p^l d + p^2l d^2
+    of a coset of level l has valuation pert = min(l + val gamma, 2l) (p is
+    odd), and p^min(M, pert) = p^l gcd(gamma, p^t) with t = min(M - l, l).
+    When pert >= M the coset is inside if phi = 0 and outside otherwise; when
+    pert < M it is outside if p^pert does not divide phi, and is subdivided
+    otherwise.
     """
     p = cfg.p
     e = max(0, -N, -val_p(alpha, p), -(val_p(theta, p) // 2) if theta else 0)
     M = m + 2 * e
     if M <= 0:
         return cfg.qpow(-N)
-    pM, K = p**M, max(M, N + e)  # every coset level lies in N + e..K
+    K = max(M, N + e)  # every coset level lies in N + e..K
+    pw = [p**k for k in range(K + 1)]
+    pM = pw[M]
     theta = int(mod_pk(theta * p ** (2 * e), p, M))
     count = 0  # in units of q^-K
     stack = [(int(mod_pk(alpha * p**e, p, M)), N + e)]
     while stack:
         gamma, l = stack.pop()
-        vphi = val_p((theta - gamma * gamma) % pM, p)
-        lin = (l + val_p(2 * gamma, p)) if gamma else INF
-        pert = min(lin, 2 * l)
-        if vphi >= M and pert >= M:
-            count += p ** (K - l)
-        elif vphi < M and vphi < pert:
-            continue
-        else:
-            step = p**l
-            for i in range(p):
-                stack.append((gamma + i * step, l + 1))
-    return Fraction(count, p**K) * cfg.qpow(e)
+        phi = (theta - gamma * gamma) % pM
+        t = min(M - l, l)
+        cut = pw[l] * math.gcd(gamma, pw[t]) if t > 0 else pw[l + t]  # p^min(M, pert)
+        if cut == pM:
+            if not phi:
+                count += pw[K - l]
+        elif phi % cut == 0:
+            step = pw[l]
+            stack.extend((gamma + i * step, l + 1) for i in range(p))
+    return Fraction(count * p**e, p**K)
 
 
 _ORACLE_BUDGET = 60_000  # b-cosets times cells times strata, at most
@@ -374,6 +383,15 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     by the geometric tail that their last three two-stratum blocks show.  The
     value is exact: past the budget, or with no such tail, GridTooLarge is
     raised instead.
+
+    The enumeration runs on ints.  Cell centres and s, which stratum v reads
+    only mod p^(N + v), are cleared once to one p-power denominator D, and
+    every b-coset centre b has b p^M an int.  So b matches the cells with
+    beta D p^M = b p^M D mod p^(N + M) D, and theta = s - b chi, times
+    D p^M, is the int s D p^M - b p^M (chi D).  The a-measure reads theta
+    only mod p^(N + v), that is this int mod p^(N + v) D p^M: the measures
+    are memoised per call on (alpha, that residue, v), and each stratum is
+    summed as int counts over powers of q, one Fraction per stratum.
     """
     cfg = f.cfg
     p = cfg.p
@@ -386,9 +404,6 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
         return Fraction(0)
     # every cell lies in p^-M sl2(O)
     M = max(0, *(-min(N, *(val_p(x, p) for x in key)) for key in cells))
-    by_beta: Dict[Fraction, list] = {}
-    for (al, be, ch), coeff in cells.items():
-        by_beta.setdefault(be, []).append((al, ch, coeff))
     vs = int(val_p(s, p)) if s != 0 else 0
     if rule.kind == "elliptic":
         v_max = max(N, vs + 1 + M) + 1          # strata beyond are empty
@@ -399,21 +414,41 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     if (p - 1) * p ** (n_b - 1) * (v_max - lo + 1) * len(cells) > _ORACLE_BUDGET:
         raise GridTooLarge("b-coset enumeration exceeds the budget")
 
+    s = mod_pk(s, p, N + v_max)
+    D = math.lcm(s.denominator, *(x.denominator for key in cells for x in key))
+    DpM = D * p**M
+    E = val_p(D, p) + M  # DpM = p^E
+    den = math.lcm(*(coeff.denominator for coeff in cells.values()))
+    mod_beta = p ** max(0, N + E)
+    by_beta: Dict[int, list] = {}
+    for (al, be, ch), coeff in cells.items():
+        by_beta.setdefault(int(be * DpM) % mod_beta, []).append(
+            (al, int(al * D), int(ch * D), int(coeff * den)))
+    S = int(s * DpM)
+    memo: Dict[tuple, Tuple[int, int]] = {}
     strata = []
     for v in range(lo, v_max + 1):
-        acc = Fraction(0)
+        acc: Dict[int, int] = {}  # coeff times measure, by the measure's denominator
         digits = rule.digits(v, cfg)
         if digits:
-            vol_b = cfg.qpow(-(v + n_b))
+            mod_theta = p ** max(0, N + v + E)  # theta mod p^(N + v), times p^E
+            pv = p ** (v + M)
             for ib in range(p ** (n_b - 1)):
                 for d0 in digits:
-                    b = Fraction(d0 + p * ib) * Fraction(p) ** v
-                    for al, ch, coeff in by_beta.get(mod_pk(b, p, N), ()):
+                    bM = (d0 + p * ib) * pv  # b p^M
+                    for al, A, X, C in by_beta.get(bM * D % mod_beta, ()):
                         # a-condition: val(s - a^2 - b*chi) >= N + v
-                        am = _interval_ameas(cfg, al, N, s - b * ch, N + v)
-                        if am:
-                            acc += coeff * vol_b * am
-        strata.append(cfg.qpow(v) * acc)
+                        R = (S - bM * X) % mod_theta
+                        key = (A, R, v)
+                        am = memo.get(key)
+                        if am is None:
+                            am = _interval_ameas(cfg, al, N, Fraction(R, DpM), N + v)
+                            am = memo[key] = am.numerator, am.denominator
+                        if am[0]:
+                            acc[am[1]] = acc.get(am[1], 0) + C * am[0]
+        # q^v * vol_b * sum = q^-n_b * sum, vol_b = q^-(v + n_b)
+        L = max(acc, default=1)
+        strata.append(Fraction(sum(c * (L // d) for d, c in acc.items()), den * p**n_b * L))
     prefactor = cfg.qpow(vs // 2)
     if rule.kind == "elliptic":
         return prefactor * sum(strata, Fraction(0))

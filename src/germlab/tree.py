@@ -18,8 +18,12 @@ adjacent to F_{n+1} whenever F_{n+1} is nonempty.  So min_level rises by one
 at each step toward a nonempty F_n, and every local maximum is a global one.
 The count oracle uses this: greedy ascent of min_level from BASE walks the
 geodesic to the projection of BASE onto F_n, and a flood fill from there
-finds F_n within any ball about BASE.  Both walk the int chart of _Chart;
-the Fraction primitives below are the public interface and its test oracle.
+finds F_n within any ball about BASE.  Both walk the int chart of _Chart,
+which reads min_level exactly at BASE only.  Everywhere else a walk asks
+whether X lies in one lattice g_{v,n}, two int divisibility tests: adjacent
+levels differ by at most one, so the ascent's next vertex is the first
+neighbour at the next level.  The Fraction primitives below are the public
+interface and the chart's test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import List, Tuple
 
 from .errors import BallTooSmall, NotRegular
@@ -167,14 +170,25 @@ class _Chart:
     X = ((a, b), (c, -a)) is cleared once to ints A, B, C over a denominator
     D.  The entries of ad_to_base have valuations val(a + b x), val b + m and
     val(c - x(2a + b x)) - m; multiplying those three through by D p^S, D and
-    D p^2S gives the level test on ints:
+    D p^2S gives the level on ints:
         min(val(A p^S + B xi) - S, val B + m,
             val(C p^2S - xi (2A p^S + B xi)) - 2S - m) - val D.
-    The neighbours of (m, xi) are (m - 1, xi mod p^(m-1+S)) and
-    (m + 1, xi + c p^(m+S)) for c = 0..p-1, in `neighbors` order, and
-    distance reads val x_w - x_v as val(xi_w - xi_v) - S.
+    The walk reads it exactly once, at BASE (min_level).  Every other vertex
+    it only tests against a threshold n, X in g_{v,n} (meets): val B + m >= n
+    and two int divisibility tests, of A p^S + B xi by p^(n + S + val D) and
+    of C p^2S - xi (2A p^S + B xi) by p^(n + 2S + val D + m).
 
-    Each vertex is tested once per chart: `level` keeps every level found.
+    Thresholds suffice because the levels of adjacent vertices differ by at
+    most 1: for w adjacent to v, g_v^{-1} g_w lies in GL2(O) diag(1, p)
+    GL2(O), Ad(GL2(O)) keeps each p^n sl2(O), and Ad(diag(1, p)^{-1}) maps
+    (a, b, c) to (a, p b, c / p).  So a vertex of level lev has no neighbour
+    above lev + 1, and the neighbour that a greedy ascent moves to is the
+    first one in `neighbors` order that meets lev + 1.
+
+    The neighbours of (m, xi) are (m - 1, xi mod p^(m-1+S)) and
+    (m + 1, xi + c p^(m+S)) for c = 0..p-1, in `neighbors` order.  The fill
+    carries each vertex's distance from BASE to its neighbours
+    (neighbors_at) instead of reading it off a valuation (from_base).
     """
 
     def __init__(self, cfg: FieldConfig, X: Sl2Element, R: int):
@@ -187,20 +201,23 @@ class _Chart:
         self.pw = [p**k for k in range(2 * S + 1)]  # p^(m+S) at index m + S
         self.A1, self.A2, self.C2 = A * pS, 2 * A * pS, C * pS * pS
         self.off1, self.off2, self.off3 = S + vD, val_p(B, p) - vD, 2 * S + vD
-        self.levels = {}
 
     def min_level(self, v) -> int:
-        """min_level(cfg, v, X) on the chart: the walk's one lattice test."""
+        """min_level(cfg, v, X) on the chart: the exact level, read at BASE."""
         m, xi = v
         p, B = self.p, self.B
         return min(val_p(self.A1 + B * xi, p) - self.off1, self.off2 + m,
                    val_p(self.C2 - xi * (self.A2 + B * xi), p) - self.off3 - m)
 
-    def level(self, v) -> int:
-        lev = self.levels.get(v)
-        if lev is None:
-            lev = self.levels[v] = self.min_level(v)
-        return lev
+    def meets(self, v, n: int) -> bool:
+        """X in g_{v,n}, that is min_level(v) >= n: the walk's one lattice test."""
+        m, xi = v
+        if self.off2 + m < n:
+            return False
+        p, B = self.p, self.B
+        k1, k3 = n + self.off1, n + self.off3 + m
+        return ((k1 <= 0 or (self.A1 + B * xi) % p**k1 == 0)
+                and (k3 <= 0 or (self.C2 - xi * (self.A2 + B * xi)) % p**k3 == 0))
 
     def neighbors(self, v) -> list:
         m, xi = v
@@ -208,54 +225,73 @@ class _Chart:
         step = self.pw[k]
         return [(m - 1, xi % self.pw[k - 1])] + [(m + 1, xi + c * step) for c in range(self.p)]
 
+    def neighbors_at(self, v, d: int) -> list:
+        """The neighbours of v, d = distance(BASE, v), each with its distance from BASE.
+
+        Exactly one neighbour of v != BASE is nearer BASE.  With
+        d = m - 2 min(0, m, val x), it is (m - 1, x mod p^(m-1)) when x != 0
+        or m > 0, and (m + 1, x) (c = 0) when x = 0 and m < 0.
+        """
+        out = [(w, d + 1) for w in self.neighbors(v)]
+        m, xi = v
+        if xi or m > 0:
+            out[0] = (out[0][0], d - 1)
+        elif m < 0:
+            out[1] = (out[1][0], d - 1)
+        return out
+
     def from_base(self, v) -> int:
         """distance(BASE, v)."""
         m, xi = v
         return m - 2 * min(0, m, val_p(xi, self.p) - self.S)
-
-    def distance(self, v, w) -> int:
-        dm = w[0] - v[0]
-        return dm - 2 * min(0, dm, val_p(w[1] - v[1], self.p) - self.S - v[0])
 
     def ascend(self, goal, n=INF):
         """Greedy ascent of the level from BASE, at most R steps.
 
         Each step moves to a neighbour of strictly larger level; the ascent
         stops on reaching level goal, at a local maximum, or after R steps.
-        Its path is the geodesic from BASE to the projection of BASE onto the
-        fixed set of the level reached, so R steps reach exactly the R-sphere,
-        and for n <= goal it passes through the projection onto F_n first.
-        Returns the level and vertex it stops at, and the first vertex of
-        level >= n on the way (None if there is none).
+        The level is read exactly at BASE only: adjacent levels differ by at
+        most 1, so a step goes to the first neighbour that meets lev + 1, the
+        one a max over the neighbours' levels picks, and there is none at a
+        local maximum.  Its path is the geodesic from BASE to the projection
+        of BASE onto the fixed set of the level reached, so R steps reach
+        exactly the R-sphere, and for n <= goal it passes through the
+        projection onto F_n first.  Returns the level and vertex it stops
+        at, and the first vertex of level >= n on the way (None if there is
+        none).
         """
         v = (0, 0)
-        lev = self.level(v)
+        lev = self.min_level(v)
         proj = v if lev >= n else None
         for _ in range(self.R):
             if lev >= goal:
                 break
-            up, w = max(((self.level(w), w) for w in self.neighbors(v)), key=itemgetter(0))
-            if up <= lev:
+            w = next((w for w in self.neighbors(v) if self.meets(w, lev + 1)), None)
+            if w is None:
                 break
-            lev, v = up, w
+            lev, v = lev + 1, w
             if proj is None and lev >= n:
                 proj = v
         return lev, v, proj
 
     def fill(self, v, n: int) -> list:
-        """F_n within distance R of BASE, by flood fill from its vertex v nearest BASE.
+        """F_n within distance R of BASE, by flood fill from its vertex v
+        nearest BASE: a triple (w, distance(BASE, w), u) per vertex w, with
+        u the vertex the fill reached w from (None for v), listed after u.
 
         F_n within the ball is convex, hence connected and reached from v.
         """
-        fixed, todo, seen = [v], [v], {v}
+        d = self.from_base(v)
+        fixed, todo, seen = [(v, d, None)], [(v, d)], {v}
         while todo:
-            for w in self.neighbors(todo.pop()):
+            u, du = todo.pop()
+            for w, d in self.neighbors_at(u, du):
                 if w in seen:
                     continue
                 seen.add(w)
-                if self.from_base(w) <= self.R and self.level(w) >= n:
-                    fixed.append(w)
-                    todo.append(w)
+                if d <= self.R and self.meets(w, n):
+                    fixed.append((w, d, u))
+                    todo.append((w, d))
         return fixed
 
     def window(self, lev, a0, top: int) -> list:
@@ -269,7 +305,7 @@ class _Chart:
         a0 or a1 is not inside the R-ball.
         """
         def on_apartment(v):
-            return [w for w in self.neighbors(v) if self.level(w) >= top]
+            return [w for w in self.neighbors(v) if self.meets(w, top)]
 
         if lev < top:  # R steps did not reach the apartment
             raise BallTooSmall("fundamental-domain columns not inside the ball")
@@ -289,9 +325,11 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     move the apartment by two steps), column 0 being the apartment vertex
     nearest BASE (_Chart.window).
     Equals ss_orbital(X, indicator) up to one calibration constant per torus
-    type.  Since d(v, apt[j]) = d(v, A) + |j - j_v|, with j_v the column v
-    projects to, the argmin of d(v, apt[j]) over columns -1..2 lies in
-    {0, 1} exactly when j_v does: four columns decide the projection.
+    type.  Removing a_-1 and a2 (columns -1 and 2) from the tree leaves one
+    component that holds a0, a1 and every vertex projecting to them; the
+    fill starts in it, on the geodesic from BASE to a0.  The fill reaches
+    each vertex along the geodesic from its start, so it keeps a vertex
+    when the one it was reached from is kept and it is neither a_-1 nor a2.
 
     The fixed set is the set of lattices stable under p^{-n} X, which is
     convex, and min_level has convex superlevel sets; so greedy ascent of
@@ -300,8 +338,8 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     R-ball, testing only the ascent path, those vertices and their
     neighbours.  For split X the one ascent goes on to the apartment, whose
     geodesic from BASE passes through that projection.  The walk runs on
-    the int chart of _Chart and uses only its level test, neighbours and
-    distance, so the count stays independent of the engine.
+    the int chart of _Chart and uses only its lattice tests, neighbours and
+    distances from BASE, so the count stays independent of the engine.
     """
     k = classify(X)
     if not k.is_regular:
@@ -311,10 +349,12 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     lev, end, proj = chart.ascend(goal, n)
     fixed = [] if proj is None else chart.fill(proj, n)
     if k.is_split:  # keep the vertices projecting to columns 0 and 1
-        apt = chart.window(lev, end, goal)
-        fixed = [v for v in fixed
-                 if min(range(4), key=lambda j: chart.distance(v, apt[j])) in (1, 2)]
-    dists = [chart.from_base(v) for v in fixed]
+        a_1, _a0, _a1, a2 = chart.window(lev, end, goal)
+        kept = {None: True}  # the fill's start projects to a0
+        for w, _d, u in fixed:
+            kept[w] = kept[u] and w not in (a_1, a2)
+        fixed = [t for t in fixed if kept[t[0]]]
+    dists = [d for _w, d, _u in fixed]
     if R in dists:
         raise BallTooSmall(f"fixed set reaches the R={R} boundary")
     return Fraction(sum(1 for d in dists if d % 2 == 0))

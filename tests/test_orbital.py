@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from germlab.orbital import (_cell_integral, _stratum_value, _tail_start,
                              tree_oracle_compare)
 from germlab.padic import SquareClass, mod_pk, val_p
 from germlab.sl2 import classify
+from germlab import tree
 from germlab.tree import BASE, ad_to_base, ball
 
 CFG = FieldConfig(5)
@@ -224,6 +226,34 @@ class TestOracleTriangle:
                 eng = nilpotent_orbital(target, f).value
             assert brute_force_cell_oracle(target, f) == eng, (target, eng)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_several_cells_and_p_power_denominators(self, p):
+        # cells that share beta and chi but not alpha, and centres and s with
+        # p-power denominators: the oracle's memo key and its int b-coset
+        # lookup see both (every other case has one integral cell)
+        cfg = FieldConfig(p)
+        q = Fraction(1, p)
+
+        def lat(n, a, b, c):
+            return indicator_lattice(cfg, BASE, n, center=M(a, b, c, cfg))
+        fs = [lat(1, 0, 0, 0) + 2 * lat(1, 1, 0, 0) - lat(1, 2, 0, p),
+              lat(0, q, 0, 0) + lat(0, 2 * q, 0, 0), lat(0, 0, q, 0) - lat(0, q, q, 0),
+              lat(0, 0, 0, q * q)]
+        assert [len(f.canonical_cells(f.level())) for f in fs] == [3, 2, 2, 1]
+        targets = [M(1, 0, 0, cfg), M(q, 0, 0, cfg), rep_elliptic(cfg, cfg.eps * q * q, tag=True),
+                   rep_elliptic(cfg, p, tag=True), rep_elliptic(cfg, q, tag=False),
+                   REG_ONE, REG_PI]
+        nonzero = 0
+        for f in fs:
+            for target in targets:
+                if isinstance(target, Sl2Element):
+                    eng = ss_orbital(target, f).value
+                else:
+                    eng = nilpotent_orbital(target, f).value
+                assert brute_force_cell_oracle(target, f) == eng, (target, f)
+                nonzero += eng != 0
+        assert nonzero >= 12
+
     def test_anchor_values(self):
         assert brute_force_cell_oracle(M(1, 0, 0), unit_ball(CFG)) == Fraction(6, 5)
         assert brute_force_cell_oracle(M(5, 0, 0), unit_ball(CFG)) == 6
@@ -252,6 +282,42 @@ class TestOracleTriangle:
         rows, ok = tree_oracle_compare(CFG)
         assert ok
         assert len(rows) - 1 >= 20
+
+
+def _names(code):
+    """Every global and attribute name a code object and its nested
+    comprehensions, generator expressions and lambdas read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+class TestOracleIndependence:
+    """The independent oracles name no part of the engine's Hensel-branch
+    path or its cell memo.  OrbitLabel.digits is a shared read, as the
+    ROADMAP records."""
+
+    ENGINE = {"sqmeas", "hensel_sqrt", "_tail_start", "_cell_integral",
+              "_stratum_value", "_bounded_cell_value"}
+
+    def test_no_oracle_names_the_engine(self):
+        fns = [orbital.brute_force_cell_oracle, orbital._interval_ameas, tree.tree_count_oracle]
+        fns += [f for f in vars(tree._Chart).values() if isinstance(f, types.FunctionType)]
+        assert len(fns) >= 10
+        for fn in fns:
+            assert not _names(fn.__code__) & self.ENGINE, fn.__qualname__
+
+    def test_the_check_has_teeth(self):
+        # every guarded name is a real engine function, and one read only
+        # inside a generator expression is still seen
+        assert all(callable(getattr(orbital, name)) for name in self.ENGINE)
+
+        def leaky(p, cells):
+            return sum(sqmeas(p, *cell)[0] for cell in cells)  # noqa: F821
+        assert "sqmeas" not in leaky.__code__.co_names
+        assert "sqmeas" in _names(leaky.__code__)
 
 
 class TestPinnedBOracle:
@@ -336,6 +402,21 @@ class TestIntervalAmeas:
             assert got == want, (alpha, N, theta, m, got, want)
             nonzero += 0 < want < Fraction(p) ** -N
         assert nonzero >= 10   # the cases reach the subdivision, not only its ends
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_reads_theta_only_mod_p_to_the_m(self, p):
+        # the brute-force oracle memoises the a-measure on theta mod p^m
+        cfg = FieldConfig(p)
+        kinds = set()
+        for alpha, N, theta, m in _ameas_cases(p, 70 + p, 60):
+            reduced = mod_pk(theta, p, m)
+            want = _residue_ameas(p, alpha, N, theta, m)
+            assert orbital._interval_ameas(cfg, alpha, N, theta, m) == want
+            assert orbital._interval_ameas(cfg, alpha, N, reduced, m) == want, (alpha, N, theta, m)
+            t = val_p(theta, p)
+            kinds.add("deep" if t >= m else "negative" if t < 0 else "shallow")
+            kinds.add("moved" if reduced != theta else "kept")
+        assert kinds == {"deep", "negative", "shallow", "moved", "kept"}
 
     def test_whole_coset_when_the_scaled_target_is_nonpositive(self):
         # alpha, theta integral and N >= 0 give e = 0, so m <= 0 means M <= 0

@@ -368,8 +368,10 @@ def _outcome(count, cfg, X, n, R):
 
 
 class _LatticeTests:
-    """Counts the lattice tests the walk makes: calls of _Chart.min_level,
-    the one level test of tree_count_oracle and depth_via_tree.
+    """Counts the lattice tests the walk makes in tree_count_oracle and
+    depth_via_tree: calls of _Chart.meets, the threshold test X in g_{v,n}
+    that every step of the ascent, fill and window makes, and of
+    _Chart.min_level, the exact level the ascent reads at BASE.
 
     Passing `limit` turns a runaway search into a failure, not a hang.  A
     run that counts no test fails too: every walk tests BASE, so a count of
@@ -378,14 +380,16 @@ class _LatticeTests:
 
     def __init__(self, monkeypatch):
         self.calls, self.limit = 0, None
-        test = _Chart.min_level
+        for name in ("meets", "min_level"):
+            monkeypatch.setattr(_Chart, name, self._counted(getattr(_Chart, name)))
 
-        def counted(chart, v):
+    def _counted(self, test):
+        def counted(chart, *args):
             self.calls += 1
             if self.limit is not None and self.calls > self.limit:
                 raise AssertionError(f"more than {self.limit} lattice tests")
-            return test(chart, v)
-        monkeypatch.setattr(_Chart, "min_level", counted)
+            return test(chart, *args)
+        return counted
 
     def run(self, limit, fn, *args):
         self.calls, self.limit = 0, limit
@@ -487,37 +491,78 @@ class TestDepthAscent:
                     assert got == want, f"{Y!r} R={R}: ascent {got}, scan {want}"
 
 
+_CHART_R = 2
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_inputs(p):
+    """Elements of every kind, seeded conjugates with non-p denominators and
+    negative valuations, and the vertices of the (R + 1)-ball with their
+    chart coordinates."""
+    cfg, R = FieldConfig(p), _CHART_R
+    pS = p ** (R + 1)
+    reps = [M(1, 0, 0, cfg), M(p, 0, 0, cfg), M(0, 1, 0, cfg),
+            rep_elliptic(cfg, cfg.eps, tag=True), rep_elliptic(cfg, p, tag=True),
+            M(Fraction(1, 2), Fraction(3, 4 * p), 7, cfg)]
+    xs = reps + [random_conjugate(X, seed=40 + i, size_bound=1 + i % 2)
+                 for i, X in enumerate(reps)]
+    xs.append(M(0, Fraction(1, p), 2 * p * p, cfg))  # a zero entry off the diagonal torus
+    assert any(val_p(t, p) < 0 for X in xs for t in X.exact_entries())
+    coords = {}
+    for v in _ball(p, R + 1):  # x = xi / p^S with xi an int, canonical mod p^(m+S)
+        xi = v.x * pS
+        assert xi.denominator == 1 and 0 <= xi < p ** (v.m + R + 1), v
+        coords[v] = (v.m, int(xi))
+    return cfg, xs, coords
+
+
 class TestIntChart:
     """_Chart, the int coordinates the walk runs on, against the public
-    primitives on every vertex of the (R + 1)-ball: the fill measures the
-    distance of vertices there, and the split window tests their level."""
+    primitives on every vertex of the (R + 1)-ball: the fill carries the
+    distance of vertices there, and the ascent, fill and window test their
+    level against a threshold."""
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_agrees_with_the_public_primitives(self, p):
-        cfg, R = FieldConfig(p), 2
-        pS = p ** (R + 1)
-        reps = [M(1, 0, 0, cfg), M(p, 0, 0, cfg), M(0, 1, 0, cfg),
-                rep_elliptic(cfg, cfg.eps, tag=True), rep_elliptic(cfg, p, tag=True),
-                M(Fraction(1, 2), Fraction(3, 4 * p), 7, cfg)]
-        xs = reps + [random_conjugate(X, seed=40 + i, size_bound=1 + i % 2)
-                     for i, X in enumerate(reps)]
-        assert any(val_p(t, p) < 0 for X in xs for t in X.exact_entries())
-        vs = _ball(p, R + 1)
-        coords = {}
-        for v in vs:  # x = xi / p^S with xi an int, canonical mod p^(m+S)
-            xi = v.x * pS
-            assert xi.denominator == 1 and 0 <= xi < p ** (v.m + R + 1), v
-            coords[v] = (v.m, int(xi))
+        cfg, xs, coords = _chart_inputs(p)
+        R = _CHART_R
         for X in xs:
             chart = _Chart(cfg, X, R)
-            for v in vs:
-                assert chart.min_level(coords[v]) == min_level(cfg, v, X), (X, v)
-        rng = random.Random(p)
-        others = rng.sample(vs, 20)
-        for v in vs:
-            u = coords[v]
-            assert chart.from_base(u) == distance(cfg, BASE, v), v
-            for w in others:
-                assert chart.distance(u, coords[w]) == distance(cfg, v, w), (v, w)
-            if distance(cfg, BASE, v) <= R:  # the walk's neighbours stay in the (R + 1)-ball
+            for v, u in coords.items():
+                assert chart.min_level(u) == min_level(cfg, v, X), (X, v)
+        for v, u in coords.items():
+            d = distance(cfg, BASE, v)
+            assert chart.from_base(u) == d, v
+            if d <= R:  # the walk's neighbours stay in the (R + 1)-ball
                 assert chart.neighbors(u) == [coords[w] for w in neighbors(cfg, v)], v
+                assert chart.neighbors_at(u, d) == [(coords[w], distance(cfg, BASE, w))
+                                                    for w in neighbors(cfg, v)], v
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_meets_is_the_level_threshold(self, p):
+        # the walk's one lattice test, at the level and one either side of it
+        cfg, xs, coords = _chart_inputs(p)
+        assert any(0 in X.exact_entries() for X in xs)
+        for X in xs:
+            chart = _Chart(cfg, X, _CHART_R)
+            for v, u in coords.items():
+                lev = min_level(cfg, v, X)
+                for n in (lev - 1, lev, lev + 1):
+                    assert chart.meets(u, n) == (lev >= n), (X, v, n)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_adjacent_levels_differ_by_at_most_one(self, p):
+        # the threshold ascent moves to the first neighbour at level lev + 1,
+        # which is the neighbour of largest level only because none is higher
+        cfg, xs, coords = _chart_inputs(p)
+        steps = set()
+        for X in xs:
+            for v in coords:
+                if distance(cfg, BASE, v) > _CHART_R:
+                    continue
+                lev = min_level(cfg, v, X)
+                for w in neighbors(cfg, v):
+                    step = min_level(cfg, w, X) - lev
+                    assert abs(step) <= 1, (X, v, w)
+                    steps.add(step)
+        assert steps == {-1, 0, 1}
