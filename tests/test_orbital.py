@@ -296,8 +296,8 @@ def _names(code):
 
 class TestOracleIndependence:
     """The independent oracles name no part of the engine's Hensel-branch
-    path or its cell memo.  OrbitLabel.digits is a shared read, as the
-    ROADMAP records."""
+    path or its cell memo.  The guard lets OrbitLabel.digits and classify
+    through: the cell oracle still reads the engine's digit sets."""
 
     ENGINE = {"sqmeas", "hensel_sqrt", "_tail_start", "_cell_integral",
               "_stratum_value", "_bounded_cell_value"}
@@ -394,28 +394,22 @@ class TestIntervalAmeas:
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_agrees_with_residue_counting(self, p):
+        # also with theta reduced mod p^m: the brute-force oracle memoises
+        # the a-measure on that residue
         cfg = FieldConfig(p)
         nonzero = 0
+        kinds = set()
         for alpha, N, theta, m in _ameas_cases(p, 70 + p, 60):
             want = _residue_ameas(p, alpha, N, theta, m)
             got = orbital._interval_ameas(cfg, alpha, N, theta, m)
             assert got == want, (alpha, N, theta, m, got, want)
-            nonzero += 0 < want < Fraction(p) ** -N
-        assert nonzero >= 10   # the cases reach the subdivision, not only its ends
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_reads_theta_only_mod_p_to_the_m(self, p):
-        # the brute-force oracle memoises the a-measure on theta mod p^m
-        cfg = FieldConfig(p)
-        kinds = set()
-        for alpha, N, theta, m in _ameas_cases(p, 70 + p, 60):
             reduced = mod_pk(theta, p, m)
-            want = _residue_ameas(p, alpha, N, theta, m)
-            assert orbital._interval_ameas(cfg, alpha, N, theta, m) == want
             assert orbital._interval_ameas(cfg, alpha, N, reduced, m) == want, (alpha, N, theta, m)
+            nonzero += 0 < want < Fraction(p) ** -N
             t = val_p(theta, p)
             kinds.add("deep" if t >= m else "negative" if t < 0 else "shallow")
             kinds.add("moved" if reduced != theta else "kept")
+        assert nonzero >= 10   # the cases reach the subdivision, not only its ends
         assert kinds == {"deep", "negative", "shallow", "moved", "kept"}
 
     def test_whole_coset_when_the_scaled_target_is_nonpositive(self):
