@@ -8,13 +8,13 @@ geometric tails, and germ tables come from exact linear algebra.
 
 from .errors import (BallTooSmall, GermlabError, GridTooLarge,
                      InconsistentSystem, InvariantViolated, NotRegular,
-                     OutsideDomain, PoolDeficient, RankDeficient, SpecMismatch)
+                     PoolDeficient, RankDeficient, SpecMismatch)
 from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
                     hilbert_symbol, legendre, val_p)
 from .sl2 import (ALL_ORBITS, GroupElement, OrbitLabel, REG_EPS,
-                  REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad, cayley,
-                  cayley_inv, classify, depth, in_g_nil_r, is_top_nilpotent,
-                  random_conjugate, random_sl2, rep_elliptic, rep_nilpotent)
+                  REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad,
+                  classify, depth, in_g_nil_r, random_conjugate, random_sl2,
+                  rep_elliptic, rep_nilpotent)
 from .tree import (BASE, TreeVertex, act, ball, depth_via_tree, distance,
                    make_vertex, neighbors, tree_count_oracle)
 from .lcfunc import (CosetCell, LCFunction, h_combination, indicator,

@@ -10,10 +10,6 @@ class GermlabError(Exception):
     """Base class for all library errors."""
 
 
-class OutsideDomain(GermlabError):
-    """Argument lies outside the domain of the map (e.g. Cayley on non-nilpotent)."""
-
-
 class SpecMismatch(GermlabError):
     """Representative request inconsistent with its own parameters."""
 

@@ -1,4 +1,4 @@
-"""Elements of sl2(F) and SL2(F): classification, depth, and the Cayley map.
+"""Elements of sl2(F) and SL2(F): classification and depth.
 
 A trace-zero matrix ((a, b), (c, -a)) is regular semisimple iff its
 determinant -a^2 - bc is nonzero; the torus type is read off the square class
@@ -9,13 +9,7 @@ OrbitLabel for every kind of orbit, and the orbital engine integrates with
 that label: it says which b the orbit admits in the (a, b) chart.  The
 Moy-Prasad depth is one number, depth(X) = val(-det X)/2: in (1/2)Z on
 regular X, and padic.INF on the nilpotent cone, zero included, so g_r is
-{depth >= r} and the topologically nilpotent part of it is {0 < depth}.  The
-Cayley map
-
-    phi(X) = (1 + X/2)(1 - X/2)^{-1} = ((1 - det/4) I + X) / (1 + det/4)
-
-identifies topologically nilpotent elements with topologically unipotent
-group elements; it is Ad-equivariant and sends 0 to the identity.
+{depth >= r} and the topologically nilpotent part of it is {0 < depth}.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .errors import OutsideDomain, SpecMismatch
+from .errors import SpecMismatch
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass, legendre,
                     square_class_of_rational, val_p)
 
@@ -235,12 +229,6 @@ class GroupElement:
         (a, b), (c, d) = self.m
         return a * d - b * c
 
-    def trace(self) -> Fraction:
-        return self.m[0][0] + self.m[1][1]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.m[i][j]
-
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         A, B = self.m, other.m
         rows = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)] for i in range(2)]
@@ -290,36 +278,10 @@ def depth(X: Sl2Element):
     return INF if t == INF else Fraction(t, 2)
 
 
-def is_top_nilpotent(X: Sl2Element) -> bool:
-    """True iff both eigenvalues have positive valuation (val(det) > 0)."""
-    return val_p(X.det(), X.cfg.p) > 0
-
-
 def in_g_nil_r(X: Sl2Element, r, strict: bool = False) -> bool:
     """Membership in g_r intersected with the topologically nilpotent set."""
     d = depth(X)
     return 0 < d and (d > r if strict else d >= r)
-
-
-def cayley(X: Sl2Element) -> GroupElement:
-    """phi(X) = ((1 - det/4) I + X) / (1 + det/4); requires X in g_nil."""
-    if not is_top_nilpotent(X):
-        raise OutsideDomain("Cayley map needs a topologically nilpotent argument")
-    d4 = X.det() / 4
-    F = 1 - d4
-    G = 1 + d4
-    return GroupElement(X.cfg, [[(F + X.a) / G, X.b / G],
-                                [X.c / G, (F - X.a) / G]])
-
-
-def cayley_inv(g: GroupElement) -> Sl2Element:
-    """Inverse Cayley map: X = (4g - 2 tr(g) I) / det(g + 1)."""
-    t = g.trace()
-    if val_p(t - 2, g.cfg.p) <= 0:
-        raise OutsideDomain("inverse Cayley needs a topologically unipotent argument")
-    (g11, g12), (g21, g22) = g.m
-    delta = (g11 + 1) * (g22 + 1) - g12 * g21
-    return Sl2Element(g.cfg, (4 * g11 - 2 * t) / delta, 4 * g12 / delta, 4 * g21 / delta)
 
 
 def ad(g: GroupElement, X: Sl2Element) -> Sl2Element:

@@ -18,12 +18,13 @@ adjacent to F_{n+1} whenever F_{n+1} is nonempty.  So min_level rises by one
 at each step toward a nonempty F_n, and every local maximum is a global one.
 The count oracle uses this: greedy ascent of min_level from BASE walks the
 geodesic to the projection of BASE onto F_n, and a flood fill from there
-finds F_n within any ball about BASE.  Both walk the int chart of _Chart,
-which reads min_level exactly at BASE only.  Everywhere else a walk asks
-whether X lies in one lattice g_{v,n}, two int divisibility tests: adjacent
-levels differ by at most one, so the ascent's next vertex is the first
-neighbour at the next level.  The Fraction primitives below are the public
-interface and the chart's test oracle.
+finds F_n within any ball about BASE; for split X the fill stops at
+apartment columns -1 and 2 and finds only the part it counts.  Both walk
+the int chart of _Chart, which reads min_level exactly at BASE only.
+Everywhere else a walk asks whether X lies in one lattice g_{v,n}, two int
+divisibility tests: adjacent levels differ by at most one, so the ascent's
+next vertex is the first neighbour at the next level.  The Fraction
+primitives below are the public interface and the chart's test oracle.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class _Chart:
     The neighbours of (m, xi) are (m - 1, xi mod p^(m-1+S)) and
     (m + 1, xi + c p^(m+S)) for c = 0..p-1, in `neighbors` order.  The fill
     carries each vertex's distance from BASE to its neighbours
-    (neighbors_at) instead of reading it off a valuation (from_base).
+    (neighbors_at) instead of reading it off a valuation (from_base), and
+    never enters the vertices that window returns.
     """
 
     def __init__(self, cfg: FieldConfig, X: Sl2Element, R: int):
@@ -274,15 +276,17 @@ class _Chart:
                 proj = v
         return lev, v, proj
 
-    def fill(self, v, n: int) -> list:
-        """F_n within distance R of BASE, by flood fill from its vertex v
-        nearest BASE: a triple (w, distance(BASE, w), u) per vertex w, with
-        u the vertex the fill reached w from (None for v), listed after u.
+    def fill(self, v, n: int, avoid) -> list:
+        """Distances from BASE of the vertices of F_n within distance R of
+        BASE that the flood fill from v reaches without entering avoid.
 
-        F_n within the ball is convex, hence connected and reached from v.
+        v is in F_n and not in avoid.  F_n within the ball is convex, and so
+        is the component of the tree minus avoid that holds v; their meet is
+        connected, so the fill reaches all of it, testing only its vertices
+        and their neighbours.
         """
         d = self.from_base(v)
-        fixed, todo, seen = [(v, d, None)], [(v, d)], {v}
+        dists, todo, seen = [d], [(v, d)], {v, *avoid}
         while todo:
             u, du = todo.pop()
             for w, d in self.neighbors_at(u, du):
@@ -290,12 +294,13 @@ class _Chart:
                     continue
                 seen.add(w)
                 if d <= self.R and self.meets(w, n):
-                    fixed.append((w, d, u))
+                    dists.append(d)
                     todo.append((w, d))
-        return fixed
+        return dists
 
-    def window(self, lev, a0, top: int) -> list:
-        """Columns -1..2 of the apartment of the split torus through X.
+    def window(self, lev, a0, top: int) -> tuple:
+        """(a_-1, a2), columns -1 and 2 of the apartment of the split torus
+        through X.
 
         On that apartment the level is top = val(-det X)/2, its maximum, and
         it drops by one per step away from it; so an ascent to level top
@@ -313,7 +318,7 @@ class _Chart:
         if self.from_base(a1) >= self.R:  # a1 is one step farther than a0
             raise BallTooSmall("fundamental-domain columns not inside the ball")
         a2 = next(w for w in on_apartment(a1) if w != a0)
-        return [a_1, a0, a1, a2]
+        return a_1, a2
 
 
 def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fraction:
@@ -322,24 +327,23 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     Counts vertices v within distance R of BASE, at even distance from it,
     with X in g_{v,n}; for split X only those projecting to apartment
     columns 0 and 1 (a fundamental domain for the torus translations, which
-    move the apartment by two steps), column 0 being the apartment vertex
-    nearest BASE (_Chart.window).
-    Equals ss_orbital(X, indicator) up to one calibration constant per torus
-    type.  Removing a_-1 and a2 (columns -1 and 2) from the tree leaves one
-    component that holds a0, a1 and every vertex projecting to them; the
-    fill starts in it, on the geodesic from BASE to a0.  The fill reaches
-    each vertex along the geodesic from its start, so it keeps a vertex
-    when the one it was reached from is kept and it is neither a_-1 nor a2.
+    move the apartment by two steps), column 0 being a0, the apartment
+    vertex nearest BASE.  Equals ss_orbital(X, indicator) up to one
+    calibration constant per torus type.
 
-    The fixed set is the set of lattices stable under p^{-n} X, which is
-    convex, and min_level has convex superlevel sets; so greedy ascent of
-    min_level from BASE stops at the projection of BASE onto the fixed set,
-    and a flood fill from there finds exactly the fixed vertices of the
-    R-ball, testing only the ascent path, those vertices and their
-    neighbours.  For split X the one ascent goes on to the apartment, whose
-    geodesic from BASE passes through that projection.  The walk runs on
-    the int chart of _Chart and uses only its lattice tests, neighbours and
-    distances from BASE, so the count stays independent of the engine.
+    The fixed set F_n is the set of lattices stable under p^{-n} X, so it is
+    convex, and min_level has convex superlevel sets: greedy ascent of
+    min_level from BASE reaches proj, the projection of BASE onto F_n, and a
+    flood fill from proj finds F_n within the R-ball.  For split X the
+    ascent goes on to a0, so proj lies on the geodesic from BASE to a0: it
+    is neither a_-1 nor a2 (_Chart.window) and projects to a0.  Removing
+    those two leaves one component holding a0, a1 and every vertex
+    projecting to them; F_n meets it in a convex, hence connected, set that
+    holds proj, so the fill that never enters a_-1 or a2 reaches exactly
+    the vertices counted.  window can raise BallTooSmall and fill cannot,
+    so their order changes no outcome.  The walk uses only the chart's
+    lattice tests, neighbours and distances from BASE, so the count stays
+    independent of the engine.
     """
     k = classify(X)
     if not k.is_regular:
@@ -347,14 +351,8 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
     chart = _Chart(cfg, X, R)
     goal = val_p(X.det(), cfg.p) // 2 if k.is_split else n  # split: the apartment's level
     lev, end, proj = chart.ascend(goal, n)
-    fixed = [] if proj is None else chart.fill(proj, n)
-    if k.is_split:  # keep the vertices projecting to columns 0 and 1
-        a_1, _a0, _a1, a2 = chart.window(lev, end, goal)
-        kept = {None: True}  # the fill's start projects to a0
-        for w, _d, u in fixed:
-            kept[w] = kept[u] and w not in (a_1, a2)
-        fixed = [t for t in fixed if kept[t[0]]]
-    dists = [d for _w, d, _u in fixed]
+    avoid = chart.window(lev, end, goal) if k.is_split else ()
+    dists = [] if proj is None else chart.fill(proj, n, avoid)
     if R in dists:
         raise BallTooSmall(f"fixed set reaches the R={R} boundary")
     return Fraction(sum(1 for d in dists if d % 2 == 0))

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germlab import (FieldConfig, GermBasis, GroupElement, OutsideDomain,
-                     REG_EPS, REG_EPSPI, REG_ONE, REG_PI, Sl2Element,
-                     SpecMismatch, SquareClass, ZERO_ORBIT, ad, cayley,
-                     cayley_inv, classify, default_pool, depth, in_g_nil_r,
-                     is_top_nilpotent, random_sl2, rep_elliptic,
-                     rep_nilpotent, sl2, verify_claim)
+from germlab import (FieldConfig, GermBasis, GroupElement, REG_EPS,
+                     REG_EPSPI, REG_ONE, REG_PI, Sl2Element, SpecMismatch,
+                     SquareClass, ZERO_ORBIT, ad, classify, default_pool, depth,
+                     in_g_nil_r, random_sl2, rep_elliptic, rep_nilpotent, sl2,
+                     verify_claim)
 from germlab.cli import _standard_grid
 from germlab.padic import INF, QuadExtDescriptor, val_p
 from germlab.sl2 import ALL_ORBITS, OrbitLabel
@@ -262,73 +261,6 @@ def test_verify_claim_classifies_each_x_twice(monkeypatch):
     calls = _count_classify(monkeypatch)
     verify_claim(0, GermBasis(default_pool(CFG, 0)), _standard_grid(CFG, 0, 0, False))
     assert len(calls) == 40
-
-
-class TestTopNilpotent:
-    def test_examples(self):
-        assert is_top_nilpotent(M(5, 0, 0))
-        assert not is_top_nilpotent(M(1, 0, 0))
-        assert is_top_nilpotent(M(0, 1, 0))
-
-
-class TestCayley:
-    def test_zero_to_identity(self):
-        g = cayley(M(0, 0, 0))
-        assert g == GroupElement.identity(CFG)
-
-    def test_diagonal_formula(self):
-        u = Fraction(5)
-        g = cayley(M(u, 0, 0))
-        want = (1 + u / 2) / (1 - u / 2)
-        assert g.entry(0, 0) == want
-        assert g.entry(1, 1) == 1 / want
-
-    def test_det_one_and_roundtrip(self):
-        rng = random.Random(24)
-        for _ in range(100):
-            X = ad(random_sl2(CFG, rng),
-                   M(5 * rng.randint(1, 4), 5 * rng.randint(0, 4), 5 * rng.randint(0, 4)))
-            if not is_top_nilpotent(X):
-                continue
-            g = cayley(X)
-            assert g.det() == 1
-            back = cayley_inv(g)
-            assert back == X
-
-    def test_equivariance(self):
-        rng = random.Random(25)
-        for _ in range(100):
-            X = M(5, 5 * rng.randint(0, 4), 5 * rng.randint(0, 4))
-            g = random_sl2(CFG, rng)
-            lhs = cayley(ad(g, X))
-            rhs_m = g @ cayley(X) @ g.inverse()
-            assert lhs == rhs_m
-
-    def test_depth_shadow_congruence(self):
-        # integral X in p^r sl2(O) maps to a group element congruent to 1 mod p^r
-        rng = random.Random(26)
-        for r in (1, 2):
-            for _ in range(20):
-                X = M(5**r * rng.randint(0, 4), 5**r * rng.randint(0, 4),
-                      5**r * rng.randint(1, 4))
-                if X.is_zero_elt() or not is_top_nilpotent(X):
-                    continue
-                g = cayley(X)
-                one = GroupElement.identity(CFG)
-                for i in range(2):
-                    for j in range(2):
-                        d = g.entry(i, j) - one.entry(i, j)
-                        assert d == 0 or val_p(d, 5) >= r
-
-    def test_outside_domain(self):
-        with pytest.raises(OutsideDomain):
-            cayley(M(1, 0, 0))
-
-    def test_inverse_outside_domain(self):
-        # trace 5/2: tr - 2 = 1/2 is a unit, so g is not topologically unipotent
-        g = GroupElement(CFG, [[2, 0], [0, Fraction(1, 2)]])
-        with pytest.raises(OutsideDomain):
-            cayley_inv(g)
 
 
 class TestGroupElement:

@@ -258,21 +258,13 @@ def _eigen_apartment(cfg, X, k_range):
     return [_lattice_class(cfg, (w_plus, (w_minus[0] * t, w_minus[1] * t))) for t in pk]
 
 
-def _scan_count(cfg, X, n, R, window="nearest"):
-    """tree_count_oracle (even distances from BASE count) with the fixed
-    set found by scanning the whole ball and, for split X, the apartment
-    built from eigenvectors.
+def _scan_window(cfg, X, n, R, window="nearest"):
+    """For split X: the two apartment columns the count keeps, column 0
+    first, and K, the fixed vertices of the R-ball projecting to them.
 
-    The split count keeps the vertices projecting to two adjacent columns:
-    with window="nearest" the column nearest BASE and its first apartment
-    neighbour in `neighbors` order, as tree_count_oracle does; with
-    window="eigen" the lattices (w+, w-) and (w+, p w-)."""
-    k = classify(X)
-    fixed = _scan_fixed(cfg, X, n, R)
-    if not k.is_split:
-        if any(distance(cfg, BASE, v) == R for v in fixed):
-            raise BallTooSmall(f"fixed set reaches the R={R} boundary")
-        return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == 0))
+    With window="nearest" the columns are the one nearest BASE and its first
+    apartment neighbour in `neighbors` order, as tree_count_oracle has them;
+    with window="eigen" the lattices (w+, w-) and (w+, p w-)."""
     span = 2 * R + 2
     apt = _eigen_apartment(cfg, X, range(-span, span + 1))
     if window == "eigen":
@@ -282,16 +274,26 @@ def _scan_count(cfg, X, n, R, window="nearest"):
         assert 0 < j0 < len(apt) - 1, "nearest column at the end of the span"
         j1 = min((j0 - 1, j0 + 1), key=lambda j: neighbors(cfg, apt[j0]).index(apt[j]))
         cols = (j0, j1)
-    if any(distance(cfg, BASE, apt[j]) >= R for j in cols):
-        raise BallTooSmall("fundamental-domain columns not inside the ball")
-    count = 0
-    for v in fixed:
+    kept = []
+    for v in _scan_fixed(cfg, X, n, R):
         dists = [distance(cfg, v, av) for av in apt]
         if dists.index(min(dists)) in cols:
-            if distance(cfg, BASE, v) == R:
-                raise BallTooSmall(f"fixed set reaches the R={R} boundary")
-            count += distance(cfg, BASE, v) % 2 == 0
-    return Fraction(count)
+            kept.append(v)
+    return [apt[j] for j in cols], kept
+
+
+def _scan_count(cfg, X, n, R, window="nearest"):
+    """tree_count_oracle (even distances from BASE count) with the fixed
+    set found by scanning the whole ball and, for split X, the kept columns
+    of _scan_window, built from eigenvectors."""
+    fixed = _scan_fixed(cfg, X, n, R)
+    if classify(X).is_split:
+        columns, fixed = _scan_window(cfg, X, n, R, window)
+        if any(distance(cfg, BASE, a) >= R for a in columns):
+            raise BallTooSmall("fundamental-domain columns not inside the ball")
+    if any(distance(cfg, BASE, v) == R for v in fixed):
+        raise BallTooSmall(f"fixed set reaches the R={R} boundary")
+    return Fraction(sum(1 for v in fixed if distance(cfg, BASE, v) % 2 == 0))
 
 
 class TestApartmentWindow:
@@ -352,6 +354,21 @@ class TestApartmentWindow:
             count = tree_count_oracle(CFG, X, n, 5)
             assert count > 0
             assert ss_orbital(X, indicator_lattice(CFG, BASE, n)).value == split * count
+
+
+class TestCalibration:
+    """The engine over the count, one constant per torus type, pinned to
+    closed forms in q: a measured fit that ROADMAP direction P must derive."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_constants_match_the_fitted_closed_forms(self, p):
+        q = Fraction(p)
+        ramified = (q * q - 1) / (2 * q * q)
+        want = {"split": (q + 1) / q, "unramified": (q - 1) / q,
+                "ramified-Pi": ramified, "ramified-EpsPi": ramified}
+        rows, ok = tree_oracle_compare(FieldConfig(p))
+        assert ok
+        assert rows[-1]["calibration"] == {k: str(v) for k, v in sorted(want.items())}
 
 
 def _scan_depth(cfg, X, R):
@@ -455,7 +472,26 @@ class TestFloodFill:
             steps = min(distance(cfg, BASE, v) for v in fixed)
             bound = (cfg.p + 1) * (len(fixed) + steps + 1)
             lattice_tests.run(bound, tree_count_oracle, cfg, X, n, R)
-            assert lattice_tests.calls >= len(fixed), name  # each fixed vertex is tested
+            # the fill tests each fixed vertex it reaches; for split X that is
+            # only the window's part of the tube, but the neighbour tests
+            # outnumber the whole tube
+            assert lattice_tests.calls >= len(fixed), name
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_split_fill_stays_in_the_window(self, lattice_tests, p):
+        # the ascent tests BASE and the q + 1 neighbours of at most d(BASE, a0)
+        # vertices, the window those of a0 and a1, and the fill those of each
+        # vertex of K only, never entering columns -1 and 2
+        cfg = FieldConfig(p)
+        for i, (name, X, n, R) in enumerate(tree_oracle_cases(cfg)):
+            if not classify(X).is_split:
+                continue
+            for seed in (3 * i + 1, 3 * i + 2, 3 * i + 3):
+                Y = random_conjugate(X, seed=seed)
+                (a0, _a1), kept = _scan_window(cfg, Y, n, R)
+                bound = (p + 1) * (len(kept) + distance(cfg, BASE, a0) + 3)
+                lattice_tests.run(bound, _outcome, tree_count_oracle, cfg, Y, n, R)
+                assert lattice_tests.calls >= len(kept), (name, seed)
 
 
 class TestDepthAscent:
