@@ -24,8 +24,8 @@ from .orbital import (IntegralResult, Orbit, brute_force_cell_oracle,
                       fingerprint, nilpotent_orbital, nilpotent_vector,
                       ss_orbital)
 from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,
-                    construct_Hr_Omega, default_basis, default_pool, extract_germs,
-                    extract_germs_auto, homogeneity_extend,
+                    closed_form_germs, construct_Hr_Omega, default_basis,
+                    default_pool, extract_germs, extract_germs_auto, homogeneity_extend,
                     kernel_combinations, reports_to_csv, scaling_checks,
                     verify_claim, verify_theorem)
 

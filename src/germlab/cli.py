@@ -1,5 +1,9 @@
 """Command-line interface: exact orbital integrals and verification suites.
 
+The suites of `germlab verify`: claim, scaling, theorem, homogeneity, germs
+(the closed-form germs against extraction) and oracles (the engine against
+its independent oracles).
+
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
 --p, X spec or f spec, a file that cannot be opened, or an --r that is
 negative or leaves the grid of an expansion suite empty), 3 computational
@@ -27,9 +31,10 @@ from .lcfunc import (LCFunction, h_combination, indicator_lattice,
                      lcfunction_from_json, unit_ball)
 from .orbital import (brute_force_cell_oracle, fingerprint, nilpotent_orbital,
                       ss_orbital, tree_oracle_compare)
-from .germs import (GermBasis, construct_Hr_Omega, default_basis, default_pool,
-                    extract_germs, homogeneity_extend, reports_to_csv,
-                    scaling_checks, verify_claim, verify_theorem)
+from .germs import (GermBasis, closed_form_germs, construct_Hr_Omega, default_basis,
+                    default_pool, extract_germs, extract_germs_auto,
+                    homogeneity_extend, reports_to_csv, scaling_checks,
+                    verify_claim, verify_theorem)
 
 
 class _UsageError(Exception):
@@ -249,6 +254,39 @@ def _verify_homogeneity(rc: RunConfig) -> int:
     return 0 if ok else 1
 
 
+def _germ_grid(cfg: FieldConfig, seed: int) -> List[Tuple[str, Sl2Element]]:
+    """The standard grid at r = 0, then seeded conjugates of a split,
+    unramified or ramified representative of each t = val(-det) in -2..8,
+    with both tags."""
+    p, e = Fraction(cfg.p), cfg.eps
+    reps = []
+    for t in range(-2, 9):
+        if t % 2 == 0:
+            reps.append((f"split-t{t}", Sl2Element.from_rationals(cfg, p ** (t // 2), 0, 0)))
+        kinds = (("unram", e),) if t % 2 == 0 else (("ramPi", 1), ("ramEpsPi", e))
+        reps += [(f"{kind}-t{t}-{'T' if tag else 'F'}", rep_elliptic(cfg, u * p**t, tag=tag))
+                 for kind, u in kinds for tag in (True, False)]
+    return _standard_grid(cfg, 0, seed, False) + [
+        (f"{name}-conj", random_conjugate(X, seed=seed + i, size_bound=2))
+        for i, (name, X) in enumerate(reps)]
+
+
+def _verify_germs(rc: RunConfig) -> int:
+    """extract_germs_auto, the oracle, against closed_form_germs at every X."""
+    cfg = rc.field()
+    basis = default_basis(cfg)
+    rows = []
+    for name, X in _germ_grid(cfg, rc.seed):
+        ext, closed = extract_germs_auto(X, basis), closed_form_germs(X)
+        rows.append({"X": name, "t": int(2 * depth(X)), "torus": classify(X).torus_kind(),
+                     "extracted": {repr(om): str(ext[om]) for om in ALL_ORBITS},
+                     "closed_form": {repr(om): str(closed[om]) for om in ALL_ORBITS},
+                     "pass": ext.same_values(closed)})
+    fails = sum(not row["pass"] for row in rows)
+    _emit({"suite": "germs", "failures": fails, "rows": rows}, rc, "germs")
+    return 1 if fails else 0
+
+
 def _verify_oracles(rc: RunConfig) -> int:
     cfg = rc.field()
     ball = unit_ball(cfg)
@@ -280,7 +318,7 @@ def _verify_oracles(rc: RunConfig) -> int:
 
 SUITES = {"claim": _verify_claim, "scaling": _verify_scaling,
           "theorem": _verify_theorem, "homogeneity": _verify_homogeneity,
-          "oracles": _verify_oracles}
+          "germs": _verify_germs, "oracles": _verify_oracles}
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:

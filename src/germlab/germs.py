@@ -1,12 +1,16 @@
-"""Germ extraction, homogeneity extension, and the verification suites.
+"""Germ tables, in closed form and by extraction, and the verification suites.
 
 A germ table at a regular X solves the expansion
 
     I_X(f_i) = sum_Omega j_Omega(X) * I_Omega(f_i)
 
 exactly over a rank-5 function basis; every extra function must have zero
-residual.  The scaling law under deepening is forced by the engine's exact
-substitution covariance together with uniqueness of the expansion:
+residual.  For sl2 the solution is known in closed form (Shalika 1972;
+DeBacker-Sally 2000): closed_form_germs reads it off s = -det X and one
+Hilbert symbol per orbit, and verify_theorem uses it.  Extraction is its
+oracle: `verify germs` compares the two.  The scaling law under deepening
+is forced by the engine's exact substitution covariance together with
+uniqueness of the expansion:
 
     j_Omega(zeta^2 X) = q^(dim Omega) * j_Omega(X),
 
@@ -48,7 +52,8 @@ from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
 from .linalg import RowReduction, clear_denominators
 from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
-from .padic import INF, FieldConfig
+from .padic import (INF, FieldConfig, SquareClass, hilbert_symbol,
+                    square_class_of_rational, val_p)
 from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, classify, depth
 from .tree import BASE, make_vertex
 
@@ -258,6 +263,31 @@ def extract_germs_auto(X: Sl2Element, basis: Optional[GermBasis] = None) -> Germ
     return homogeneity_extend(table, -k) if k else table
 
 
+def closed_form_germs(X: Sl2Element) -> GermTable:
+    """Shalika's germs of sl2 in the engine's normalization, in closed form.
+
+    With s = -det X, t = val s and b0 = b (or -c when b = 0): the zero entry
+    is 0 for split X, -1/q for unramified X and -(q+1)/(2q^2) for ramified
+    X; the class-lambda entry is q^(t//2) when X is split or
+    (lambda/b0, s)_p = 1, and 0 otherwise.  It reads X's entries and the
+    p-adic symbols only; extract_germs_auto is its oracle (verify germs).
+    """
+    cfg, p, q = X.cfg, X.cfg.p, X.cfg.q
+    s = X.a * X.a + X.b * X.c
+    if s == 0:
+        raise RankDeficient("germ table requested at a non-regular element")
+    t, b0 = val_p(s, p), X.b if X.b else -X.c
+    split = square_class_of_rational(s, p) == SquareClass.ONE
+    zero = Fraction(0) if split else (
+        Fraction(-1, q) if t % 2 == 0 else Fraction(-(q + 1), 2 * q * q))
+    reg = cfg.qpow(t // 2)
+    values = {ORBIT_ORDER[0]: zero}             # the zero orbit
+    for om in ORBIT_ORDER[1:]:
+        lam = om.nil_class.representative(cfg)
+        values[om] = reg if split or hilbert_symbol(lam / b0, s, p) == 1 else Fraction(0)
+    return GermTable(X, values, provenance=["closed-form"])
+
+
 def construct_Hr_Omega(r: int, omega: OrbitLabel,
                        pool: GermBasis) -> List[Tuple[str, LCFunction]]:
     """Combinations of pool members whose nilpotent vector sits on omega alone.
@@ -363,22 +393,22 @@ def scaling_checks(members: Sequence[Tuple[OrbitLabel, LCFunction]],
 
 def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
                    X_grid: Sequence[Tuple[str, Sl2Element]]) -> List[ExpansionReport]:
-    """Expansion residuals over (family x grid) with globally extended germs.
+    """Expansion residuals over (family x grid) with the closed-form germs.
 
     Rows with depth(X) >= proxy depth of f and 0 < depth(X) < INF (X regular
     and topologically nilpotent, the domain of the group-side transfer) are
-    gated; shallower rows are contrast rows and only recorded.  One germ
-    basis and one cell table of the family serve the whole grid; each
+    gated; shallower rows are contrast rows and only recorded.  Each X's
+    germs are closed_form_germs(X), which verify germs checks against
+    extraction.  One cell table of the family serves the whole grid; each
     member's nilpotent row is cleared to ints once, and each rhs is
     GermTable.expansion_rhs of it, formed as one int dot product.
     """
     cells = CellTable(f for _, f in family)
     nil_rows = [clear_denominators(nv) for nv in cells.nilpotent_rows()]
     proxy = [f.proxy_depth() for _, f in family]
-    basis = default_basis(X_grid[0][1].cfg) if X_grid else None
     reports = []
     for xname, X in X_grid:
-        table = extract_germs_auto(X, basis=basis)
+        table = closed_form_germs(X)
         G, j_ints = clear_denominators([table[om] for om in ORBIT_ORDER])
         torus, d = classify(X).torus_kind(), depth(X)
         gate = 0 < d < INF

@@ -210,6 +210,28 @@ class TestVerifyCommand:
         assert doc["rows"] and cases
         assert all(t["pass"] is True for t in doc["rows"] + cases)
 
+    def test_germs_is_deterministic_and_checks_every_kind(self, capsys, tmp_path):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert run(capsys, "--out", str(d1), "verify", "germs")[0] == 0
+        assert run(capsys, "--out", str(d2), "verify", "germs", "--r", "0")[0] == 0
+        assert (d1 / "germs.json").read_bytes() == (d2 / "germs.json").read_bytes()
+        rows = json.loads((d1 / "germs.json").read_text())["rows"]
+        assert {row["t"] for row in rows} >= set(range(-2, 9))
+        assert {row["torus"] for row in rows} == {"split", "unramified", "ramified-Pi",
+                                                  "ramified-EpsPi"}
+
+    def test_germs_exits_1_on_a_mismatch(self, capsys, monkeypatch):
+        real = cli.closed_form_germs
+
+        def shifted(X):
+            table = real(X)
+            table.values = {om: v + 1 for om, v in table.values.items()}
+            return table
+        monkeypatch.setattr(cli, "closed_form_germs", shifted)
+        code, out, _ = run(capsys, "verify", "germs")
+        doc = json.loads(out)
+        assert code == 1 and doc["failures"] == len(doc["rows"]) > 0
+
     def test_value_error_mid_run_exits_3(self, capsys, monkeypatch):
         # a ValueError raised inside a computation is not a usage error
         def suite(rc):

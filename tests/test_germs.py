@@ -1,19 +1,22 @@
 import csv
+import functools
 import io
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
                      InvariantViolated, LCFunction, PoolDeficient,
                      RankDeficient, REG_EPS, REG_ONE, REG_PI, Sl2Element,
-                     ZERO_ORBIT, ad, construct_Hr_Omega,
+                     ZERO_ORBIT, ad, closed_form_germs, construct_Hr_Omega,
                      default_basis, default_pool, extract_germs,
                      extract_germs_auto, h_combination, homogeneity_extend,
                      indicator_lattice, kernel_combinations, make_vertex,
-                     nilpotent_vector, random_sl2, rep_elliptic,
+                     nilpotent_vector, random_conjugate, random_sl2, rep_elliptic,
                      reports_to_csv, scaling_checks, ss_orbital, unit_ball,
                      depth, verify_claim, verify_theorem)
 from germlab.cli import _standard_grid, _theorem_family
@@ -147,6 +150,73 @@ class TestHomogeneity:
         for om in ALL_ORBITS:
             if om.dim == 2:
                 assert e[om] == t[om] * CFG.qpow(6)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(p):
+    return default_basis(FieldConfig(p))
+
+
+@st.composite
+def regular_conjugates(draw):
+    """A random conjugate of a split, unramified or ramified representative."""
+    cfg = FieldConfig(draw(st.sampled_from((3, 5, 7))))
+    p, t = Fraction(cfg.p), draw(st.integers(-3, 8))
+    unit = draw(st.integers(1, cfg.p ** 2).filter(lambda u: u % cfg.p))
+    if t % 2 == 0 and draw(st.booleans()):
+        X = M(unit * p ** (t // 2), 0, 0, cfg)
+    else:
+        cls = cfg.eps if t % 2 == 0 else draw(st.sampled_from((1, cfg.eps)))
+        X = rep_elliptic(cfg, unit * unit * cls * p ** t, tag=draw(st.booleans()))
+    return random_conjugate(X, seed=draw(st.integers(0, 2 ** 32)),
+                            size_bound=draw(st.integers(1, 2)))
+
+
+def _names(code):
+    """Every global and attribute name a code object and its nested code read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+class TestClosedForm:
+    """closed_form_germs against extraction, its oracle."""
+
+    ENGINE = {"classify", "_classify", "admits", "digits", "Orbit", "CellTable",
+              "_cell_integral"}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(regular_conjugates())
+    def test_equals_extraction(self, X):
+        assert closed_form_germs(X).same_values(extract_germs_auto(X, _basis(X.cfg.p)))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_zero_orbit_constants(self, p):
+        cfg, q = FieldConfig(p), Fraction(p)
+        cases = [(M(p, 0, 0, cfg), 0)]
+        cases += [(rep_elliptic(cfg, cfg.eps * p ** 2, tag=tag), -1 / q) for tag in (True, False)]
+        cases += [(rep_elliptic(cfg, u * p, tag=tag), -(q + 1) / (2 * q * q))
+                  for u in (1, cfg.eps) for tag in (True, False)]
+        for X, zero in cases:
+            assert closed_form_germs(X)[ZERO_ORBIT] == zero, X
+
+    def test_nilpotent_X_raises(self):
+        for X in (M(0, 0, 0), M(0, 1, 0), M(0, 0, 5), M(1, 1, -1)):
+            with pytest.raises(RankDeficient):
+                closed_form_germs(X)
+
+    def test_names_neither_classification_nor_engine(self):
+        assert not _names(closed_form_germs.__code__) & self.ENGINE
+
+    def test_the_guard_has_teeth(self):
+        # every guarded name is real, and the extraction it is checked
+        # against names the engine
+        from germlab import germs, orbital, sl2
+        for name in self.ENGINE:
+            assert any(hasattr(mod, name) for mod in (germs, orbital, sl2, sl2.OrbitLabel)), name
+        assert _names(extract_germs.__code__) & self.ENGINE == {"Orbit"}
 
 
 class TestHrOmega:
@@ -361,9 +431,10 @@ class TestGermBasis:
         assert len(calls) == 5 * (1 + 5 + 1)
         calls.clear()
         verify_theorem(0, pool, grid)
-        # the family's table and the basis's (one nilpotent_vector call per
-        # function made 14 calls, 70 one-function integrals)
-        assert len(calls) == 5 * 2
+        # the family's table alone: the germs come in closed form, with no
+        # extraction basis (one nilpotent_vector call per function made 14
+        # calls, 70 one-function integrals, and the basis's table 5 more rows)
+        assert len(calls) == 5
 
     def test_verify_claim_solves_the_pool_kernel_once(self, reductions):
         # the rank, the kernel combinations and the five single-orbit solves

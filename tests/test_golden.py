@@ -8,8 +8,9 @@ and 3.  The three theorem CSV digests were re-recorded when CSV fields
 holding a comma (the theorem family's names) became quoted, and the oracles
 digest when its rows lost the "exact" key (the brute-force oracle returns
 an exact value or raises).  The oracles digests at p = 3 and p = 13 were
-recorded before the tree count moved to int coordinates.  A change to any exact value, row order, verdict
-or exit code shows up here as a changed digest.
+recorded before the tree count moved to int coordinates, and the germs
+digest when the suite was added.  A change to any exact value, row order,
+verdict or exit code shows up here as a changed digest.
 """
 
 import contextlib
@@ -39,6 +40,8 @@ GOLDEN = {
         "scaling-r1.json": "02f3ea4454725818ecc6ab8a95d7063ee1e1e693bc717202c7e517bd9bd433e7"}),
     ("verify", "homogeneity"): (0, {
         "homogeneity.json": "a1d1caaeb2c67f2333b7db94445de41bcb8e63878e8a1d8cfbc16f258fdc56b0"}),
+    ("verify", "germs"): (0, {
+        "germs.json": "a9b5b6ea0516796c1aaf97ccffd4d77493a2331e47e00087f9c4bedd4e69a42b"}),
     ("verify", "oracles"): (0, {
         "oracles.json": "a6f3824bdbd71be2318aeb5d9cb03ef3bf744b83d251fe607933a45a14674c2a"}),
     # the smallest tree, where the split apartment window sits nearest the

@@ -10,7 +10,7 @@ from germlab import (ALL_ORBITS, FieldConfig, GridTooLarge, InvariantViolated,
                      NotRegular, OrbitLabel, REG_EPS, REG_EPSPI, REG_ONE, REG_PI,
                      Sl2Element,
                      GermBasis, ZERO_ORBIT, ad, brute_force_cell_oracle,
-                     default_pool,
+                     default_basis, default_pool, extract_germs_auto,
                      indicator_lattice, make_vertex, nilpotent_orbital,
                      nilpotent_vector, random_conjugate, random_sl2,
                      rep_elliptic, rep_nilpotent, ss_orbital, unit_ball,
@@ -676,10 +676,14 @@ class TestProvedTail:
             return real(*args)
 
         monkeypatch.setattr(orbital, "_cell_integral", record)
+        basis = default_basis(CFG)
         for r in (0, 1):
             grid = _standard_grid(CFG, r, 0, False)
             verify_claim(r, GermBasis(default_pool(CFG, r)), grid)
             verify_theorem(r, _theorem_family(CFG, r), grid)
+            # the extraction that verify germs checks the closed form with
+            for _, X in grid:
+                extract_germs_auto(X, basis)
         unbounded = [a for a in cells if val_p(a[3][1], CFG.p) >= a[4]]
         kinds = {a[2].kind for a in unbounded}
         assert len(unbounded) >= 80 and kinds == {"nil", "split", "elliptic"}
