@@ -366,10 +366,11 @@ class TestTheorem:
     @pytest.mark.parametrize("r", [0, 1])
     def test_rhs_is_the_germ_table_expansion(self, r, p):
         # verify_theorem forms each rhs as one int dot product over the
-        # cleared germs and nilpotent rows; GermTable.expansion_rhs is the
-        # plain Fraction sum it stands for.  The germs themselves come from
-        # the int solve and are checked here by Fraction substitution,
-        # A j == I_X(basis), at the deepened X that extract_germs_auto solves at
+        # cleared closed-form germs and nilpotent rows; it must equal
+        # GermTable.expansion_rhs, the plain Fraction sum, of the extracted
+        # table.  The extracted germs come from the int solve and are checked
+        # here by Fraction substitution, A j == I_X(basis), at the deepened X
+        # that extract_germs_auto solves at
         cfg = FieldConfig(p)
         family = _theorem_family(cfg, r)
         grid = _standard_grid(cfg, r, 0, False)
