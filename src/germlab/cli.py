@@ -1,12 +1,13 @@
 """Command-line interface: exact orbital integrals and verification suites.
 
-The suites of `germlab verify`: claim, scaling, theorem, homogeneity, germs
-(the closed-form germs against extraction) and oracles (the engine against
-its independent oracles).
+The suites of `germlab verify`: claim, scaling and theorem on the standard
+grid at depth --r, germs (the closed-form germs against extraction) and
+oracles (the engine against its independent oracles).
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
---p, X spec or f spec, a file that cannot be opened, or an --r that is
-negative or leaves the grid of an expansion suite empty), 3 computational
+--p, X spec or f spec, a file that cannot be opened, an --r that is
+negative or leaves the grid empty, or --r or --depth-strict on a command
+that builds no grid), 3 computational
 error, a ValueError raised inside a computation included.  Identical
 configurations produce byte-identical output files; every emitted document
 embeds the run configuration and the measure fingerprint.
@@ -32,9 +33,8 @@ from .lcfunc import (LCFunction, h_combination, indicator_lattice,
 from .orbital import (brute_force_cell_oracle, fingerprint, nilpotent_orbital,
                       ss_orbital, tree_oracle_compare)
 from .germs import (GermBasis, closed_form_germs, construct_Hr_Omega, default_basis,
-                    default_pool, extract_germs, extract_germs_auto,
-                    homogeneity_extend, reports_to_csv, scaling_checks,
-                    verify_claim, verify_theorem)
+                    default_pool, extract_germs_auto, reports_to_csv,
+                    scaling_checks, verify_claim, verify_theorem)
 
 
 class _UsageError(Exception):
@@ -208,17 +208,13 @@ def _report_expansion(rc: RunConfig, suite: str, reports, gated: bool) -> int:
     return 1 if fails else 0
 
 
-def _verify_claim(rc: RunConfig) -> int:
-    cfg = rc.field()
-    grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
-    reports = verify_claim(rc.r, GermBasis(default_pool(cfg, rc.r)), grid)
+def _verify_claim(rc: RunConfig, grid) -> int:
+    reports = verify_claim(rc.r, GermBasis(default_pool(rc.field(), rc.r)), grid)
     return _report_expansion(rc, "claim", reports, gated=False)
 
 
-def _verify_scaling(rc: RunConfig) -> int:
-    cfg = rc.field()
-    grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
-    pool = GermBasis(default_pool(cfg, rc.r))
+def _verify_scaling(rc: RunConfig, grid) -> int:
+    pool = GermBasis(default_pool(rc.field(), rc.r))
     members = [(om, name, f) for om in ALL_ORBITS
                for name, f in construct_Hr_Omega(rc.r, om, pool)]
     checks = scaling_checks([(om, f) for om, _, f in members], [X for _, X in grid])
@@ -229,29 +225,9 @@ def _verify_scaling(rc: RunConfig) -> int:
     return 0 if all(row["pass"] for row in rows) else 1
 
 
-def _verify_theorem(rc: RunConfig) -> int:
-    cfg = rc.field()
-    grid = _standard_grid(cfg, rc.r, rc.seed, rc.depth_strict)
-    reports = verify_theorem(rc.r, _theorem_family(cfg, rc.r), grid)
+def _verify_theorem(rc: RunConfig, grid) -> int:
+    reports = verify_theorem(rc.r, _theorem_family(rc.field(), rc.r), grid)
     return _report_expansion(rc, "theorem", reports, gated=True)
-
-
-def _verify_homogeneity(rc: RunConfig) -> int:
-    cfg = rc.field()
-    basis = default_basis(cfg)
-    bases = [("split", Sl2Element.from_rationals(cfg, cfg.p**2, 0, 0)),
-             ("unram", rep_elliptic(cfg, cfg.eps * cfg.p**4, tag=True)),
-             ("ram", rep_elliptic(cfg, cfg.p**5, tag=True))]
-    rows = []
-    ok = True
-    for name, X in bases:
-        t = extract_germs(X, basis)
-        t2 = extract_germs(X.scale(cfg.zeta**2), basis)
-        good = t2.same_values(homogeneity_extend(t, 1))
-        ok = ok and good
-        rows.append({"base": name, "pass": good})
-    _emit({"suite": "homogeneity", "rows": rows}, rc, "homogeneity")
-    return 0 if ok else 1
 
 
 def _germ_grid(cfg: FieldConfig, seed: int) -> List[Tuple[str, Sl2Element]]:
@@ -317,8 +293,9 @@ def _verify_oracles(rc: RunConfig) -> int:
 
 
 SUITES = {"claim": _verify_claim, "scaling": _verify_scaling,
-          "theorem": _verify_theorem, "homogeneity": _verify_homogeneity,
-          "germs": _verify_germs, "oracles": _verify_oracles}
+          "theorem": _verify_theorem, "germs": _verify_germs, "oracles": _verify_oracles}
+# the suites that take main's standard grid, and with it --r and --depth-strict
+GRID_SUITES = ("claim", "scaling", "theorem")
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -356,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_ver, suppress=True)
     p_ver.add_argument("suite", choices=tuple(SUITES))
-    p_ver.add_argument("--r", type=int, default=0)
-    p_ver.set_defaults(run=lambda rc, ns, got: SUITES[ns.suite](rc))
+    p_ver.add_argument("--r", type=int, help="depth of claim, scaling and theorem (default 0)")
+    p_ver.set_defaults(run=lambda rc, ns, got: SUITES[ns.suite](rc, **got))
     return ap
 
 
@@ -384,14 +361,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    rc = RunConfig(p=ns.p, r=getattr(ns, "r", 0), seed=ns.seed, fmt=ns.fmt,
+    r = getattr(ns, "r", None)
+    rc = RunConfig(p=ns.p, r=r or 0, seed=ns.seed, fmt=ns.fmt,
                    depth_strict=ns.depth_strict, out=ns.out)
     try:
         if ns.p == 3:
             print("warning: p=3 is allowed but small residue characteristic is "
                   "outside the comfortable regime; default test prime is 5",
                   file=sys.stderr)
-        return ns.run(rc, ns, _parse_inputs(rc, ns))
+        got = _parse_inputs(rc, ns)
+        if getattr(ns, "suite", None) in GRID_SUITES:
+            got["grid"] = _standard_grid(rc.field(), rc.r, rc.seed, rc.depth_strict)
+        elif r is not None or rc.depth_strict:
+            raise _UsageError("--r and --depth-strict apply only to verify "
+                              + ", ".join(GRID_SUITES))
+        return ns.run(rc, ns, got)
     except (_UsageError, OSError) as exc:  # OSError here: --out cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

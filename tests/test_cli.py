@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from germlab import cli
 from germlab.cli import main, parse_f_spec, parse_x_spec
 from germlab import (CSV_HEADER, FieldConfig, InvariantViolated, Sl2Element,
                      indicator_lattice, lcfunction_to_json, make_vertex)
+from germlab.padic import val_p
+from germlab.sl2 import classify
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -129,17 +132,12 @@ class TestOrbitalCommand:
         assert err.startswith("usage error:")
 
     def test_bad_prime_exits_2(self, capsys):
-        code, _, err = run(capsys, "--p", "4", "verify", "homogeneity")
+        code, _, err = run(capsys, "--p", "4", "verify", "germs")
         assert code == 2
         assert err.startswith("usage error:")
 
 
 class TestVerifyCommand:
-    def test_homogeneity(self, capsys):
-        code, out, _ = run(capsys, "verify", "homogeneity", "--p", "5")
-        assert code == 0
-        assert all(r["pass"] for r in json.loads(out)["rows"])
-
     def test_theorem_r0(self, capsys, tmp_path):
         code, out, _ = run(capsys, "--out", str(tmp_path), "verify", "theorem", "--r", "0")
         assert code == 0
@@ -213,12 +211,38 @@ class TestVerifyCommand:
     def test_germs_is_deterministic_and_checks_every_kind(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert run(capsys, "--out", str(d1), "verify", "germs")[0] == 0
-        assert run(capsys, "--out", str(d2), "verify", "germs", "--r", "0")[0] == 0
+        assert run(capsys, "--out", str(d2), "verify", "germs")[0] == 0
         assert (d1 / "germs.json").read_bytes() == (d2 / "germs.json").read_bytes()
         rows = json.loads((d1 / "germs.json").read_text())["rows"]
         assert {row["t"] for row in rows} >= set(range(-2, 9))
         assert {row["torus"] for row in rows} == {"split", "unramified", "ramified-Pi",
                                                   "ramified-EpsPi"}
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_germ_grid_pairs_t_with_t_plus_4_in_every_class(self, p):
+        # zeta^2 adds 4 to t = val(-det X), so verify germs checks homogeneity
+        # in a (torus kind, tag) class wherever the class holds t and t + 4
+        ts = defaultdict(set)
+        for _, X in cli._germ_grid(FieldConfig(p), 0):
+            label = classify(X)
+            ts[label.torus_kind(), label.tag].add(val_p(-X.det(), p))
+        assert set(ts) == {("split", None)} | {
+            (kind, tag) for kind in ("unramified", "ramified-Pi", "ramified-EpsPi")
+            for tag in (True, False)}
+        for cls, seen in ts.items():
+            assert any(t + 4 in seen for t in seen), cls
+
+    @pytest.mark.parametrize("argv", [
+        *(["verify", suite, *flags] for suite in ("germs", "oracles")
+          for flags in (["--r", "0"], ["--r", "3"], ["--depth-strict"])),
+        ["--depth-strict", "nilpotent", "--f", "zero"]],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+    def test_grid_flags_without_a_grid_exit_2(self, capsys, tmp_path, argv):
+        # a flag that is accepted always changes what is checked
+        code, _, err = run(capsys, "--out", str(tmp_path), *argv)
+        assert code == 2
+        assert err.startswith("usage error:")
+        assert not list(tmp_path.iterdir())
 
     def test_germs_exits_1_on_a_mismatch(self, capsys, monkeypatch):
         real = cli.closed_form_germs

@@ -38,8 +38,6 @@ GOLDEN = {
         "scaling-r0.json": "8345978a201f7b42eb5845c88dc63c141ab5c56222fc87ea5d83437ff25257bb"}),
     ("verify", "scaling", "--r", "1"): (1, {
         "scaling-r1.json": "02f3ea4454725818ecc6ab8a95d7063ee1e1e693bc717202c7e517bd9bd433e7"}),
-    ("verify", "homogeneity"): (0, {
-        "homogeneity.json": "a1d1caaeb2c67f2333b7db94445de41bcb8e63878e8a1d8cfbc16f258fdc56b0"}),
     ("verify", "germs"): (0, {
         "germs.json": "a9b5b6ea0516796c1aaf97ccffd4d77493a2331e47e00087f9c4bedd4e69a42b"}),
     ("verify", "oracles"): (0, {
