@@ -26,7 +26,7 @@ from .orbital import (IntegralResult, Orbit, brute_force_cell_oracle,
 from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,
                     closed_form_germs, construct_Hr_Omega, default_basis,
                     default_pool, extract_germs, extract_germs_auto, homogeneity_extend,
-                    kernel_combinations, reports_to_csv, scaling_checks,
-                    verify_claim, verify_theorem)
+                    kernel_combinations, reports_to_csv, verify_claim,
+                    verify_theorem)
 
 __version__ = "0.1.0"

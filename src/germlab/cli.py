@@ -1,8 +1,8 @@
 """Command-line interface: exact orbital integrals and verification suites.
 
-The suites of `germlab verify`: claim, scaling and theorem on the standard
-grid at depth --r, germs (the closed-form germs against extraction) and
-oracles (the engine against its independent oracles).
+The suites of `germlab verify`: claim and theorem on the standard grid at
+depth --r, germs (the closed-form germs against extraction) and oracles
+(the engine against its independent oracles).
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
 --p, X spec or f spec, a file that cannot be opened, an --r that is
@@ -25,16 +25,17 @@ from typing import List, Optional, Tuple
 
 from .errors import GermlabError
 from .padic import FieldConfig, SquareClass
-from .sl2 import (ALL_ORBITS, Sl2Element, classify, depth, in_g_nil_r,
-                  parse_matrix, random_conjugate, rep_elliptic)
+from .sl2 import (ALL_ORBITS, OrbitLabel, Sl2Element, classify, depth,
+                  in_g_nil_r, parse_matrix, random_conjugate, rep_elliptic,
+                  rep_nilpotent)
 from .tree import BASE, make_vertex
 from .lcfunc import (LCFunction, h_combination, indicator_lattice,
                      lcfunction_from_json, unit_ball)
 from .orbital import (brute_force_cell_oracle, fingerprint, nilpotent_orbital,
                       ss_orbital, tree_oracle_compare)
-from .germs import (GermBasis, closed_form_germs, construct_Hr_Omega, default_basis,
-                    default_pool, extract_germs_auto, reports_to_csv,
-                    scaling_checks, verify_claim, verify_theorem)
+from .germs import (GermBasis, closed_form_germs, default_basis, default_pool,
+                    extract_germs_auto, reports_to_csv, verify_claim,
+                    verify_theorem)
 
 
 class _UsageError(Exception):
@@ -93,7 +94,6 @@ def parse_f_spec(cfg: FieldConfig, spec: str) -> LCFunction:
     if s.startswith("nil:"):
         _, label, k = s.split(":")
         cls = _NIL_LABELS[label.lower()]
-        from .sl2 import OrbitLabel, rep_nilpotent
         Y = rep_nilpotent(cfg, OrbitLabel("nil", cls))
         return indicator_lattice(cfg, BASE, int(k), center=Y)
     if not s.startswith("["):
@@ -213,18 +213,6 @@ def _verify_claim(rc: RunConfig, grid) -> int:
     return _report_expansion(rc, "claim", reports, gated=False)
 
 
-def _verify_scaling(rc: RunConfig, grid) -> int:
-    pool = GermBasis(default_pool(rc.field(), rc.r))
-    members = [(om, name, f) for om in ALL_ORBITS
-               for name, f in construct_Hr_Omega(rc.r, om, pool)]
-    checks = scaling_checks([(om, f) for om, _, f in members], [X for _, X in grid])
-    rows = [{"f": name, "X": xn, "dim": om.dim, "pass": good}
-            for (om, name, _), row in zip(members, checks)
-            for (xn, _), good in zip(grid, row)]
-    _emit({"suite": "scaling", "r": rc.r, "rows": rows}, rc, f"scaling-r{rc.r}")
-    return 0 if all(row["pass"] for row in rows) else 1
-
-
 def _verify_theorem(rc: RunConfig, grid) -> int:
     reports = verify_theorem(rc.r, _theorem_family(rc.field(), rc.r), grid)
     return _report_expansion(rc, "theorem", reports, gated=True)
@@ -292,10 +280,10 @@ def _verify_oracles(rc: RunConfig) -> int:
     return 0 if ok else 1
 
 
-SUITES = {"claim": _verify_claim, "scaling": _verify_scaling,
-          "theorem": _verify_theorem, "germs": _verify_germs, "oracles": _verify_oracles}
+SUITES = {"claim": _verify_claim, "theorem": _verify_theorem,
+          "germs": _verify_germs, "oracles": _verify_oracles}
 # the suites that take main's standard grid, and with it --r and --depth-strict
-GRID_SUITES = ("claim", "scaling", "theorem")
+GRID_SUITES = ("claim", "theorem")
 
 
 def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
@@ -333,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     _add_common(p_ver, suppress=True)
     p_ver.add_argument("suite", choices=tuple(SUITES))
-    p_ver.add_argument("--r", type=int, help="depth of claim, scaling and theorem (default 0)")
+    p_ver.add_argument("--r", type=int, help="depth of claim and theorem (default 0)")
     p_ver.set_defaults(run=lambda rc, ns, got: SUITES[ns.suite](rc, **got))
     return ap
 

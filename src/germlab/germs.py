@@ -18,7 +18,7 @@ so homogeneity_extend rescales regular entries by q^(2k) and leaves the
 zero-orbit entry alone.  (The discriminant-normalized germ convention, in
 which regular entries are invariant and the zero entry scales by q^(-2k),
 differs from this one by the global factor q^(2k); the engine's unnormalized
-integrals obey the law implemented here, and the scaling suite checks it.)
+integrals obey the law implemented here, and verify germs checks it.)
 
 Both sides of the expansion are linear in f, so every suite reads its
 function family once into a CellTable and runs X in the outer loop: one
@@ -54,7 +54,8 @@ from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
 from .padic import (INF, FieldConfig, SquareClass, hilbert_symbol,
                     square_class_of_rational, val_p)
-from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, classify, depth
+from .sl2 import (ALL_ORBITS, REG_EPS, REG_EPSPI, REG_ONE, REG_PI, OrbitLabel,
+                  Sl2Element, classify, depth, rep_nilpotent)
 from .tree import BASE, make_vertex
 
 ORBIT_ORDER = list(ALL_ORBITS)  # Zero, Regular(One), Regular(Eps), Regular(Pi), Regular(EpsPi)
@@ -140,22 +141,16 @@ class CellTable:
         self.cells = list(columns)
         self.common_den = math.lcm(*(den for den, _ in self.vectors))
 
-    def _cleared_row(self, orbit: Orbit) -> Tuple[int, List[int]]:
-        """(D, ints): the orbit's value on every column, as ints over D."""
-        return clear_denominators([orbit.cell_value(*cell)[0] for cell in self.cells])
-
     def integrals(self, orbit: Orbit) -> List[Fraction]:
         """I_orbit(f) for every member f, in member order."""
-        D, ints = self._cleared_row(orbit)
-        pre = orbit.prefactor
-        return [Fraction(pre.numerator * sum(n * ints[j] for j, n in vec),
-                         pre.denominator * den * D)
-                for den, vec in self.vectors]
+        nums, den = self.integral_numerators(orbit)
+        return [Fraction(n, den) for n in nums]
 
     def integral_numerators(self, orbit: Orbit) -> Tuple[List[int], int]:
         """(nums, den) with I_orbit(f_i) = nums[i] / den for every member f_i:
         one common denominator, and no Fraction."""
-        D, ints = self._cleared_row(orbit)
+        # the orbit's value on every column, as ints over D
+        D, ints = clear_denominators([orbit.cell_value(*cell)[0] for cell in self.cells])
         pre, common = orbit.prefactor, self.common_den
         return ([pre.numerator * (common // den) * sum(n * ints[j] for j, n in vec)
                  for den, vec in self.vectors], pre.denominator * common * D)
@@ -209,7 +204,6 @@ def _combination(coeffs: Sequence[Fraction], pool: GermBasis) -> Optional[LCFunc
 
 def default_basis(cfg: FieldConfig) -> GermBasis:
     """Rank-5 extraction basis: the unit ball, its dilate, four nilpotent cells."""
-    from .sl2 import rep_nilpotent, REG_ONE, REG_EPS, REG_PI, REG_EPSPI
     ball = unit_ball(cfg)
     out = [("unit-ball", ball), ("unit-ball-dilated", ball.dilate(cfg.zeta**2))]
     for label in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI):
@@ -328,8 +322,7 @@ def nilpotent_center(cfg: FieldConfig, label: OrbitLabel, level: int) -> Sl2Elem
 
 
 def default_pool(cfg: FieldConfig, r: int) -> List[Tuple[str, LCFunction]]:
-    """Depth-r proxy generators used by the claim/scaling/theorem suites."""
-    from .sl2 import REG_ONE, REG_EPS, REG_PI, REG_EPSPI
+    """Depth-r proxy generators used by the claim and theorem suites."""
     centers = [Sl2Element.zero(cfg)] + [nilpotent_center(cfg, l, r + 1)
                                         for l in (REG_ONE, REG_EPS, REG_PI, REG_EPSPI)]
     cnames = ["0", "nOne", "nEps", "nPi", "nEpsPi"]
@@ -372,23 +365,6 @@ def verify_claim(r: int, pool: GermBasis,
     return [ExpansionReport(f_id=hname, x_id=xname, torus=torus, depth=d, r=r,
                             lhs=lhs[i], rhs=Fraction(0), expected=True)
             for i, (hname, _) in enumerate(hs) for xname, torus, d, lhs in columns]
-
-
-def scaling_checks(members: Sequence[Tuple[OrbitLabel, LCFunction]],
-                   X_grid: Sequence[Sl2Element]) -> List[List[bool]]:
-    """checks[i][j]: q^(dim omega_i) I_(X_j)(f_i) == I_(zeta^2 X_j)(f_i).
-
-    The proof-route identity for every (omega, f) member at every X, with
-    two orbits and two table rows per X.
-    """
-    table = CellTable(f for _, f in members)
-    columns = []
-    for X in X_grid:
-        lhs = table.integrals(Orbit.of(X))
-        rhs = table.integrals(Orbit.of(X.scale(X.cfg.zeta**2)))
-        columns.append([X.cfg.qpow(om.dim) * a == b
-                        for (om, _), a, b in zip(members, lhs, rhs)])
-    return [[col[i] for col in columns] for i in range(len(members))]
 
 
 def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],

@@ -21,8 +21,9 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .padic import FieldConfig, mod_pk, val_p
-from .sl2 import GroupElement, Sl2Element, _exact, parse_matrix
-from .tree import BASE, TreeVertex, ad_to_base, cartan, distance, make_vertex, min_level
+from .sl2 import GroupElement, Sl2Element, _exact, ad, parse_matrix
+from .tree import (BASE, TreeVertex, act, ad_to_base, cartan, distance, make_vertex,
+                   min_level)
 
 Rat = Fraction
 
@@ -190,8 +191,6 @@ class LCFunction:
 
     def ad_pullback(self, g: GroupElement) -> "LCFunction":
         """f o Ad(g): cells move by Ad(g^{-1}) and vertices by the tree action."""
-        from .sl2 import ad
-        from .tree import act
         ginv = g.inverse()
         terms = []
         for coeff, cell in self.terms:

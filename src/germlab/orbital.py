@@ -47,9 +47,9 @@ from typing import Dict, Tuple
 from .errors import GridTooLarge, InvariantViolated, NotRegular
 from .padic import (FieldConfig, hensel_sqrt, leading_digit, legendre, mod_pk,
                     unit_mod_pk, val_p)
-from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, _classify, classify
-from .lcfunc import LCFunction
-from .tree import BASE
+from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, _classify, classify, rep_elliptic
+from .lcfunc import LCFunction, indicator_lattice
+from .tree import BASE, tree_count_oracle
 
 
 def fingerprint(cfg: FieldConfig) -> str:
@@ -464,7 +464,6 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
 
 def tree_oracle_cases(cfg: FieldConfig):
     """(name, X, level, R) cases for the fixed-point-count cross-check."""
-    from .sl2 import Sl2Element, rep_elliptic
     p, e = cfg.p, cfg.eps
     cases = []
     for k, levels in ((0, (0, -1)), (1, (0, 1)), (2, (0, 1, 2))):
@@ -492,8 +491,6 @@ def tree_oracle_compare(cfg: FieldConfig):
     Returns (rows, ok); the constant is frozen on the first case of each
     torus label and every later case of that label must reproduce it.
     """
-    from .lcfunc import indicator_lattice
-    from .tree import tree_count_oracle
     calib: Dict[str, Fraction] = {}
     rows = []
     ok = True

@@ -21,7 +21,7 @@ from germlab import (ALL_ORBITS, CellTable, CosetCell, FieldConfig, GermBasis,
                      in_g_nil_r, indicator_lattice, kernel_combinations,
                      make_vertex, nilpotent_orbital,
                      nilpotent_vector, random_sl2, rep_elliptic,
-                     rep_nilpotent, scaling_checks, ss_orbital, unit_ball,
+                     rep_nilpotent, ss_orbital, unit_ball,
                      verify_claim, verify_theorem)
 from germlab.germs import ORBIT_ORDER
 from germlab.orbital import Orbit, tree_oracle_compare
@@ -303,7 +303,12 @@ class TestCriterion7:
             grid = [X for n, X in x_grid(cfg, r, conj=False) if depth(X) > r][:4]
             members = [(om, f) for om in ALL_ORBITS
                        for _, f in construct_Hr_Omega(r, om, pool)]
-            ok = ok and all(all(row) for row in scaling_checks(members, grid))
+            table = CellTable(f for _, f in members)
+            for X in grid:
+                at_x = table.integrals(Orbit.of(X))
+                at_zx = table.integrals(Orbit.of(X.scale(cfg.zeta**2)))
+                ok = ok and all(cfg.qpow(om.dim) * a == b
+                                for (om, _), a, b in zip(members, at_x, at_zx))
         report("7(scaling)", ok,
                "q^dim I_X(f) = I_{zeta^2 X}(f) on all single-orbit members")
 

@@ -185,7 +185,7 @@ class TestVerifyCommand:
         assert run(capsys, "verify", suite, "--r", "1")[0] == 1
         assert run(capsys, "verify", suite, "--r", "1", "--depth-strict")[0] == 0
 
-    @pytest.mark.parametrize("suite", ["claim", "theorem", "scaling"])
+    @pytest.mark.parametrize("suite", ["claim", "theorem"])
     @pytest.mark.parametrize("args", [["--r", "-1"], ["--r", "4"],
                                       ["--r", "3", "--depth-strict"]])
     def test_a_grid_that_checks_nothing_exits_2(self, capsys, tmp_path, suite, args):
@@ -196,7 +196,7 @@ class TestVerifyCommand:
         assert ("is negative" if args[1] == "-1" else "the deepest has depth 3") in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("suite", ["claim", "theorem", "scaling"])
+    @pytest.mark.parametrize("suite", ["claim", "theorem"])
     def test_r3_checks_the_deepest_points(self, capsys, tmp_path, suite):
         assert run(capsys, "--out", str(tmp_path), "verify", suite, "--r", "3")[0] == 1
 

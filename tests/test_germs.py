@@ -17,7 +17,7 @@ from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
                      extract_germs_auto, h_combination, homogeneity_extend,
                      indicator_lattice, kernel_combinations, make_vertex,
                      nilpotent_vector, random_conjugate, random_sl2, rep_elliptic,
-                     reports_to_csv, scaling_checks, ss_orbital, unit_ball,
+                     reports_to_csv, ss_orbital, unit_ball,
                      depth, verify_claim, verify_theorem)
 from germlab.cli import _standard_grid, _theorem_family
 from germlab.germs import ORBIT_ORDER, CellTable, GermBasis, nilpotent_center
@@ -300,13 +300,26 @@ def _at_boundary(X, r):
 
 
 class TestScalingSuite:
-    def test_proof_route_identity(self):
-        pool = GermBasis(default_pool(CFG, 0))
-        grid = standard_grid(CFG, 0, extra_conj=False)
-        members = [(om, f) for om in ALL_ORBITS
-                   for _, f in construct_Hr_Omega(0, om, pool)]
-        checks = scaling_checks(members, [X for _, X in grid[:4]])
-        assert len(checks) == len(members) and all(all(row) for row in checks)
+    @pytest.mark.parametrize("p, r", [(3, 0), (3, 1), (5, 0), (5, 1)])
+    def test_proof_route_identity(self, p, r):
+        # claim's h-row of f at X dilates f; it must equal the proof-route
+        # identity's q^d I_X(f) - I_{zeta^2 X}(f), which moves X instead
+        cfg = FieldConfig(p)
+        pool = GermBasis(default_pool(cfg, r))
+        grid = _standard_grid(cfg, r, 0, False)
+        members = [(om, name, f) for om in ALL_ORBITS
+                   for name, f in construct_Hr_Omega(r, om, pool)]
+        table = CellTable(f for _, _, f in members)
+        want = {}
+        for xname, X in grid:
+            at_x = table.integrals(Orbit.of(X))
+            at_zx = table.integrals(Orbit.of(X.scale(cfg.zeta**2)))
+            for (om, name, _), a, b in zip(members, at_x, at_zx):
+                want[f"h[{name}]", xname] = cfg.qpow(om.dim) * a - b
+        got = {(x.f_id, x.x_id): x.lhs for x in verify_claim(r, pool, grid)
+               if x.f_id.startswith("h[")}
+        assert got == want
+        assert r == 0 or any(v != 0 for v in got.values())
 
     def test_contrast_mixed_vector_generally_fails(self):
         # scaling with d=2 breaks by (1 - q^2) j_Zero(X) f(0), so it needs an

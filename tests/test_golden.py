@@ -34,10 +34,6 @@ GOLDEN = {
     ("verify", "theorem", "--r", "1"): (1, {
         "theorem-r1.csv": "6d8a9409e81dc88cdfeb5040717f424a2ecefb52eba62f3880be57674088d4e3",
         "theorem-r1.json": "af2e73cee663fdb2ed5ccb464b253685b7fc469c73cb90daaad5473ca1bda7f5"}),
-    ("verify", "scaling", "--r", "0"): (0, {
-        "scaling-r0.json": "8345978a201f7b42eb5845c88dc63c141ab5c56222fc87ea5d83437ff25257bb"}),
-    ("verify", "scaling", "--r", "1"): (1, {
-        "scaling-r1.json": "02f3ea4454725818ecc6ab8a95d7063ee1e1e693bc717202c7e517bd9bd433e7"}),
     ("verify", "germs"): (0, {
         "germs.json": "a9b5b6ea0516796c1aaf97ccffd4d77493a2331e47e00087f9c4bedd4e69a42b"}),
     ("verify", "oracles"): (0, {
