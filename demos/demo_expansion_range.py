@@ -12,17 +12,18 @@ Run:  python3 demos/demo_expansion_range.py
 
 from fractions import Fraction
 
-from germlab import (FieldConfig, Sl2Element, extract_germs_auto,
-                     indicator_lattice, nilpotent_vector, rep_elliptic,
-                     ss_orbital)
+from germlab import (FieldConfig, Sl2Element, default_basis, expansion_rhs,
+                     extract_germs_auto, indicator_lattice, nilpotent_vector,
+                     rep_elliptic, ss_orbital)
 from germlab.tree import BASE
 
 cfg = FieldConfig(5)
+basis = default_basis(cfg)
 
 
 def residual(X, f):
-    t = extract_germs_auto(X)
-    return ss_orbital(X, f).value - t.expansion_rhs(nilpotent_vector(f))
+    t = extract_germs_auto(X, basis)
+    return ss_orbital(X, f).value - expansion_rhs(t, nilpotent_vector(f))
 
 
 def M(a, b, c):

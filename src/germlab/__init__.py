@@ -23,10 +23,10 @@ from .lcfunc import (CosetCell, LCFunction, h_combination, indicator,
 from .orbital import (IntegralResult, Orbit, brute_force_cell_oracle,
                       fingerprint, nilpotent_orbital, nilpotent_vector,
                       ss_orbital)
-from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis, GermTable,
+from .germs import (CSV_HEADER, CellTable, ExpansionReport, GermBasis,
                     closed_form_germs, construct_Hr_Omega, default_basis,
-                    default_pool, extract_germs, extract_germs_auto, homogeneity_extend,
-                    kernel_combinations, reports_to_csv, verify_claim,
-                    verify_theorem)
+                    default_pool, expansion_rhs, extract_germs, extract_germs_auto,
+                    homogeneity_extend, kernel_combinations, reports_to_csv,
+                    verify_claim, verify_theorem)
 
 __version__ = "0.1.0"

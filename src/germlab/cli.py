@@ -6,8 +6,8 @@ depth --r, germs (the closed-form germs against extraction) and oracles
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
 --p, X spec or f spec, a file that cannot be opened, an --r that is
-negative or leaves the grid empty, or --r or --depth-strict on a command
-that builds no grid), 3 computational
+negative or leaves the grid empty, or --r, --depth-strict or --format csv
+on a command that builds no grid), 3 computational
 error, a ValueError raised inside a computation included.  Identical
 configurations produce byte-identical output files; every emitted document
 embeds the run configuration and the measure fingerprint.
@@ -245,7 +245,7 @@ def _verify_germs(rc: RunConfig) -> int:
         rows.append({"X": name, "t": int(2 * depth(X)), "torus": classify(X).torus_kind(),
                      "extracted": {repr(om): str(ext[om]) for om in ALL_ORBITS},
                      "closed_form": {repr(om): str(closed[om]) for om in ALL_ORBITS},
-                     "pass": ext.same_values(closed)})
+                     "pass": ext == closed})
     fails = sum(not row["pass"] for row in rows)
     _emit({"suite": "germs", "failures": fails, "rows": rows}, rc, "germs")
     return 1 if fails else 0
@@ -282,7 +282,8 @@ def _verify_oracles(rc: RunConfig) -> int:
 
 SUITES = {"claim": _verify_claim, "theorem": _verify_theorem,
           "germs": _verify_germs, "oracles": _verify_oracles}
-# the suites that take main's standard grid, and with it --r and --depth-strict
+# the suites that take main's standard grid, and with it --r, --depth-strict
+# and --format csv (the grid's rows are what the CSV holds)
 GRID_SUITES = ("claim", "theorem")
 
 
@@ -292,7 +293,8 @@ def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     ap.add_argument("--p", type=int, default=d(5), help="odd prime (default 5)")
     ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--format", dest="fmt", choices=("json", "csv"), default=d("json"))
+    ap.add_argument("--format", dest="fmt", choices=("json", "csv"), default=d("json"),
+                    help="csv: the rows of verify claim and theorem (default json)")
     ap.add_argument("--depth-strict", action="store_true",
                     default=d(False),
                     help="use depth(X) > r for grid membership instead of >=")
@@ -360,8 +362,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         got = _parse_inputs(rc, ns)
         if getattr(ns, "suite", None) in GRID_SUITES:
             got["grid"] = _standard_grid(rc.field(), rc.r, rc.seed, rc.depth_strict)
-        elif r is not None or rc.depth_strict:
-            raise _UsageError("--r and --depth-strict apply only to verify "
+        elif r is not None or rc.depth_strict or rc.fmt == "csv":
+            raise _UsageError("--r, --depth-strict and --format csv apply only to verify "
                               + ", ".join(GRID_SUITES))
         return ns.run(rc, ns, got)
     except (_UsageError, OSError) as exc:  # OSError here: --out cannot be written

@@ -20,20 +20,21 @@ which regular entries are invariant and the zero entry scales by q^(-2k),
 differs from this one by the global factor q^(2k); the engine's unnormalized
 integrals obey the law implemented here, and verify germs checks it.)
 
+A germ table is a plain dict {orbit: j_Omega(X)} with its keys in
+ORBIT_ORDER, and expansion_rhs(germs, nil_vec) is the right-hand side
+sum_Omega j_Omega(X) I_Omega(f) as a plain Fraction sum.
+
 Both sides of the expansion are linear in f, so every suite reads its
 function family once into a CellTable and runs X in the outer loop: one
 Orbit and one table row per X (or nilpotent orbit) give every function's
-integral, as int dot products over one common denominator.  The expansion
-is linear in its right-hand side too.  An extraction basis or a pool is a
+integral, as int dot products over one common denominator, and the Orbit's
+label gives the row's torus kind.  An extraction basis or a pool is a
 GermBasis, built once from its member list: it owns the pool's linear
 algebra (table, nilpotent matrix, and one linalg.RowReduction each of A^T
 and A), so the rank, the kernel and every solve share one reduction, and
-every entry point that needs a basis takes one.
-
-The per-X linear algebra runs on ints: extract_germs solves A j = I_X(basis)
-on the basis integrals as int numerators over one denominator and builds
-one Fraction per germ, and verify_theorem forms each right-hand side
-sum_Omega j_Omega I_Omega(f) as one int dot product of the cleared germs
+every entry point that needs a basis takes one.  extract_germs solves
+A j = I_X(basis) with the reduction of A; verify_theorem forms each
+right-hand side as one int dot product of the cleared closed-form germs
 with the member's cleared nilpotent row, and one Fraction.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -55,28 +56,17 @@ from .orbital import Orbit
 from .padic import (INF, FieldConfig, SquareClass, hilbert_symbol,
                     square_class_of_rational, val_p)
 from .sl2 import (ALL_ORBITS, REG_EPS, REG_EPSPI, REG_ONE, REG_PI, OrbitLabel,
-                  Sl2Element, classify, depth, rep_nilpotent)
+                  Sl2Element, depth, rep_nilpotent)
 from .tree import BASE, make_vertex
 
 ORBIT_ORDER = list(ALL_ORBITS)  # Zero, Regular(One), Regular(Eps), Regular(Pi), Regular(EpsPi)
 
 
-@dataclass
-class GermTable:
-    """Values j_Omega(X) for the five orbits at a fixed regular X."""
-
-    base: Sl2Element
-    values: Dict[OrbitLabel, Fraction]
-    provenance: List[str] = field(default_factory=list)
-
-    def __getitem__(self, om: OrbitLabel) -> Fraction:
-        return self.values[om]
-
-    def expansion_rhs(self, nil_vec: Dict[OrbitLabel, Fraction]) -> Fraction:
-        return sum(self.values[om] * nil_vec[om] for om in ORBIT_ORDER)
-
-    def same_values(self, other: "GermTable") -> bool:
-        return all(self.values[om] == other.values[om] for om in ORBIT_ORDER)
+def expansion_rhs(germs: Dict[OrbitLabel, Fraction],
+                  nil_vec: Dict[OrbitLabel, Fraction]) -> Fraction:
+    """sum_Omega j_Omega(X) I_Omega(f) for germs j and f's nilpotent vector,
+    as a plain Fraction sum."""
+    return sum(germs[om] * nil_vec[om] for om in ORBIT_ORDER)
 
 
 @dataclass
@@ -143,17 +133,12 @@ class CellTable:
 
     def integrals(self, orbit: Orbit) -> List[Fraction]:
         """I_orbit(f) for every member f, in member order."""
-        nums, den = self.integral_numerators(orbit)
-        return [Fraction(n, den) for n in nums]
-
-    def integral_numerators(self, orbit: Orbit) -> Tuple[List[int], int]:
-        """(nums, den) with I_orbit(f_i) = nums[i] / den for every member f_i:
-        one common denominator, and no Fraction."""
         # the orbit's value on every column, as ints over D
         D, ints = clear_denominators([orbit.cell_value(*cell)[0] for cell in self.cells])
         pre, common = orbit.prefactor, self.common_den
-        return ([pre.numerator * (common // den) * sum(n * ints[j] for j, n in vec)
-                 for den, vec in self.vectors], pre.denominator * common * D)
+        den = pre.denominator * common * D
+        return [Fraction(pre.numerator * (common // d) * sum(n * ints[j] for j, n in vec), den)
+                for d, vec in self.vectors]
 
     def nilpotent_rows(self) -> List[Tuple[Fraction, ...]]:
         """(I_Omega(f))_Omega in ORBIT_ORDER for every member: five table rows."""
@@ -212,34 +197,30 @@ def default_basis(cfg: FieldConfig) -> GermBasis:
     return GermBasis(out)
 
 
-def extract_germs(X: Sl2Element, basis: GermBasis) -> GermTable:
+def extract_germs(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Fraction]:
     """Solve the five-orbit expansion over the basis with exact linear algebra.
 
-    The basis integrals at X are int numerators over one denominator, the
-    solve runs on ints (RowReduction.solve_ints) and each germ is one
-    Fraction.  The matrix of nilpotent vectors must have rank 5; every basis
-    row beyond the first five must have zero residual, otherwise the system
-    is reported inconsistent (X too shallow for some f).
+    The basis integrals at X are solved against the basis's one reduction
+    of A (RowReduction.solve, which runs on ints).  The matrix of nilpotent
+    vectors must have rank 5; every basis row beyond the first five must
+    have zero residual, otherwise the system is reported inconsistent (X too
+    shallow for some f).
     """
     if basis.rank < 5:
         raise RankDeficient("basis does not separate the five nilpotent orbits")
-    solved = basis.matrix_reduction.solve_ints(*basis.table.integral_numerators(Orbit.of(X)))
-    if solved is None:
+    x = basis.matrix_reduction.solve(basis.table.integrals(Orbit.of(X)))
+    if x is None:
         raise InconsistentSystem("nonzero residual over the basis")
-    x, den = solved
-    values = {om: Fraction(x[i], den) for i, om in enumerate(ORBIT_ORDER)}
-    return GermTable(X, values, provenance=[name for name, _ in basis.members])
+    return dict(zip(ORBIT_ORDER, x))
 
 
-def homogeneity_extend(table: GermTable, k: int) -> GermTable:
-    """Germ table at zeta^(2k) X: j_Omega scales by q^(k dim Omega)."""
-    cfg = table.base.cfg
-    newbase = table.base.scale(cfg.zeta ** (2 * k)) if k else table.base
-    vals = {om: table.values[om] * cfg.qpow(k * om.dim) for om in ORBIT_ORDER}
-    return GermTable(newbase, vals, provenance=table.provenance + [f"extend:k={k}"])
+def homogeneity_extend(germs: Dict[OrbitLabel, Fraction], k: int,
+                       cfg: FieldConfig) -> Dict[OrbitLabel, Fraction]:
+    """The germs at zeta^(2k) X from those at X: j_Omega scales by q^(k dim Omega)."""
+    return {om: germs[om] * cfg.qpow(k * om.dim) for om in ORBIT_ORDER}
 
 
-def extract_germs_auto(X: Sl2Element, basis: Optional[GermBasis] = None) -> GermTable:
+def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Fraction]:
     """Extraction with deepening: extract at zeta^(2k) X, extend back.
 
     k is the smallest with depth(X) + 2k >= 2, which moves X into the
@@ -248,16 +229,15 @@ def extract_germs_auto(X: Sl2Element, basis: Optional[GermBasis] = None) -> Germ
     InconsistentSystem from extract_germs is raised, not retried.
     """
     cfg = X.cfg
-    basis = default_basis(cfg) if basis is None else basis
     d = depth(X)
     if d == INF:
         raise RankDeficient("germ table requested at a non-regular element")
     k = max(0, math.ceil((2 - d) / 2))
-    table = extract_germs(X.scale(cfg.zeta ** (2 * k)) if k else X, basis)
-    return homogeneity_extend(table, -k) if k else table
+    germs = extract_germs(X.scale(cfg.zeta ** (2 * k)) if k else X, basis)
+    return homogeneity_extend(germs, -k, cfg)
 
 
-def closed_form_germs(X: Sl2Element) -> GermTable:
+def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Fraction]:
     """Shalika's germs of sl2 in the engine's normalization, in closed form.
 
     With s = -det X, t = val s and b0 = b (or -c when b = 0): the zero entry
@@ -279,7 +259,7 @@ def closed_form_germs(X: Sl2Element) -> GermTable:
     for om in ORBIT_ORDER[1:]:
         lam = om.nil_class.representative(cfg)
         values[om] = reg if split or hilbert_symbol(lam / b0, s, p) == 1 else Fraction(0)
-    return GermTable(X, values, provenance=["closed-form"])
+    return values
 
 
 def construct_Hr_Omega(r: int, omega: OrbitLabel,
@@ -360,8 +340,9 @@ def verify_claim(r: int, pool: GermBasis,
     for (hname, _), nv in zip(hs, table.nilpotent_rows()):
         if any(v != 0 for v in nv):
             raise InvariantViolated(f"{hname} has a nonzero nilpotent vector")
-    columns = [(xname, classify(X).torus_kind(), depth(X), table.integrals(Orbit.of(X)))
-               for xname, X in X_grid]
+    orbits = [(xname, X, Orbit.of(X)) for xname, X in X_grid]
+    columns = [(xname, orbit.rules[0].torus_kind(), depth(X), table.integrals(orbit))
+               for xname, X, orbit in orbits]
     return [ExpansionReport(f_id=hname, x_id=xname, torus=torus, depth=d, r=r,
                             lhs=lhs[i], rhs=Fraction(0), expected=True)
             for i, (hname, _) in enumerate(hs) for xname, torus, d, lhs in columns]
@@ -377,20 +358,20 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
     germs are closed_form_germs(X), which verify germs checks against
     extraction.  One cell table of the family serves the whole grid; each
     member's nilpotent row is cleared to ints once, and each rhs is
-    GermTable.expansion_rhs of it, formed as one int dot product.
+    expansion_rhs of it, formed as one int dot product.
     """
     cells = CellTable(f for _, f in family)
     nil_rows = [clear_denominators(nv) for nv in cells.nilpotent_rows()]
     proxy = [f.proxy_depth() for _, f in family]
     reports = []
     for xname, X in X_grid:
-        table = closed_form_germs(X)
-        G, j_ints = clear_denominators([table[om] for om in ORBIT_ORDER])
-        torus, d = classify(X).torus_kind(), depth(X)
+        germs, orbit = closed_form_germs(X), Orbit.of(X)
+        G, j_ints = clear_denominators([germs[om] for om in ORBIT_ORDER])
+        torus, d = orbit.rules[0].torus_kind(), depth(X)
         gate = 0 < d < INF
         for (fname, _), (den, nv), rf, lhs in zip(family, nil_rows, proxy,
-                                                  cells.integrals(Orbit.of(X))):
-            # GermTable.expansion_rhs(nv), as one int dot product
+                                                  cells.integrals(orbit)):
+            # expansion_rhs(germs, nv), as one int dot product
             rhs = Fraction(sum(g * n for g, n in zip(j_ints, nv)), G * den)
             reports.append(ExpansionReport(
                 f_id=fname, x_id=xname, torus=torus, depth=d, r=rf,

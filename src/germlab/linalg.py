@@ -8,10 +8,11 @@ reduced form R = E M, up to one positive or negative scale per pivot row,
 and the right block the row operations E, so one reduction gives the rank,
 the pivots and the kernel of M, and solves M x = y for every right-hand side
 y by applying E to y.  E is kept as one int matrix over one denominator and
-M as one int matrix over another, so a solve is int dot products and an int
-substitution check.  The reduced form is unique, so `reduced` and `kernel`
-are the Fractions a Fraction Gauss-Jordan gives.  rank, solve_consistent and
-nullspace are one-shot wrappers.
+M as one int matrix over another, so a solve clears y to ints once and is
+then int dot products and an int substitution check.  The reduced form is
+unique and fixed by the pivots and the kernel, so those are what a Fraction
+Gauss-Jordan gives.  rank, solve_consistent and nullspace are one-shot
+wrappers.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class RowReduction:
     """One exact reduction of a rows x cols matrix M, shared by every query.
 
     M = matrix_ints / matrix_den and E = ops_ints / ops_den, for the
-    invertible E whose product E M has row i equal to row i of `reduced`
+    invertible E whose product E M is the reduced row echelon form of M
     below the rank and zero past it.  So M x = y is consistent exactly when
     E y vanishes past the rank.
     """
@@ -94,12 +95,6 @@ class RowReduction:
         self.ops_ints += [row[self.cols:] for row in aug[self.rank:]]
 
     @cached_property
-    def reduced(self) -> List[List[Fraction]]:
-        """The reduced row echelon form of M, zero rows past the rank included."""
-        rows = [[Fraction(x, lead) for x in row] for row, lead in zip(self._left, self._leads)]
-        return rows + [[Fraction(0)] * self.cols for _ in range(len(self.ops_ints) - self.rank)]
-
-    @cached_property
     def kernel(self) -> List[List[Fraction]]:
         """Basis of the exact kernel of M, one vector per free column."""
         basis = []
@@ -113,36 +108,26 @@ class RowReduction:
             basis.append(v)
         return basis
 
-    def solve_ints(self, y: Sequence[int], D: int = 1) -> Optional[Tuple[List[int], int]]:
-        """One exact solution of M x = y / D for an int vector y, as (ints, den)
-        with x = ints / den, or None when the system is inconsistent.
+    def solve(self, y: Sequence[Fraction]) -> Optional[List[Fraction]]:
+        """One exact solution of M x = y, or None when the system is inconsistent.
 
-        Free variables are set to zero; den = ops_den D.
+        y (Fractions or ints) is cleared to ints over D, E is applied in
+        ints, and x = E y / (ops_den D); free variables are set to zero.
         """
-        ey = [sum(e * t for e, t in zip(row, y) if e) for row in self.ops_ints]
+        D, ints = clear_denominators(y)
+        ey = [sum(e * t for e, t in zip(row, ints) if e) for row in self.ops_ints]
         if any(ey[self.rank:]):
             return None
         x = [0] * self.cols
         for i, c in enumerate(self.pivots):
             x[c] = ey[i]
         # substitution check: x is tested against M itself, not against E;
-        # M x = y / D reads matrix_ints x == matrix_den ops_den y
+        # M x = y reads matrix_ints x == matrix_den ops_den (D y)
         scale = self.matrix_den * self.ops_den
-        for row, t in zip(self.matrix_ints, y):
+        for row, t in zip(self.matrix_ints, ints):
             if sum(a * b for a, b in zip(row, x) if a) != scale * t:
                 return None
-        return x, self.ops_den * D
-
-    def solve(self, y: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """One exact solution of M x = y, or None when the system is inconsistent.
-
-        Free variables are set to zero.
-        """
-        D, ints = clear_denominators(y)
-        solved = self.solve_ints(ints, D)
-        if solved is None:
-            return None
-        x, den = solved
+        den = self.ops_den * D
         return [Fraction(t, den) for t in x]
 
 

@@ -235,7 +235,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         *(["verify", suite, *flags] for suite in ("germs", "oracles")
           for flags in (["--r", "0"], ["--r", "3"], ["--depth-strict"])),
-        ["--depth-strict", "nilpotent", "--f", "zero"]],
+        ["--depth-strict", "nilpotent", "--f", "zero"],
+        *(["--format", "csv", *cmd] for cmd in (
+            ["verify", "germs"], ["verify", "oracles"], ["nilpotent", "--f", "zero"],
+            ["orbital", "--X", "diag(1,-1)", "--f", "unit-ball"]))],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
     def test_grid_flags_without_a_grid_exit_2(self, capsys, tmp_path, argv):
         # a flag that is accepted always changes what is checked
@@ -248,9 +251,7 @@ class TestVerifyCommand:
         real = cli.closed_form_germs
 
         def shifted(X):
-            table = real(X)
-            table.values = {om: v + 1 for om, v in table.values.items()}
-            return table
+            return {om: v + 1 for om, v in real(X).items()}
         monkeypatch.setattr(cli, "closed_form_germs", shifted)
         code, out, _ = run(capsys, "verify", "germs")
         doc = json.loads(out)

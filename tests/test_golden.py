@@ -9,7 +9,9 @@ holding a comma (the theorem family's names) became quoted, and the oracles
 digest when its rows lost the "exact" key (the brute-force oracle returns
 an exact value or raises).  The oracles digests at p = 3 and p = 13 were
 recorded before the tree count moved to int coordinates, and the germs
-digest when the suite was added.  A change to any exact value, row order,
+digest when the suite was added.  The germs digests at p = 3 and p = 13
+were recorded before germ tables became plain dicts and extraction's int
+solve folded into RowReduction.solve.  A change to any exact value, row order,
 verdict or exit code shows up here as a changed digest.
 """
 
@@ -44,6 +46,11 @@ GOLDEN = {
         "oracles.json": "8415ca74fce0cf70660711c251a162297827f80b185ad6c325a8f88d702c3efc"}),
     ("--p", "13", "verify", "oracles"): (0, {
         "oracles.json": "2af707b2d168b13811451f41a115d19cca7636c5e2adb96b25ee2684ada50c58"}),
+    # the closed form against extraction at the primes the CI runs it at
+    ("--p", "3", "verify", "germs"): (0, {
+        "germs.json": "2c2767d93bddef831059fcc3fb8331b081fddd6c0d83f2fc31bf484844627bc9"}),
+    ("--p", "13", "verify", "germs"): (0, {
+        "germs.json": "ca7cb47a436aac85fbd7d55440b1079ea880f74b6e977c18b0feef1c5a90badc"}),
     ("--p", "7", "verify", "theorem", "--r", "0"): (0, {
         "theorem-r0.csv": "af3575e84a2395b9114d4b03d06a7f0d4e181dca60d8dcc2a2b52617e913bc7d",
         "theorem-r0.json": "b7ae31ece787eab7f9311df496efa4dd9fbb4c77024f7c03403898f6585a049f"}),

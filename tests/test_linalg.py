@@ -3,9 +3,12 @@
 Each case builds M = P [C; 0] with P invertible (a product of unit lower and
 upper triangular matrices), so the column space of M lies in P span(e_1..e_r)
 and y = P u is outside it whenever u has a nonzero entry past r.  A solution
-is checked by M x == y and a kernel vector by M k == 0; the pivots, the
-reduced form and the kernel of the integer reduction are compared with a
-plain Fraction Gauss-Jordan written here, which shares no code with linalg.
+is checked by M x == y and a kernel vector by M k == 0, for Fraction and for
+int right-hand sides; the pivots and the kernel of the integer reduction,
+which fix its reduced form, are compared with a plain Fraction Gauss-Jordan
+written here, which shares no code with linalg.  The substitution-teeth
+tests break the row operations E (ops_ints) and check that solve's
+substitution check M x == y still refuses the wrong x.
 """
 
 import math
@@ -36,7 +39,7 @@ def _invertible(rng, n):
 
 
 def _gauss_jordan(M):
-    """(pivots, reduced rows, kernel basis) of M by Fraction Gauss-Jordan."""
+    """(pivots, kernel basis) of M by Fraction Gauss-Jordan."""
     A = [[Fraction(x) for x in row] for row in M]
     cols = len(A[0]) if A else 0
     pivots, r = [], 0
@@ -57,7 +60,7 @@ def _gauss_jordan(M):
         for i, pc in enumerate(pivots):
             k[pc] = -A[i][fc]
         kernel.append(k)
-    return pivots, A, kernel
+    return pivots, kernel
 
 
 def _case(seed):
@@ -107,23 +110,25 @@ def test_reduction_agrees_with_substitution(seed):
 def test_integer_reduction_is_the_fraction_rref(seed):
     M = _case(seed)[0]
     rr = RowReduction(M)
-    assert (rr.pivots, rr.reduced, rr.kernel) == _gauss_jordan(M)
-    assert all(type(x) is Fraction for row in rr.reduced + rr.kernel for x in row)
+    assert (rr.pivots, rr.kernel) == _gauss_jordan(M)
+    assert all(type(x) is Fraction for row in rr.kernel for x in row)
 
 
 @pytest.mark.parametrize("seed", range(80))
 def test_integer_solve_agrees_with_substitution(seed):
+    # an int right-hand side D y is solved as it stands, and with free
+    # variables zero the solution is D times the one for y
     M, good, bad = _case(seed)
     rr = RowReduction(M)
     for y in good:
         D = math.lcm(*(t.denominator for t in y))
         ints = [int(t * D) for t in y]
-        x, den = rr.solve_ints(ints, D)
-        assert den > 0 and _mul(M, [Fraction(t, den) for t in x]) == y, (M, y)
-        assert rr.solve_ints([3 * t for t in ints], 3 * D) is not None
+        x = rr.solve(ints)
+        assert all(type(t) is Fraction for t in x) and _mul(M, x) == ints, (M, y)
+        assert x == [D * t for t in rr.solve(y)]
     for y in bad:
         D = math.lcm(*(t.denominator for t in y))
-        assert rr.solve_ints([int(t * D) for t in y], D) is None, (M, y)
+        assert rr.solve([int(t * D) for t in y]) is None, (M, y)
 
 
 def test_shapes_with_no_entries():
@@ -141,7 +146,7 @@ def test_a_solution_is_checked_against_the_matrix():
     assert rr.solve([1, 1]) == [1, 1]
     assert rr.ops_ints == [[1, 0], [0, 1]] and rr.ops_den == 1
     rr.ops_ints[0] = [2, 0]
-    assert rr.solve_ints([1, 1]) is None and rr.solve([1, 1]) is None
+    assert rr.solve([1, 1]) is None
 
 
 def test_an_inconsistent_system_is_caught_by_substitution_too():
@@ -151,4 +156,4 @@ def test_an_inconsistent_system_is_caught_by_substitution_too():
     assert rr.rank == 1 and rr.solve([1, 2]) == [2, 0]
     assert rr.solve([1, 1]) is None
     rr.ops_ints[1] = [0, 0]
-    assert rr.solve_ints([1, 1]) is None and rr.solve([1, 1]) is None
+    assert rr.solve([1, 1]) is None

@@ -253,14 +253,15 @@ def test_depth_makes_no_classify_call(monkeypatch):
     assert calls == []
 
 
-def test_verify_claim_classifies_each_x_twice(monkeypatch):
+def test_verify_claim_classifies_each_x_once(monkeypatch):
     # at p=5, r=0 the grid's 10 elliptic representatives classify once each
-    # to check their tags, and each of its 15 X once for its orbit and once
-    # for its torus label: 40 calls.  A depth that classified added one call
-    # per X in the grid filter and one in the report rows, 70 in all
+    # to check their tags, and each of its 15 X once, for its Orbit, whose
+    # label also gives the torus kind: 25 calls.  A separate classify for the
+    # torus label made 40, and a depth that classified added one call per X
+    # in the grid filter and one in the report rows, 70 in all
     calls = _count_classify(monkeypatch)
     verify_claim(0, GermBasis(default_pool(CFG, 0)), _standard_grid(CFG, 0, 0, False))
-    assert len(calls) == 40
+    assert len(calls) == 25
 
 
 class TestGroupElement:
