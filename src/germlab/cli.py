@@ -19,8 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Tuple
 
 from .errors import GermlabError
@@ -42,14 +42,11 @@ class _UsageError(Exception):
     """A flag or spec that cannot be parsed, or a file that cannot be opened."""
 
 
-@dataclass
 class RunConfig:
-    p: int
-    r: int
-    seed: int
-    fmt: str
-    depth_strict: bool
-    out: Optional[str]
+    def __init__(self, p: int, r: int, seed: int, fmt: str, depth_strict: bool,
+                 out: Optional[str]):
+        self.p, self.r, self.seed, self.fmt = p, r, seed, fmt
+        self.depth_strict, self.out = depth_strict, out
 
     def field(self) -> FieldConfig:
         return FieldConfig(self.p)
@@ -57,9 +54,8 @@ class RunConfig:
     def as_dict(self) -> dict:
         """The configuration embedded in reports; the output directory is
         where they are written, not part of it."""
-        d = asdict(self)
-        del d["out"]
-        return d
+        return {"p": self.p, "r": self.r, "seed": self.seed, "fmt": self.fmt,
+                "depth_strict": self.depth_strict}
 
 
 def parse_x_spec(cfg: FieldConfig, spec: str) -> Sl2Element:
@@ -301,7 +297,9 @@ def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
     ap.add_argument("--out", default=d(None), help="directory for report files")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `germlab` parser, built once per process and shared: do not modify it."""
     ap = argparse.ArgumentParser(
         prog="germlab",
         description="Exact p-adic orbital integrals and germ verification for sl2")

@@ -43,7 +43,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -69,19 +68,17 @@ def expansion_rhs(germs: Dict[OrbitLabel, Fraction],
     return sum(germs[om] * nil_vec[om] for om in ORBIT_ORDER)
 
 
-@dataclass
 class ExpansionReport:
-    """One (f, X) verification row."""
+    """One (f, X) verification row.
 
-    f_id: str
-    x_id: str
-    torus: str
-    depth: object
-    r: object
-    lhs: Fraction
-    rhs: Fraction
-    expected: bool                 # inside the claimed validity range? contrast
-                                   # rows (False) never gate an exit code
+    `expected`: is the row inside the claimed validity range?  Contrast rows
+    (False) never gate an exit code.
+    """
+
+    def __init__(self, f_id: str, x_id: str, torus: str, depth, r, lhs: Fraction,
+                 rhs: Fraction, expected: bool):
+        self.f_id, self.x_id, self.torus, self.depth, self.r = f_id, x_id, torus, depth, r
+        self.lhs, self.rhs, self.expected = lhs, rhs, expected
 
     @cached_property
     def residual(self) -> Fraction:

@@ -15,7 +15,6 @@ integration_cells).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -24,17 +23,16 @@ from .padic import FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, _exact, ad, parse_matrix
 from .tree import (BASE, TreeVertex, act, ad_to_base, cartan, distance, make_vertex,
                    min_level)
+from .value import Value
 
 Rat = Fraction
 
 
-@dataclass(frozen=True)
-class CosetCell:
+class CosetCell(Value):
     """The coset center + g_{vertex, level}; membership is exactly decidable."""
 
-    center: Sl2Element
-    vertex: TreeVertex
-    level: int
+    def __init__(self, center: Sl2Element, vertex: TreeVertex, level: int):
+        self._freeze(center=center, vertex=vertex, level=level)
 
     def contains(self, X: Sl2Element) -> bool:
         return min_level(X.cfg, self.vertex, X - self.center) >= self.level

@@ -39,7 +39,6 @@ Fraction, its value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -50,6 +49,7 @@ from .padic import (FieldConfig, hensel_sqrt, leading_digit, legendre, mod_pk,
 from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, _classify, classify, rep_elliptic
 from .lcfunc import LCFunction, indicator_lattice
 from .tree import BASE, tree_count_oracle
+from .value import Value
 
 
 def fingerprint(cfg: FieldConfig) -> str:
@@ -60,11 +60,9 @@ def fingerprint(cfg: FieldConfig) -> str:
             "nil:Zero=delta_0,Regular(l)=da db/|b| on bc=-a^2,b in class l")
 
 
-@dataclass
-class IntegralResult:
-    value: Fraction
-    v0: int
-    tail: str
+class IntegralResult(Value):
+    def __init__(self, value: Fraction, v0: int, tail: str):
+        self._freeze(value=value, v0=v0, tail=tail)
 
     def to_json(self) -> dict:
         return {"value": str(self.value), "v0": self.v0, "tail": self.tail}
@@ -231,8 +229,7 @@ def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
     return _fraction(p, num, K, den), v_star, tail
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Value):
     """An orbit as the engine integrates it: s = -det, labels and prefactor.
 
     `rules` holds the label for cells moved from a vertex of even and of
@@ -242,10 +239,9 @@ class Orbit:
     across all the functions they integrate.
     """
 
-    cfg: FieldConfig
-    s: Fraction
-    rules: Tuple[OrbitLabel, OrbitLabel]
-    prefactor: Fraction
+    def __init__(self, cfg: FieldConfig, s: Fraction, rules: Tuple[OrbitLabel, OrbitLabel],
+                 prefactor: Fraction):
+        self._freeze(cfg=cfg, s=s, rules=rules, prefactor=prefactor)
 
     @classmethod
     def of(cls, X: Sl2Element) -> "Orbit":

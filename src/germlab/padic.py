@@ -9,11 +9,12 @@ of Q_p* and the norm groups of the three quadratic extensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
+
+from .value import Value
 
 INF = math.inf
 
@@ -163,8 +164,7 @@ def square_class_of_rational(x: Rat, p: int) -> SquareClass:
     return _CLASS_BY_DATA[(v % 2, legendre(unit_mod_pk(x, p, 1), p))]
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(Value):
     """The field Q_p.
 
     zeta (the uniformizer) is p itself; eps is the smallest positive
@@ -174,14 +174,12 @@ class FieldConfig:
     `FieldConfig(p, 12)`; the benchmark change of ROADMAP E removes it.
     """
 
-    p: int
-    precision: int = 12
-
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.precision < 4:
+    def __init__(self, p: int, precision: int = 12):
+        if not _is_prime(p) or p == 2:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if precision < 4:
             raise ValueError("precision must be at least 4 digits")
+        self._freeze(p=p, precision=precision)
 
     @property
     def q(self) -> int:
@@ -201,15 +199,13 @@ class FieldConfig:
         return Fraction(self.p**k) if k >= 0 else Fraction(1, self.p ** (-k))
 
 
-@dataclass(frozen=True)
-class QuadExtDescriptor:
+class QuadExtDescriptor(Value):
     """A quadratic extension of Q_p, tagged by the class of its discriminant."""
 
-    disc_class: SquareClass
-
-    def __post_init__(self):
-        if self.disc_class == SquareClass.ONE:
+    def __init__(self, disc_class: SquareClass):
+        if disc_class == SquareClass.ONE:
             raise ValueError("trivial discriminant does not define an extension")
+        self._freeze(disc_class=disc_class)
 
     @property
     def ramified(self) -> bool:

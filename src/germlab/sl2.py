@@ -15,7 +15,6 @@ regular X, and padic.INF on the nilpotent cone, zero included, so g_r is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -23,10 +22,10 @@ from typing import Optional, Tuple
 from .errors import SpecMismatch
 from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass, legendre,
                     square_class_of_rational, val_p)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
+class OrbitLabel(Value):
     """An adjoint orbit as the engine integrates it, and what classify returns.
 
     kind is 'zero' (the point 0), 'nil' (the regular nilpotent orbit of b in
@@ -39,10 +38,9 @@ class OrbitLabel:
     orbital._cell_integral and of digits.
     """
 
-    kind: str
-    nil_class: Optional[SquareClass] = None
-    ext: Optional[QuadExtDescriptor] = None
-    tag: Optional[bool] = None
+    def __init__(self, kind: str, nil_class: Optional[SquareClass] = None,
+                 ext: Optional[QuadExtDescriptor] = None, tag: Optional[bool] = None):
+        self._freeze(kind=kind, nil_class=nil_class, ext=ext, tag=tag)
 
     @property
     def dim(self) -> int:

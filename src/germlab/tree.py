@@ -30,19 +30,18 @@ primitives below are the public interface and the chart's test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import BallTooSmall, NotRegular
 from .padic import INF, FieldConfig, mod_pk, val_p
 from .sl2 import GroupElement, Sl2Element, classify
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TreeVertex:
-    m: int
-    x: Fraction
+class TreeVertex(Value):
+    def __init__(self, m: int, x: Fraction):
+        self._freeze(m=m, x=x)
 
     def __repr__(self):
         return f"({self.m},{self.x})"

@@ -36,6 +36,29 @@ def test_python_dash_m_germlab_runs_the_cli():
         assert proc.returncode == code, (argv, proc.stderr)
 
 
+class TestOneParser:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+        # the shared parser prints the help a fresh one prints
+        assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
+
+    def test_consecutive_runs_keep_no_state(self, capsys, monkeypatch):
+        seen = []
+        for suite in cli.GRID_SUITES:
+            monkeypatch.setitem(cli.SUITES, suite,
+                                lambda rc, grid: seen.append(rc.as_dict()) or 0)
+        runs = [(["verify", "claim", "--r", "1"], 0), (["verify", "claim"], 0),
+                (["--format", "csv", "verify", "theorem", "--depth-strict"], 0),
+                (["verify", "theorem"], 0), (["verify", "nope"], 2), (["--help"], 0),
+                (["verify", "claim", "--p", "7", "--seed", "3", "--format", "csv"], 0),
+                (["verify", "claim"], 0), (["--r", "1", "verify", "claim"], 2)]
+        assert [main(argv) for argv, _ in runs] == [code for _, code in runs]
+        default = {"p": 5, "r": 0, "seed": 0, "fmt": "json", "depth_strict": False}
+        assert seen == [{**default, "r": 1}, default,
+                        {**default, "fmt": "csv", "depth_strict": True}, default,
+                        {**default, "p": 7, "seed": 3, "fmt": "csv"}, default]
+
+
 class TestParsers:
     def test_x_specs(self):
         assert parse_x_spec(CFG, "0").is_zero_elt()
