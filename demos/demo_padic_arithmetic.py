@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Tour of the p-adic facts read off exact rationals: valuations, digits,
-square classes, Hensel roots and norms.
+square classes, Hensel roots and norms read off the Hilbert pairing.
 
 Run:  python3 demos/demo_padic_arithmetic.py
 """
 
 from fractions import Fraction
 
-from germlab import FieldConfig, QuadExtDescriptor, SquareClass, val_p
+from germlab import FieldConfig, SquareClass, val_p
 from germlab.padic import hensel_sqrt, mod_pk, square_class_of_rational, unit_mod_pk
 
 cfg = FieldConfig(5)
@@ -33,9 +33,9 @@ r = hensel_sqrt(6, p, k)
 print(f"\nsqrt(6) mod 5^{k} = {r}, leading digit {r % p}")
 print(f"check r^2 = 6 mod 5^{k}:", (r * r - 6) % p**k == 0)
 
-# Norm groups of the three quadratic extensions.
+# Norm groups of the three quadratic extensions Q_5(sqrt c): v is a norm
+# exactly when the Hilbert pairing (c, [v])_5 is 1.
 for cls in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI):
-    ext = QuadExtDescriptor(cls)
-    tag = "unramified" if not ext.ramified else "ramified"
-    verdicts = {v: ext.is_norm_rational(Fraction(v), cfg) for v in (2, 4, 5, 10)}
+    tag = "unramified" if cls == SquareClass.EPS else "ramified"
+    verdicts = {v: cls.hilbert(square_class_of_rational(v, p), p) == 1 for v in (2, 4, 5, 10)}
     print(f"norms from the {tag} extension (disc {cls.value}):", verdicts)

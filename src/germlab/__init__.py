@@ -9,8 +9,7 @@ geometric tails, and germ tables come from exact linear algebra.
 from .errors import (BallTooSmall, GermlabError, GridTooLarge,
                      InconsistentSystem, InvariantViolated, NotRegular,
                      PoolDeficient, RankDeficient, SpecMismatch)
-from .padic import (FieldConfig, QuadExtDescriptor, SquareClass,
-                    hilbert_symbol, legendre, val_p)
+from .padic import FieldConfig, SquareClass, hilbert_symbol, legendre, val_p
 from .sl2 import (ALL_ORBITS, GroupElement, OrbitLabel, REG_EPS,
                   REG_EPSPI, REG_ONE, REG_PI, Sl2Element, ZERO_ORBIT, ad,
                   classify, depth, in_g_nil_r, random_conjugate, random_sl2,

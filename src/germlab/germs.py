@@ -7,10 +7,10 @@ A germ table at a regular X solves the expansion
 exactly over a rank-5 function basis; every extra function must have zero
 residual.  For sl2 the solution is known in closed form (Shalika 1972;
 DeBacker-Sally 2000): closed_form_germs reads it off s = -det X and one
-Hilbert symbol per orbit, and verify_theorem uses it.  Extraction is its
-oracle: `verify germs` compares the two.  The scaling law under deepening
-is forced by the engine's exact substitution covariance together with
-uniqueness of the expansion:
+Hilbert pairing of square classes per orbit, and verify_theorem uses it.
+Extraction is its oracle: `verify germs` compares the two.  The scaling law
+under deepening is forced by the engine's exact substitution covariance
+together with uniqueness of the expansion:
 
     j_Omega(zeta^2 X) = q^(dim Omega) * j_Omega(X),
 
@@ -52,8 +52,7 @@ from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
 from .linalg import RowReduction, clear_denominators
 from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
-from .padic import (INF, FieldConfig, SquareClass, hilbert_symbol,
-                    square_class_of_rational, val_p)
+from .padic import INF, FieldConfig, SquareClass, square_class_of_rational, val_p
 from .sl2 import (ALL_ORBITS, REG_EPS, REG_EPSPI, REG_ONE, REG_PI, OrbitLabel,
                   Sl2Element, depth, rep_nilpotent)
 from .tree import BASE, make_vertex
@@ -237,25 +236,27 @@ def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Frac
 def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Fraction]:
     """Shalika's germs of sl2 in the engine's normalization, in closed form.
 
-    With s = -det X, t = val s and b0 = b (or -c when b = 0): the zero entry
-    is 0 for split X, -1/q for unramified X and -(q+1)/(2q^2) for ramified
-    X; the class-lambda entry is q^(t//2) when X is split or
-    (lambda/b0, s)_p = 1, and 0 otherwise.  It reads X's entries and the
-    p-adic symbols only; extract_germs_auto is its oracle (verify germs).
+    With s = -det X and t = val s: the zero entry is 0 for split X, -1/q for
+    unramified X and -(q+1)/(2q^2) for ramified X; the class-lambda entry is
+    q^(t//2) when X is split or the Hilbert pairing (lambda [b], [s])_p is
+    1, and 0 otherwise.  It reads X's entries, and the square classes of s
+    and b once each; extract_germs_auto is its oracle (verify germs).
     """
     cfg, p, q = X.cfg, X.cfg.p, X.cfg.q
     s = X.a * X.a + X.b * X.c
     if s == 0:
         raise RankDeficient("germ table requested at a non-regular element")
-    t, b0 = val_p(s, p), X.b if X.b else -X.c
-    split = square_class_of_rational(s, p) == SquareClass.ONE
+    t, s_cls = val_p(s, p), square_class_of_rational(s, p)
+    split = s_cls == SquareClass.ONE
     zero = Fraction(0) if split else (
         Fraction(-1, q) if t % 2 == 0 else Fraction(-(q + 1), 2 * q * q))
     reg = cfg.qpow(t // 2)
+    # b != 0 off the split torus: b = 0 would make s = a^2 a square
+    b_cls = None if split else square_class_of_rational(X.b, p)
     values = {ORBIT_ORDER[0]: zero}             # the zero orbit
     for om in ORBIT_ORDER[1:]:
-        lam = om.nil_class.representative(cfg)
-        values[om] = reg if split or hilbert_symbol(lam / b0, s, p) == 1 else Fraction(0)
+        admitted = split or (om.nil_class * b_cls).hilbert(s_cls, p) == 1
+        values[om] = reg if admitted else Fraction(0)
     return values
 
 

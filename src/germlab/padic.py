@@ -2,8 +2,10 @@
 
 Every number is an exact int or `Fraction`; this module reads its p-adic data:
 valuation, canonical reduction mod p^k, leading digit, Legendre symbol,
-Hensel square roots of units, the Hilbert symbol, the four square classes
-of Q_p* and the norm groups of the three quadratic extensions.
+Hensel square roots of units, and the four square classes of Q_p* with
+their Hilbert pairing.  The pairing depends on the two classes alone and
+answers every norm question: a quadratic extension is Q_p(sqrt c) for one
+class c != ONE, and x is a norm from it exactly when (c, [x])_p = 1.
 """
 
 from __future__ import annotations
@@ -111,17 +113,6 @@ def hensel_sqrt(u: int, p: int, k: int) -> int:
     return r
 
 
-def hilbert_symbol(a: Rat, b: Rat, p: int) -> int:
-    """Hilbert symbol (a, b)_p for odd p."""
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
-    al, be = val_p(a, p), val_p(b, p)
-    u, w = unit_mod_pk(a, p, 1), unit_mod_pk(b, p, 1)
-    eps = ((p - 1) // 2) % 2
-    s = (-1) ** (al * be * eps) * legendre(u, p) ** be * legendre(w, p) ** al
-    return s
-
-
 class SquareClass(Enum):
     """The four classes of F*/(F*)^2 for F = Q_p, p odd."""
 
@@ -143,6 +134,17 @@ class SquareClass(Enum):
         leg = self.unit_legendre * other.unit_legendre
         return _CLASS_BY_DATA[(par, leg)]
 
+    def hilbert(self, other: "SquareClass", p: int) -> int:
+        """The Hilbert symbol (c, d)_p of two classes (Serre, Ch. III).
+
+        With c = p^a u and d = p^b w (u, w units) it is
+        (-1)^(a b (p-1)/2) (u|p)^b (w|p)^a.  d is a norm from Q_p(sqrt c)
+        exactly when it is 1; for c = EPS that says val d is even.
+        """
+        a, b = self.parity, other.parity
+        sign = -1 if a and b and p % 4 == 3 else 1
+        return sign * (self.unit_legendre if b else 1) * (other.unit_legendre if a else 1)
+
     def representative(self, cfg: "FieldConfig") -> Fraction:
         base = {SquareClass.ONE: 1, SquareClass.EPS: cfg.eps,
                 SquareClass.PI: cfg.p, SquareClass.EPSPI: cfg.eps * cfg.p}
@@ -162,6 +164,12 @@ def square_class_of_rational(x: Rat, p: int) -> SquareClass:
         raise ValueError("square class of zero is undefined")
     v = val_p(x, p)
     return _CLASS_BY_DATA[(v % 2, legendre(unit_mod_pk(x, p, 1), p))]
+
+
+def hilbert_symbol(a: Rat, b: Rat, p: int) -> int:
+    """Hilbert symbol (a, b)_p for odd p: the pairing of the classes of a and
+    b (ValueError when either is 0, which has no class)."""
+    return square_class_of_rational(a, p).hilbert(square_class_of_rational(b, p), p)
 
 
 class FieldConfig(Value):
@@ -197,26 +205,3 @@ class FieldConfig(Value):
         """q^k as an exact rational (k any integer)."""
         k = int(k)
         return Fraction(self.p**k) if k >= 0 else Fraction(1, self.p ** (-k))
-
-
-class QuadExtDescriptor(Value):
-    """A quadratic extension of Q_p, tagged by the class of its discriminant."""
-
-    def __init__(self, disc_class: SquareClass):
-        if disc_class == SquareClass.ONE:
-            raise ValueError("trivial discriminant does not define an extension")
-        self._freeze(disc_class=disc_class)
-
-    @property
-    def ramified(self) -> bool:
-        return self.disc_class != SquareClass.EPS
-
-    def disc_rep(self, cfg: FieldConfig) -> Fraction:
-        return self.disc_class.representative(cfg)
-
-    def is_norm_rational(self, x: Rat, cfg: FieldConfig) -> bool:
-        if x == 0:
-            raise ValueError("norm test needs nonzero argument")
-        if not self.ramified:
-            return val_p(x, cfg.p) % 2 == 0
-        return hilbert_symbol(self.disc_rep(cfg), x, cfg.p) == 1

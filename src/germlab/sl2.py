@@ -3,8 +3,9 @@
 A trace-zero matrix ((a, b), (c, -a)) is regular semisimple iff its
 determinant -a^2 - bc is nonzero; the torus type is read off the square class
 of -det, and an elliptic orbit is fixed by -det and the norm tag of the
-b-entry (or -c when b = 0).  Nonzero nilpotents split into four orbits
-labelled by the square class of that same entry.  classify returns one
+b-entry, the Hilbert pairing of their two square classes (b != 0 off the
+split torus).  Nonzero nilpotents split into four orbits labelled by the
+square class of b, or of -c when b = 0.  classify returns one
 OrbitLabel for every kind of orbit, and the orbital engine integrates with
 that label: it says which b the orbit admits in the (a, b) chart.  The
 Moy-Prasad depth is one number, depth(X) = val(-det X)/2: in (1/2)Z on
@@ -20,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import SpecMismatch
-from .padic import (INF, FieldConfig, QuadExtDescriptor, SquareClass, legendre,
+from .padic import (INF, FieldConfig, SquareClass, legendre,
                     square_class_of_rational, val_p)
 from .value import Value
 
@@ -30,16 +31,19 @@ class OrbitLabel(Value):
 
     kind is 'zero' (the point 0), 'nil' (the regular nilpotent orbit of b in
     nil_class), 'split' (a regular element with -det a square) or 'elliptic'
-    (-det generates the extension ext; tag says whether b, or -c when b = 0,
-    is a norm from ext).  The engine reads only which b the orbit admits:
-    admits is the class test classify applies, and digits the leading digits
-    it leaves on one b-stratum.  Labels built separately for one orbit are
-    equal and hash equal, so they key the cell memo of
+    (ext is the class of -det, not ONE, and the torus splits over
+    Q_p(sqrt ext); tag says whether b is a norm from there, which is the
+    Hilbert pairing (ext, [b])_p = 1).  The engine reads only which b the
+    orbit admits: admits is the class test classify applies, and digits the
+    leading digits it leaves on one b-stratum.  Labels built separately for
+    one orbit are equal and hash equal, so they key the cell memo of
     orbital._cell_integral and of digits.
     """
 
     def __init__(self, kind: str, nil_class: Optional[SquareClass] = None,
-                 ext: Optional[QuadExtDescriptor] = None, tag: Optional[bool] = None):
+                 ext: Optional[SquareClass] = None, tag: Optional[bool] = None):
+        if kind == "elliptic" and ext in (None, SquareClass.ONE):
+            raise ValueError("an elliptic orbit needs a discriminant class other than ONE")
         self._freeze(kind=kind, nil_class=nil_class, ext=ext, tag=tag)
 
     @property
@@ -57,36 +61,37 @@ class OrbitLabel(Value):
     def torus_kind(self) -> str:
         if self.is_split:
             return "split"
-        return "unramified" if not self.ext.ramified else f"ramified-{self.ext.disc_class.value}"
+        return "unramified" if self.ext == SquareClass.EPS else f"ramified-{self.ext.value}"
 
     def moved(self, cfg: FieldConfig) -> "OrbitLabel":
         """The label of the orbit after b -> p b (an odd move to the base vertex).
 
         The nilpotent class gains a factor pi; the norm tag of p b is the tag
-        of b when p is a norm and the other tag otherwise; split orbits and
-        the zero orbit are unchanged.  Squares p^2 change nothing, so even
-        moves keep the label.
+        of b when p is a norm, (ext, PI)_p = 1, and the other tag otherwise;
+        split orbits and the zero orbit are unchanged.  Squares p^2 change
+        nothing, so even moves keep the label.
         """
         if self.kind == "nil":
             return OrbitLabel("nil", self.nil_class * SquareClass.PI)
         if self.kind == "elliptic":
-            keep = self.ext.is_norm_rational(cfg.p, cfg)
+            keep = self.ext.hilbert(SquareClass.PI, cfg.p) == 1
             return OrbitLabel("elliptic", ext=self.ext, tag=self.tag == keep)
         return self
 
-    def admits(self, b, cfg: FieldConfig) -> bool:
-        """Whether the orbit meets the chart at b != 0: the class test of classify.
+    def admits(self, c: SquareClass, p: int) -> bool:
+        """Whether the orbit meets the chart at the b != 0 of class c: the
+        class test of classify.
 
-        Every b for split orbits; b in nil_class for nilpotent ones; for
-        elliptic ones, b a norm from ext exactly when tag is True.
+        Every c for split orbits; c = nil_class for nilpotent ones; for
+        elliptic ones, (ext, c)_p = 1 exactly when tag is True.
         """
         if self.kind == "split":
             return True
         if self.kind == "nil":
-            return square_class_of_rational(b, cfg.p) == self.nil_class
+            return c == self.nil_class
         if self.kind != "elliptic":
             raise ValueError("the zero orbit has no (a, b) chart")
-        return self.ext.is_norm_rational(b, cfg) == self.tag
+        return (self.ext.hilbert(c, p) == 1) == self.tag
 
     def digits(self, v: int, cfg: FieldConfig) -> frozenset:
         """The leading digits of the b of valuation v that the orbit admits."""
@@ -112,15 +117,14 @@ ALL_ORBITS = (ZERO_ORBIT, REG_ONE, REG_EPS, REG_PI, REG_EPSPI)
 def _digit_set(label: OrbitLabel, parity: int, cfg: FieldConfig) -> frozenset:
     """OrbitLabel.digits on the strata v = parity mod 2.
 
-    Both tests in admits read only the square class of b, and the class of
-    d p^v depends only on v mod 2 and legendre(d, p), so two admits calls,
-    on p^parity and eps p^parity, decide every digit.
+    admits reads only the square class of b, and the class of d p^v depends
+    only on v mod 2 and legendre(d, p), so two admits calls, on the classes
+    of p^parity and eps p^parity, decide every digit.
     """
     p = cfg.p
-    square = label.admits(p**parity, cfg)
-    nonsquare = label.admits(cfg.eps * p**parity, cfg)
-    return frozenset(d for d in range(1, p)
-                     if (square if legendre(d, p) == 1 else nonsquare))
+    square = SquareClass.PI if parity else SquareClass.ONE
+    admitted = {1: label.admits(square, p), -1: label.admits(square * SquareClass.EPS, p)}
+    return frozenset(d for d in range(1, p) if admitted[legendre(d, p)])
 
 
 def _exact(x) -> Fraction:
@@ -260,14 +264,16 @@ def _classify(X: Sl2Element) -> Tuple[OrbitLabel, Fraction]:
     if X.is_zero_elt():
         return ZERO_ORBIT, s
     p = X.cfg.p
-    tag_src = X.b if X.b else -X.c
-    if s == 0:
-        return OrbitLabel("nil", square_class_of_rational(tag_src, p)), s
+    if s == 0:  # b = 0 leaves a = 0, and the class of -c is [-1][c]
+        cls = (square_class_of_rational(X.b, p) if X.b else
+               square_class_of_rational(-1, p) * square_class_of_rational(X.c, p))
+        return OrbitLabel("nil", cls), s
     cls = square_class_of_rational(s, p)
     if cls == SquareClass.ONE:
         return OrbitLabel("split"), s
-    ext = QuadExtDescriptor(cls)
-    return OrbitLabel("elliptic", ext=ext, tag=ext.is_norm_rational(tag_src, X.cfg)), s
+    # b != 0 here: b = 0 would make s = a^2 a square
+    tag = cls.hilbert(square_class_of_rational(X.b, p), p) == 1
+    return OrbitLabel("elliptic", ext=cls, tag=tag), s
 
 
 def depth(X: Sl2Element):
@@ -330,13 +336,12 @@ def rep_elliptic(cfg: FieldConfig, s, tag: bool = True) -> Sl2Element:
     cls = square_class_of_rational(s, cfg.p)
     if cls == SquareClass.ONE:
         raise SpecMismatch("-det is a square; this torus is split")
-    ext = QuadExtDescriptor(cls)
     if tag:
         b0 = Fraction(1)
-    else:
-        b0 = Fraction(cfg.eps) if ext.ramified else Fraction(cfg.p)
+    else:  # a non-norm: p for the unramified extension, eps for the ramified ones
+        b0 = Fraction(cfg.p if cls == SquareClass.EPS else cfg.eps)
     X = Sl2Element.from_rationals(cfg, 0, b0, s / b0)
-    if classify(X) != OrbitLabel("elliptic", ext=ext, tag=tag):
+    if classify(X) != OrbitLabel("elliptic", ext=cls, tag=tag):
         raise SpecMismatch("representative failed its classification round-trip")
     return X
 

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from germlab import FieldConfig, QuadExtDescriptor, SquareClass, hilbert_symbol, val_p
+from germlab import FieldConfig, SquareClass, hilbert_symbol, val_p
 from germlab.padic import (INF, hensel_sqrt, leading_digit, mod_pk,
                            square_class_of_rational, unit_mod_pk)
 
 CFG5 = FieldConfig(5)
 CFG3 = FieldConfig(3)
 CFG7 = FieldConfig(7)
-EXTS = [QuadExtDescriptor(c) for c in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI)]
+EXTS = [SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI]   # Q_p(sqrt c), c != ONE
 
 
 def rand_rational(rng, p, span=2):
@@ -185,50 +185,86 @@ def _square_class_brute(x: Fraction, p: int, unit_squares: set) -> SquareClass:
             (1, True): SquareClass.PI, (1, False): SquareClass.EPSPI}[(v % 2, square)]
 
 
+def is_norm(ext: SquareClass, x, p: int) -> bool:
+    """Whether x is a norm from Q_p(sqrt ext): the pairing (ext, [x])_p is 1."""
+    return ext.hilbert(square_class_of_rational(x, p), p) == 1
+
+
 class TestIsNorm:
     def test_squares_are_norms(self):
         rng = random.Random(15)
         for ext in EXTS:
             for _ in range(50):
                 x = rand_rational(rng, 5)
-                assert ext.is_norm_rational(x * x, CFG5)
+                assert is_norm(ext, x * x, 5)
 
     def test_unramified_norms_are_even_valuation(self):
-        ext = QuadExtDescriptor(SquareClass.EPS)
-        assert not ext.is_norm_rational(5, CFG5)
-        assert ext.is_norm_rational(3, CFG5)
-        assert ext.is_norm_rational(25, CFG5)
+        assert not is_norm(SquareClass.EPS, 5, 5)
+        assert is_norm(SquareClass.EPS, 3, 5)
+        assert is_norm(SquareClass.EPS, 25, 5)
 
     def test_ramified_hilbert_example(self):
         # (5, 2)_5 = legendre(2|5) = -1, so 2 is not a norm from Q5(sqrt 5)
         assert hilbert_symbol(5, 2, 5) == -1
-        ext = QuadExtDescriptor(SquareClass.PI)
-        assert not ext.is_norm_rational(2, CFG5)
+        assert not is_norm(SquareClass.PI, 2, 5)
+        with pytest.raises(ValueError):
+            hilbert_symbol(0, 2, 5)
+        with pytest.raises(ValueError):
+            hilbert_symbol(5, Fraction(0), 5)
 
     @pytest.mark.parametrize("x", [2, 3, 4, -1, 5, 10, 15, 6])
     def test_ramified_pi_against_witness_search(self, x):
-        ext = QuadExtDescriptor(SquareClass.PI)
-        assert ext.is_norm_rational(x, CFG5) == _norm_witness(5, Fraction(x), 5)
+        assert is_norm(SquareClass.PI, x, 5) == _norm_witness(5, Fraction(x), 5)
 
     def test_norm_subgroup_index_two(self):
         rng = random.Random(16)
         for ext in EXTS:
             for _ in range(1000):
                 x, y = rand_rational(rng, 5), rand_rational(rng, 5)
-                lhs = ext.is_norm_rational(x * y, CFG5)
-                assert lhs == (ext.is_norm_rational(x, CFG5)
-                               == ext.is_norm_rational(y, CFG5))
+                lhs = is_norm(ext, x * y, 5)
+                assert lhs == (is_norm(ext, x, 5) == is_norm(ext, y, 5))
+
+
+class TestHilbertPairing:
+    """SquareClass.hilbert, read off two classes, against brute force and its
+    group laws; p = 3, 7, 11 are 3 mod 4 and p = 5, 13 are 1 mod 4."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_all_pairs_against_witness_search(self, p):
+        cfg = FieldConfig(p)
+        for c in SquareClass:
+            for d in SquareClass:
+                norm = _norm_witness(int(c.representative(cfg)), d.representative(cfg), p)
+                assert c.hilbert(d, p) == (1 if norm else -1), (c, d)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_symmetric_and_bimultiplicative(self, p):
+        for c in SquareClass:
+            for d in SquareClass:
+                assert c.hilbert(d, p) == d.hilbert(c, p)
+                for e in SquareClass:
+                    assert (c * d).hilbert(e, p) == c.hilbert(e, p) * d.hilbert(e, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_norms_are_two_classes_with_one_and_minus_disc(self, p):
+        # N(x + y sqrt D) = x^2 - D y^2 takes the values 1 and -D, and the
+        # norms have index 2; when -D is a square (D = EPS at p = 3 mod 4)
+        # the norm classes are ONE and EPS, the even valuations
+        minus_one = square_class_of_rational(-1, p)
+        for ext in EXTS:
+            norms = {c for c in SquareClass if ext.hilbert(c, p) == 1}
+            assert len(norms) == 2 and {SquareClass.ONE, minus_one * ext} <= norms, ext
 
 
 class TestRationalHelpers:
-    """The Fraction helpers that `classify` reads agree with brute force
-    that shares no logic with `legendre` or `hilbert_symbol`."""
+    """The class helpers that `classify` reads agree with brute force
+    that shares no logic with `legendre` or the Hilbert pairing."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_agree_with_scalar_predicates(self, p):
         cfg = FieldConfig(p)
         unit_squares = {y * y % p**3 for y in range(p**3) if y % p}
-        discs = [int(ext.disc_rep(cfg)) for ext in EXTS]
+        discs = [int(ext.representative(cfg)) for ext in EXTS]
         for den in (1, p, p * p, 2, 3 * p):
             for num in range(-60, 61):
                 if num == 0:
@@ -237,7 +273,7 @@ class TestRationalHelpers:
                 assert square_class_of_rational(x, p) == _square_class_brute(
                     x, p, unit_squares)
                 for ext, d in zip(EXTS, discs):
-                    assert ext.is_norm_rational(x, cfg) == _norm_witness(d, x, p)
+                    assert is_norm(ext, x, p) == _norm_witness(d, x, p)
 
 
 class TestSerialization:

@@ -11,7 +11,7 @@ from germlab import (FieldConfig, GermBasis, GroupElement, REG_EPS,
                      in_g_nil_r, random_sl2, rep_elliptic, rep_nilpotent, sl2,
                      verify_claim)
 from germlab.cli import _standard_grid
-from germlab.padic import INF, QuadExtDescriptor, val_p
+from germlab.padic import INF, square_class_of_rational, val_p
 from germlab.sl2 import ALL_ORBITS, OrbitLabel
 from germlab.tree import BASE, depth_via_tree
 
@@ -39,7 +39,7 @@ class TestClassify:
     def test_unramified(self):
         k = classify(M(0, 1, 2))
         assert k.is_regular and not k.is_split
-        assert not k.ext.ramified and k.tag is True
+        assert k.ext == SquareClass.EPS and k.tag is True
 
     def test_zero(self):
         assert classify(M(0, 0, 0)).kind == "zero"
@@ -75,7 +75,7 @@ def _chart_labels():
     """Every label with an (a, b) chart: nilpotent, split and elliptic."""
     out = [om for om in ALL_ORBITS if om.kind != "zero"] + [OrbitLabel("split")]
     for cls in (SquareClass.EPS, SquareClass.PI, SquareClass.EPSPI):
-        out += [OrbitLabel("elliptic", ext=QuadExtDescriptor(cls), tag=tag)
+        out += [OrbitLabel("elliptic", ext=cls, tag=tag)
                 for tag in (True, False)]
     return out
 
@@ -90,8 +90,8 @@ class TestAdmits:
         sizes = set()
         for label in _chart_labels():
             for v in range(-3, 5):
-                want = {d for d in range(1, p)
-                        if label.admits(Fraction(d) * Fraction(p) ** v, cfg)}
+                want = {d for d in range(1, p) if label.admits(
+                    square_class_of_rational(Fraction(d) * Fraction(p) ** v, p), p)}
                 assert label.digits(v, cfg) == want, (label, v)
                 sizes.add(len(want))
         assert sizes == {0, (p - 1) // 2, p - 1}
@@ -99,12 +99,10 @@ class TestAdmits:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_moved_label_admits_p_times_b(self, p):
         cfg = FieldConfig(p)
-        rng = random.Random(80 + p)
         for label in _chart_labels():
-            for _ in range(40):
-                b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4),
-                             rng.randint(1, 50)) * Fraction(p) ** rng.randint(-3, 3)
-                assert label.moved(cfg).admits(b, cfg) == label.admits(p * b, cfg), (label, b)
+            for c in SquareClass:
+                assert (label.moved(cfg).admits(c, p)
+                        == label.admits(c * SquareClass.PI, p)), (label, c)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_classify_admits_the_b_of_x(self, p):
@@ -124,12 +122,12 @@ class TestAdmits:
                 continue
             label = classify(X)
             kinds.add(label.kind)
-            assert label.admits(X.b if X.b else -X.c, cfg), X
+            assert label.admits(square_class_of_rational(X.b if X.b else -X.c, p), p), X
         assert kinds == {"nil", "split", "elliptic"}
 
     def test_zero_orbit_has_no_chart(self):
         with pytest.raises(ValueError, match="zero orbit"):
-            ZERO_ORBIT.admits(1, CFG)
+            ZERO_ORBIT.admits(SquareClass.ONE, 5)
         with pytest.raises(ValueError, match="zero orbit"):
             ZERO_ORBIT.digits(0, CFG)
 

@@ -370,6 +370,26 @@ class TestCalibration:
         assert ok
         assert rows[-1]["calibration"] == {k: str(v) for k, v in sorted(want.items())}
 
+    def test_first_case_of_each_type_is_checked(self, monkeypatch):
+        # a count off by a factor on the first case of a torus type fails
+        # that case: the constant is fixed in advance, not fitted to it
+        from germlab import orbital
+        cases = tree_oracle_cases(CFG)
+        firsts = {}
+        for name, X, _, _ in cases:
+            firsts.setdefault(classify(X).torus_kind(), name)
+        for kind, first in firsts.items():
+            doubled = next((X, n) for name, X, n, _ in cases if name == first)
+
+            def count(cfg, X, n, R, doubled=doubled):
+                c = tree_count_oracle(cfg, X, n, R)
+                return 2 * c if (X, n) == doubled else c
+
+            monkeypatch.setattr(orbital, "tree_count_oracle", count)
+            rows, ok = tree_oracle_compare(CFG)
+            failed = [row["case"] for row in rows[:-1] if not row["pass"]]
+            assert not ok and failed == [first], kind
+
 
 def _scan_depth(cfg, X, R):
     """depth_via_tree with every vertex of the R-ball tested."""

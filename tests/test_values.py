@@ -1,8 +1,8 @@
 """Value semantics of germlab's immutable types, and what the CLI imports.
 
-FieldConfig, QuadExtDescriptor, OrbitLabel, TreeVertex, CosetCell, Orbit and
-IntegralResult share germlab.value.Value: equal when of one class with equal
-fields, hashed once at construction, closed to assignment.
+FieldConfig, OrbitLabel, TreeVertex, CosetCell, Orbit and IntegralResult
+share germlab.value.Value: equal when of one class with equal fields, hashed
+once at construction, closed to assignment.
 """
 
 import copy
@@ -17,7 +17,7 @@ import pytest
 
 import germlab
 from germlab import (BASE, ZERO_ORBIT, CosetCell, ExpansionReport, FieldConfig,
-                     IntegralResult, Orbit, OrbitLabel, QuadExtDescriptor, Sl2Element,
+                     IntegralResult, Orbit, OrbitLabel, Sl2Element,
                      SquareClass, TreeVertex, classify, make_vertex, rep_elliptic)
 from germlab.cli import RunConfig
 
@@ -29,11 +29,9 @@ def _twins():
     """One pair per frozen type: equal values built apart."""
     X = rep_elliptic(CFG, 5, tag=False)
     twin = Sl2Element(FieldConfig(5), *X.exact_entries())
-    pi = QuadExtDescriptor(SquareClass.PI)
     return [
         (FieldConfig(5), FieldConfig(5, 12)),
-        (pi, QuadExtDescriptor(SquareClass.PI)),
-        (classify(X), OrbitLabel("elliptic", ext=pi, tag=False)),
+        (classify(X), OrbitLabel("elliptic", ext=SquareClass.PI, tag=False)),
         (make_vertex(CFG, 1, 7), TreeVertex(1, Fraction(2))),
         (CosetCell(Sl2Element.zero(CFG), BASE, 1),
          CosetCell(twin - twin, make_vertex(CFG, 0, 3), 1)),
@@ -77,7 +75,8 @@ def test_unequal_values():
 def test_checks_run_at_construction():
     for bad in (lambda: FieldConfig(2), lambda: FieldConfig(4),
                 lambda: FieldConfig(5, precision=3),
-                lambda: QuadExtDescriptor(SquareClass.ONE)):
+                lambda: OrbitLabel("elliptic", ext=SquareClass.ONE, tag=True),
+                lambda: OrbitLabel("elliptic", tag=True)):
         with pytest.raises(ValueError):
             bad()
 
@@ -102,8 +101,6 @@ def test_reprs():
     assert repr(FieldConfig(5)) == "FieldConfig(p=5, precision=12)"
     assert (repr(IntegralResult(Fraction(1, 5), 2, "finite"))
             == "IntegralResult(value=Fraction(1, 5), v0=2, tail='finite')")
-    assert (repr(QuadExtDescriptor(SquareClass.PI))
-            == "QuadExtDescriptor(disc_class=<SquareClass.PI: 'Pi'>)")
 
 
 def test_run_config_keys():
