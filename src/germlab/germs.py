@@ -47,8 +47,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import (InconsistentSystem, InvariantViolated, PoolDeficient,
-                     RankDeficient)
+from .errors import (InconsistentSystem, InvariantViolated, NotRegular,
+                     PoolDeficient, RankDeficient)
 from .linalg import RowReduction, clear_denominators
 from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
@@ -227,7 +227,7 @@ def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Frac
     cfg = X.cfg
     d = depth(X)
     if d == INF:
-        raise RankDeficient("germ table requested at a non-regular element")
+        raise NotRegular("germ table requested at a non-regular element")
     k = max(0, math.ceil((2 - d) / 2))
     germs = extract_germs(X.scale(cfg.zeta ** (2 * k)) if k else X, basis)
     return homogeneity_extend(germs, -k, cfg)
@@ -245,7 +245,7 @@ def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Fraction]:
     cfg, p, q = X.cfg, X.cfg.p, X.cfg.q
     s = X.a * X.a + X.b * X.c
     if s == 0:
-        raise RankDeficient("germ table requested at a non-regular element")
+        raise NotRegular("germ table requested at a non-regular element")
     t, s_cls = val_p(s, p), square_class_of_rational(s, p)
     split = s_cls == SquareClass.ONE
     zero = Fraction(0) if split else (

@@ -493,7 +493,6 @@ def tree_oracle_compare(cfg: FieldConfig):
     ramified = (q * q - 1) / (2 * q * q)
     constants = {"split": (q + 1) / q, "unramified": (q - 1) / q,
                  "ramified-Pi": ramified, "ramified-EpsPi": ramified}
-    calib: Dict[str, Fraction] = {}
     rows = []
     ok = True
     for name, X, n, R in tree_oracle_cases(cfg):
@@ -501,10 +500,9 @@ def tree_oracle_compare(cfg: FieldConfig):
         eng = ss_orbital(X, f).value
         cnt = tree_count_oracle(cfg, X, n, R)
         kind = classify(X).torus_kind()
-        calib[kind] = constants[kind]
-        good = eng == calib[kind] * cnt
+        good = eng == constants[kind] * cnt
         ok = ok and good
         rows.append({"case": name, "torus": kind, "engine": str(eng),
                      "count": str(cnt), "pass": good})
-    rows.append({"calibration": {k: str(v) for k, v in sorted(calib.items())}})
+    rows.append({"calibration": {k: str(v) for k, v in sorted(constants.items())}})
     return rows, ok

@@ -2,10 +2,11 @@
 
 Every number is an exact int or `Fraction`; this module reads its p-adic data:
 valuation, canonical reduction mod p^k, leading digit, Legendre symbol,
-Hensel square roots of units, and the four square classes of Q_p* with
-their Hilbert pairing.  The pairing depends on the two classes alone and
-answers every norm question: a quadratic extension is Q_p(sqrt c) for one
-class c != ONE, and x is a norm from it exactly when (c, [x])_p = 1.
+Hensel square roots of units, and the four square classes of Q_p*, each the
+pair (val mod 2, unit Legendre symbol), with their Hilbert pairing.  The
+pairing depends on the two classes alone and answers every norm question: a
+quadratic extension is Q_p(sqrt c) for one class c != ONE, and x is a norm
+from it exactly when (c, [x])_p = 1.
 """
 
 from __future__ import annotations
@@ -114,25 +115,27 @@ def hensel_sqrt(u: int, p: int, k: int) -> int:
 
 
 class SquareClass(Enum):
-    """The four classes of F*/(F*)^2 for F = Q_p, p odd."""
+    """The four classes of F*/(F*)^2 for F = Q_p, p odd, as coordinates.
 
-    ONE = "One"
-    EPS = "Eps"
-    PI = "Pi"
-    EPSPI = "EpsPi"
+    The class of x is (val x mod 2, Legendre symbol of x's unit part), set once
+    per member as `parity` and `unit_legendre`; `.value` is the printed name.
+    """
 
-    @property
-    def parity(self) -> int:
-        return 0 if self in (SquareClass.ONE, SquareClass.EPS) else 1
+    ONE = "One", 0, 1
+    EPS = "Eps", 0, -1
+    PI = "Pi", 1, 1
+    EPSPI = "EpsPi", 1, -1
 
-    @property
-    def unit_legendre(self) -> int:
-        return 1 if self in (SquareClass.ONE, SquareClass.PI) else -1
+    def __new__(cls, name: str, parity: int, unit_legendre: int):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.parity = parity
+        member.unit_legendre = unit_legendre
+        return member
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        par = (self.parity + other.parity) % 2
-        leg = self.unit_legendre * other.unit_legendre
-        return _CLASS_BY_DATA[(par, leg)]
+        return _CLASS_BY_DATA[(self.parity ^ other.parity,
+                               self.unit_legendre * other.unit_legendre)]
 
     def hilbert(self, other: "SquareClass", p: int) -> int:
         """The Hilbert symbol (c, d)_p of two classes (Serre, Ch. III).
@@ -146,24 +149,20 @@ class SquareClass(Enum):
         return sign * (self.unit_legendre if b else 1) * (other.unit_legendre if a else 1)
 
     def representative(self, cfg: "FieldConfig") -> Fraction:
-        base = {SquareClass.ONE: 1, SquareClass.EPS: cfg.eps,
-                SquareClass.PI: cfg.p, SquareClass.EPSPI: cfg.eps * cfg.p}
-        return Fraction(base[self])
+        return Fraction((cfg.eps if self.unit_legendre < 0 else 1) * cfg.p**self.parity)
 
 
-_CLASS_BY_DATA = {
-    (0, 1): SquareClass.ONE,
-    (0, -1): SquareClass.EPS,
-    (1, 1): SquareClass.PI,
-    (1, -1): SquareClass.EPSPI,
-}
+_CLASS_BY_DATA = {(c.parity, c.unit_legendre): c for c in SquareClass}
 
 
 def square_class_of_rational(x: Rat, p: int) -> SquareClass:
+    """The class of x != 0: its valuation's parity and the Legendre symbol of
+    its p-free numerator times its p-free denominator."""
     if x == 0:
         raise ValueError("square class of zero is undefined")
     v = val_p(x, p)
-    return _CLASS_BY_DATA[(v % 2, legendre(unit_mod_pk(x, p, 1), p))]
+    n, d = x.numerator // p ** max(v, 0), x.denominator // p ** max(-v, 0)
+    return _CLASS_BY_DATA[(v & 1, legendre(n * d, p))]
 
 
 def hilbert_symbol(a: Rat, b: Rat, p: int) -> int:
@@ -179,7 +178,7 @@ class FieldConfig(Value):
     nonsquare unit mod p, so labels are deterministic across runs.
     `precision` is read by nothing in germlab: every computation is exact.
     It stays, with its check, only because the benchmark builds
-    `FieldConfig(p, 12)`; the benchmark change of ROADMAP E removes it.
+    `FieldConfig(p, 12)`; ROADMAP E1 drops that and E2 deletes it.
     """
 
     def __init__(self, p: int, precision: int = 12):

@@ -264,10 +264,8 @@ def _classify(X: Sl2Element) -> Tuple[OrbitLabel, Fraction]:
     if X.is_zero_elt():
         return ZERO_ORBIT, s
     p = X.cfg.p
-    if s == 0:  # b = 0 leaves a = 0, and the class of -c is [-1][c]
-        cls = (square_class_of_rational(X.b, p) if X.b else
-               square_class_of_rational(-1, p) * square_class_of_rational(X.c, p))
-        return OrbitLabel("nil", cls), s
+    if s == 0:  # b = 0 leaves a = 0, and the orbit is read off -c
+        return OrbitLabel("nil", square_class_of_rational(X.b or -X.c, p)), s
     cls = square_class_of_rational(s, p)
     if cls == SquareClass.ONE:
         return OrbitLabel("split"), s

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
-                     InvariantViolated, LCFunction, PoolDeficient,
+                     InvariantViolated, LCFunction, NotRegular, PoolDeficient,
                      RankDeficient, REG_EPS, REG_ONE, REG_PI, Sl2Element,
                      ZERO_ORBIT, ad, closed_form_germs, construct_Hr_Omega,
                      default_basis, default_pool, expansion_rhs, extract_germs,
@@ -202,9 +202,12 @@ class TestClosedForm:
             assert closed_form_germs(X)[ZERO_ORBIT] == zero, X
 
     def test_nilpotent_X_raises(self):
+        basis = default_basis(CFG)
         for X in (M(0, 0, 0), M(0, 1, 0), M(0, 0, 5), M(1, 1, -1)):
-            with pytest.raises(RankDeficient):
+            with pytest.raises(NotRegular):
                 closed_form_germs(X)
+            with pytest.raises(NotRegular):
+                extract_germs_auto(X, basis)
 
     def test_names_neither_classification_nor_engine(self):
         assert not _names(closed_form_germs.__code__) & self.ENGINE

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from germlab import FieldConfig, SquareClass, hilbert_symbol, val_p
+from germlab import FieldConfig, SquareClass, hilbert_symbol, padic, val_p
 from germlab.padic import (INF, hensel_sqrt, leading_digit, mod_pk,
                            square_class_of_rational, unit_mod_pk)
 
@@ -87,13 +87,37 @@ class TestSquareClass:
     def test_minus_one_is_square_mod_5(self):
         assert square_class_of_rational(-1, 5) == SquareClass.ONE
 
-    def test_klein_four_product_law(self):
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_klein_four_product_law(self, p):
         rng = random.Random(13)
         for _ in range(1000):
-            x, y = rand_rational(rng, 5), rand_rational(rng, 5)
-            cx = square_class_of_rational(x, 5)
-            cy = square_class_of_rational(y, 5)
-            assert square_class_of_rational(x * y, 5) == cx * cy
+            x, y = rand_rational(rng, p), rand_rational(rng, p)
+            cx = square_class_of_rational(x, p)
+            cy = square_class_of_rational(y, p)
+            assert square_class_of_rational(x * y, p) == cx * cy
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_representatives_read_back(self, p):
+        cfg = FieldConfig(p)
+        for c in SquareClass:
+            assert square_class_of_rational(c.representative(cfg), p) is c
+
+    def test_values_are_the_report_names(self):
+        # labels, torus kinds and basis names print these strings
+        assert [c.value for c in SquareClass] == ["One", "Eps", "Pi", "EpsPi"]
+
+    def test_a_class_read_takes_one_valuation(self, monkeypatch):
+        calls = []
+
+        def counting_val_p(x, p):
+            calls.append(x)
+            return val_p(x, p)
+
+        monkeypatch.setattr(padic, "val_p", counting_val_p)
+        for x in (Fraction(-3, 50), 10, Fraction(7, 125)):
+            calls.clear()
+            square_class_of_rational(x, 5)
+            assert calls == [x]
 
 
 class TestSqrt:
