@@ -1,9 +1,10 @@
 """Exact p-adic orbital integrals and germ expansions for sl2(Q_p), p odd.
 
-Everything is computed in exact rational arithmetic: matrix entries are
-Fractions whose p-adic data (valuation, digits, square class, norm tags)
-`padic` reads, integrals are stratified coset sums with certified
-geometric tails, and germ tables come from exact linear algebra.
+Everything is computed in exact rational arithmetic: every value is an int
+when it is an integer and a Fraction otherwise (padic.exact, padic.ratio),
+`padic` reads its p-adic data (valuation, digits, square class, norm tags),
+integrals are stratified coset sums with certified geometric tails, and
+germ tables come from exact linear algebra.
 """
 
 from .errors import (BallTooSmall, GermlabError, GridTooLarge,

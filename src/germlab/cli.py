@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import List, Optional, Tuple
 
@@ -85,7 +84,7 @@ def parse_f_spec(cfg: FieldConfig, spec: str) -> LCFunction:
     if s.startswith("mp:"):
         _, vtx, n = s.split(":")
         m_str, x_str = vtx.strip("()").split(",")
-        v = make_vertex(cfg, int(m_str), Fraction(x_str))
+        v = make_vertex(cfg, int(m_str), x_str)
         return indicator_lattice(cfg, v, int(n))
     if s.startswith("nil:"):
         _, label, k = s.split(":")
@@ -218,13 +217,14 @@ def _germ_grid(cfg: FieldConfig, seed: int) -> List[Tuple[str, Sl2Element]]:
     """The standard grid at r = 0, then seeded conjugates of a split,
     unramified or ramified representative of each t = val(-det) in -2..8,
     with both tags."""
-    p, e = Fraction(cfg.p), cfg.eps
+    e = cfg.eps
     reps = []
     for t in range(-2, 9):
         if t % 2 == 0:
-            reps.append((f"split-t{t}", Sl2Element.from_rationals(cfg, p ** (t // 2), 0, 0)))
+            reps.append((f"split-t{t}", Sl2Element.from_rationals(cfg, cfg.qpow(t // 2), 0, 0)))
         kinds = (("unram", e),) if t % 2 == 0 else (("ramPi", 1), ("ramEpsPi", e))
-        reps += [(f"{kind}-t{t}-{'T' if tag else 'F'}", rep_elliptic(cfg, u * p**t, tag=tag))
+        reps += [(f"{kind}-t{t}-{'T' if tag else 'F'}",
+                  rep_elliptic(cfg, u * cfg.qpow(t), tag=tag))
                  for kind, u in kinds for tag in (True, False)]
     return _standard_grid(cfg, 0, seed, False) + [
         (f"{name}-conj", random_conjugate(X, seed=seed + i, size_bound=2))

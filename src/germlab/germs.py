@@ -35,7 +35,7 @@ and A), so the rank, the kernel and every solve share one reduction, and
 every entry point that needs a basis takes one.  extract_germs solves
 A j = I_X(basis) with the reduction of A; verify_theorem forms each
 right-hand side as one int dot product of the cleared closed-form germs
-with the member's cleared nilpotent row, and one Fraction.
+with the member's cleared nilpotent row, and one padic.ratio.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (InconsistentSystem, InvariantViolated, NotRegular,
 from .linalg import RowReduction, clear_denominators
 from .lcfunc import LCFunction, h_combination, indicator_lattice, unit_ball
 from .orbital import Orbit
-from .padic import INF, FieldConfig, SquareClass, square_class_of_rational, val_p
+from .padic import INF, FieldConfig, Rat, SquareClass, ratio, square_class_of_rational, val_p
 from .sl2 import (ALL_ORBITS, REG_EPS, REG_EPSPI, REG_ONE, REG_PI, OrbitLabel,
                   Sl2Element, depth, rep_nilpotent)
 from .tree import BASE, make_vertex
@@ -74,15 +74,21 @@ class ExpansionReport:
     (False) never gate an exit code.
     """
 
-    def __init__(self, f_id: str, x_id: str, torus: str, depth, r, lhs: Fraction,
-                 rhs: Fraction, expected: bool):
+    def __init__(self, f_id: str, x_id: str, torus: str, depth, r, lhs: Rat,
+                 rhs: Rat, expected: bool):
         self.f_id, self.x_id, self.torus, self.depth, self.r = f_id, x_id, torus, depth, r
         self.lhs, self.rhs, self.expected = lhs, rhs, expected
 
     @cached_property
-    def residual(self) -> Fraction:
-        """lhs - rhs, formed once per row; the CSV row and passed both read it."""
-        return self.lhs - self.rhs
+    def residual(self) -> Rat:
+        """lhs - rhs, formed once per row; the CSV row and passed both read it.
+
+        Formed on numerators and denominators, so a passing row's 0 is an int
+        and builds no Fraction.
+        """
+        lhs, rhs = self.lhs, self.rhs
+        return ratio(lhs.numerator * rhs.denominator - rhs.numerator * lhs.denominator,
+                     lhs.denominator * rhs.denominator)
 
     @property
     def passed(self) -> bool:
@@ -117,26 +123,26 @@ class CellTable:
         self.cfg: Optional[FieldConfig] = None
         for f in functions:
             self.cfg = f.cfg
-            vec: Dict[int, Fraction] = {}
+            vec: Dict[int, Rat] = {}
             for coeff, key, n, v in f.integration_cells():
                 j = columns.setdefault((key, n, v.m % 2), len(columns))
-                vec[j] = vec.get(j, Fraction(0)) + coeff
+                vec[j] = vec.get(j, 0) + coeff
             nonzero = [(j, c) for j, c in vec.items() if c != 0]
             den, nums = clear_denominators([c for _, c in nonzero])
             self.vectors.append((den, [(j, n) for (j, _), n in zip(nonzero, nums)]))
         self.cells = list(columns)
         self.common_den = math.lcm(*(den for den, _ in self.vectors))
 
-    def integrals(self, orbit: Orbit) -> List[Fraction]:
+    def integrals(self, orbit: Orbit) -> List[Rat]:
         """I_orbit(f) for every member f, in member order."""
         # the orbit's value on every column, as ints over D
         D, ints = clear_denominators([orbit.cell_value(*cell)[0] for cell in self.cells])
         pre, common = orbit.prefactor, self.common_den
         den = pre.denominator * common * D
-        return [Fraction(pre.numerator * (common // d) * sum(n * ints[j] for j, n in vec), den)
+        return [ratio(pre.numerator * (common // d) * sum(n * ints[j] for j, n in vec), den)
                 for d, vec in self.vectors]
 
-    def nilpotent_rows(self) -> List[Tuple[Fraction, ...]]:
+    def nilpotent_rows(self) -> List[Tuple[Rat, ...]]:
         """(I_Omega(f))_Omega in ORBIT_ORDER for every member: five table rows."""
         if self.cfg is None:
             return []
@@ -216,6 +222,12 @@ def homogeneity_extend(germs: Dict[OrbitLabel, Fraction], k: int,
     return {om: germs[om] * cfg.qpow(k * om.dim) for om in ORBIT_ORDER}
 
 
+def _deepening(d: Rat) -> int:
+    """The smallest k >= 0 with d + 2k >= 2, that is max(0, ceil((2 - d)/2)),
+    in int arithmetic: exact for d in (1/2)Z, an int or a Fraction."""
+    return max(0, -((d - 2) // 2))
+
+
 def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Fraction]:
     """Extraction with deepening: extract at zeta^(2k) X, extend back.
 
@@ -228,12 +240,12 @@ def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Frac
     d = depth(X)
     if d == INF:
         raise NotRegular("germ table requested at a non-regular element")
-    k = max(0, math.ceil((2 - d) / 2))
+    k = _deepening(d)
     germs = extract_germs(X.scale(cfg.zeta ** (2 * k)) if k else X, basis)
     return homogeneity_extend(germs, -k, cfg)
 
 
-def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Fraction]:
+def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Rat]:
     """Shalika's germs of sl2 in the engine's normalization, in closed form.
 
     With s = -det X and t = val s: the zero entry is 0 for split X, -1/q for
@@ -248,7 +260,7 @@ def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Fraction]:
         raise NotRegular("germ table requested at a non-regular element")
     t, s_cls = val_p(s, p), square_class_of_rational(s, p)
     split = s_cls == SquareClass.ONE
-    zero = Fraction(0) if split else (
+    zero = 0 if split else (
         Fraction(-1, q) if t % 2 == 0 else Fraction(-(q + 1), 2 * q * q))
     reg = cfg.qpow(t // 2)
     # b != 0 off the split torus: b = 0 would make s = a^2 a square
@@ -256,7 +268,7 @@ def closed_form_germs(X: Sl2Element) -> Dict[OrbitLabel, Fraction]:
     values = {ORBIT_ORDER[0]: zero}             # the zero orbit
     for om in ORBIT_ORDER[1:]:
         admitted = split or (om.nil_class * b_cls).hilbert(s_cls, p) == 1
-        values[om] = reg if admitted else Fraction(0)
+        values[om] = reg if admitted else 0
     return values
 
 
@@ -270,7 +282,7 @@ def construct_Hr_Omega(r: int, omega: OrbitLabel,
     """
     if pool.rank < 5:
         raise PoolDeficient("pool spans fewer than 5 independent nilpotent vectors")
-    target = [Fraction(1) if om == omega else Fraction(0) for om in ORBIT_ORDER]
+    target = [int(om == omega) for om in ORBIT_ORDER]
     x0 = pool.transpose_reduction.solve(target)
     if x0 is None:
         raise PoolDeficient("target orbit vector not in the pool's span")
@@ -295,7 +307,7 @@ def nilpotent_center(cfg: FieldConfig, label: OrbitLabel, level: int) -> Sl2Elem
     """
     par = label.nil_class.parity
     v_star = level - 1 if (level - 1) % 2 == par else level - 2
-    b0 = label.nil_class.representative(cfg) * cfg.zeta ** (v_star - par)
+    b0 = label.nil_class.representative(cfg) * cfg.qpow(v_star - par)
     return Sl2Element.from_rationals(cfg, 0, b0, 0)
 
 
@@ -342,7 +354,7 @@ def verify_claim(r: int, pool: GermBasis,
     columns = [(xname, orbit.rules[0].torus_kind(), depth(X), table.integrals(orbit))
                for xname, X, orbit in orbits]
     return [ExpansionReport(f_id=hname, x_id=xname, torus=torus, depth=d, r=r,
-                            lhs=lhs[i], rhs=Fraction(0), expected=True)
+                            lhs=lhs[i], rhs=0, expected=True)
             for i, (hname, _) in enumerate(hs) for xname, torus, d, lhs in columns]
 
 
@@ -370,7 +382,7 @@ def verify_theorem(r: int, family: Sequence[Tuple[str, LCFunction]],
         for (fname, _), (den, nv), rf, lhs in zip(family, nil_rows, proxy,
                                                   cells.integrals(orbit)):
             # expansion_rhs(germs, nv), as one int dot product
-            rhs = Fraction(sum(g * n for g, n in zip(j_ints, nv)), G * den)
+            rhs = ratio(sum(g * n for g, n in zip(j_ints, nv)), G * den)
             reports.append(ExpansionReport(
                 f_id=fname, x_id=xname, torus=torus, depth=d, r=rf,
                 lhs=lhs, rhs=rhs, expected=gate and d >= rf))

@@ -15,17 +15,14 @@ integration_cells).
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .padic import FieldConfig, mod_pk, val_p
-from .sl2 import GroupElement, Sl2Element, _exact, ad, parse_matrix
+from .padic import FieldConfig, Rat, exact, mod_pk, ratio, val_p
+from .sl2 import GroupElement, Sl2Element, ad, parse_matrix
 from .tree import (BASE, TreeVertex, act, ad_to_base, cartan, distance, make_vertex,
                    min_level)
 from .value import Value
-
-Rat = Fraction
 
 
 class CosetCell(Value):
@@ -39,7 +36,7 @@ class CosetCell(Value):
 
 
 @lru_cache(maxsize=1 << 12)
-def _base_centre(cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
+def _base_centre(cell: CosetCell) -> Tuple[Rat, Rat, Rat]:
     """Centre of Ad(g_v^{-1}) cell at the base vertex, reduced mod p^n.
 
     The cell Y + g_{v,n} becomes Ad(g_v^{-1})Y + p^n sl2(O).  A pure function
@@ -52,14 +49,14 @@ def _base_centre(cell: CosetCell) -> Tuple[Fraction, Fraction, Fraction]:
     return tuple(mod_pk(e, cfg.p, cell.level) for e in moved)
 
 
-def _basis(cfg: FieldConfig, v: TreeVertex, n: int) -> List[Tuple[int, List[Fraction]]]:
+def _basis(cfg: FieldConfig, v: TreeVertex, n: int) -> List[Tuple[int, List[Rat]]]:
     """An O-basis of g_{v,n} as (level k, p^k t): p^n t1, p^(n-d) t2, p^(n+d) t3.
 
     The integral triples t_i and d = d(BASE, v) come from tree.cartan.
     """
     triples, e, f = cartan(cfg, v)
     levels = (n, n - (f - e), n + (f - e))  # adapted levels for Ad(K1)(H, E, F)
-    return [(k, [Fraction(cfg.p) ** k * t for t in triple])
+    return [(k, [exact(cfg.qpow(k) * t) for t in triple])
             for k, triple in zip(levels, triples)]
 
 
@@ -90,7 +87,7 @@ class LCFunction:
     def __init__(self, cfg: FieldConfig, terms: Iterable[Tuple[Rat, CosetCell]]):
         self.cfg = cfg
         self.terms: Tuple[Tuple[Rat, CosetCell], ...] = tuple(
-            (Fraction(c), cell) for c, cell in terms if c != 0)
+            (exact(c), cell) for c, cell in terms if c != 0)
 
     # -- structure ------------------------------------------------------
 
@@ -112,7 +109,7 @@ class LCFunction:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "LCFunction":
-        s = Fraction(scalar)
+        s = exact(scalar)
         return LCFunction(self.cfg, [(s * c, cell) for c, cell in self.terms])
 
     def __neg__(self) -> "LCFunction":
@@ -120,19 +117,15 @@ class LCFunction:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate(self, X: Sl2Element) -> Fraction:
-        total = Fraction(0)
-        for c, cell in self.terms:
-            if cell.contains(X):
-                total += c
-        return total
+    def evaluate(self, X: Sl2Element) -> Rat:
+        return exact(sum(c for c, cell in self.terms if cell.contains(X)))
 
-    def at_zero(self) -> Fraction:
+    def at_zero(self) -> Rat:
         return self.evaluate(Sl2Element.zero(self.cfg))
 
     # -- canonical form ----------------------------------------------------
 
-    def canonical_cells(self, level: Optional[int] = None) -> Dict[tuple, Fraction]:
+    def canonical_cells(self, level: Optional[int] = None) -> Dict[tuple, Rat]:
         """Disjoint refinement: map (alpha, beta, chi) -> coefficient.
 
         Cells are cosets of p^level sl2(O) with centers reduced mod p^level;
@@ -141,11 +134,11 @@ class LCFunction:
         N = self.level() if level is None else level
         if N < self.level():
             raise ValueError("refinement level coarser than the function's level")
-        acc: Dict[tuple, Fraction] = {}
+        acc: Dict[tuple, Rat] = {}
         for coeff, cell in self.terms:
             for cf, key in _refine_cell(self.cfg, coeff, cell, N):
-                acc[key] = acc.get(key, Fraction(0)) + cf
-        return {k: v for k, v in acc.items() if v != 0}
+                acc[key] = acc.get(key, 0) + cf
+        return {k: exact(v) for k, v in acc.items() if v != 0}
 
     def canonicalize(self) -> "LCFunction":
         """Equivalent function written in disjoint standard cells."""
@@ -157,8 +150,7 @@ class LCFunction:
             terms.append((coeff, CosetCell(center, BASE, N)))
         return LCFunction(self.cfg, terms)
 
-    def integration_cells(self) -> List[Tuple[Fraction, Tuple[Fraction, Fraction, Fraction],
-                                              int, TreeVertex]]:
+    def integration_cells(self) -> List[Tuple[Rat, Tuple[Rat, Rat, Rat], int, TreeVertex]]:
         """One base-vertex cell (coeff, (alpha, beta, chi), n, v) per term.
 
         The term coeff * 1_{Y + g_{v,n}} is moved to the base vertex by
@@ -177,13 +169,14 @@ class LCFunction:
 
     def dilate(self, c) -> "LCFunction":
         """f_c with f_c(X) = f(cX): cells scale by c^{-1}, levels drop by val(c)."""
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             raise ValueError("dilation scalar must be invertible")
         vc = int(val_p(c, self.cfg.p))
+        inv = ratio(1, c)
         terms = []
         for coeff, cell in self.terms:
-            center = cell.center.scale(Fraction(1) / c)
+            center = cell.center.scale(inv)
             terms.append((coeff, CosetCell(center, cell.vertex, cell.level - vc)))
         return LCFunction(self.cfg, terms)
 
@@ -209,7 +202,7 @@ class LCFunction:
 
 
 def indicator(cfg: FieldConfig, cell: CosetCell) -> LCFunction:
-    return LCFunction(cfg, [(Fraction(1), cell)])
+    return LCFunction(cfg, [(1, cell)])
 
 
 def indicator_lattice(cfg: FieldConfig, v: TreeVertex, n: int,
@@ -249,8 +242,7 @@ def h_combination(f: LCFunction, d: int) -> LCFunction:
     """q^d f - f_zeta with f_zeta = dilate(f, zeta^2); d in {0, 2}."""
     if d not in (0, 2):
         raise ValueError("d must be a nilpotent orbit dimension (0 or 2)")
-    q = Fraction(f.cfg.q)
-    return (q**d) * f - f.dilate(f.cfg.zeta ** 2)
+    return f.cfg.q**d * f - f.dilate(f.cfg.zeta ** 2)
 
 
 # -- JSON serialization -------------------------------------------------
@@ -272,8 +264,8 @@ def lcfunction_from_json(cfg: FieldConfig, data: list) -> LCFunction:
     terms = []
     for item in data:
         m_str, x_str = item["vertex"].strip("()").split(",", 1)
-        v = make_vertex(cfg, int(m_str), Fraction(x_str))
+        v = make_vertex(cfg, int(m_str), x_str)
         center = parse_matrix(cfg, item["center"])
         cell = CosetCell(center, v, operator.index(item["level"]))
-        terms.append((_exact(item["coeff"]), cell))
+        terms.append((exact(item["coeff"]), cell))
     return LCFunction(cfg, terms)

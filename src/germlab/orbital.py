@@ -33,7 +33,8 @@ further block re-checks the ratio, raising InvariantViolated if it fails.
 Every such measure and stratum is an int multiple of a power of q, so the
 engine carries it as the int pair (count, k), meaning count q^-k; the only
 other denominator is the tail's q^j - 1.  A distinct cell costs one
-Fraction, its value.
+Fraction, its value, and none when that value is an integer: it is then an
+int (padic.ratio).
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import GridTooLarge, InvariantViolated, NotRegular
-from .padic import (FieldConfig, hensel_sqrt, leading_digit, legendre, mod_pk,
-                    unit_mod_pk, val_p)
+from .padic import (FieldConfig, Rat, exact, hensel_sqrt, leading_digit, legendre,
+                    mod_pk, ratio, unit_mod_pk, val_p)
 from .sl2 import ALL_ORBITS, OrbitLabel, Sl2Element, _classify, classify, rep_elliptic
 from .lcfunc import LCFunction, indicator_lattice
 from .tree import BASE, tree_count_oracle
@@ -61,7 +62,7 @@ def fingerprint(cfg: FieldConfig) -> str:
 
 
 class IntegralResult(Value):
-    def __init__(self, value: Fraction, v0: int, tail: str):
+    def __init__(self, value: Rat, v0: int, tail: str):
         self._freeze(value=value, v0=v0, tail=tail)
 
     def to_json(self) -> dict:
@@ -78,12 +79,12 @@ def _common(p: int, pairs) -> Tuple[list, int]:
     return [c * p ** (K - k) for c, k in pairs], K
 
 
-def _fraction(p: int, num: int, k: int, den: int = 1) -> Fraction:
-    """num / (den q^k) for any integer k."""
-    return Fraction(num, den * p**k) if k >= 0 else Fraction(num * p**-k, den)
+def _fraction(p: int, num: int, k: int, den: int = 1) -> Rat:
+    """num / (den q^k) for any integer k, as an exact value (padic.ratio)."""
+    return ratio(num, den * p**k) if k >= 0 else ratio(num * p**-k, den)
 
 
-def sqmeas(p: int, alpha: Fraction, N: int, theta: Fraction, m: int) -> Tuple[int, int]:
+def sqmeas(p: int, alpha: Rat, N: int, theta: Rat, m: int) -> Tuple[int, int]:
     """meas{a in alpha + p^N O : val(a^2 - theta) >= m} as (count, k): count q^-k.
 
     The set is the ball p^ceil(m/2) O when val(theta) >= m, else empty or the
@@ -119,8 +120,8 @@ def sqmeas(p: int, alpha: Fraction, N: int, theta: Fraction, m: int) -> Tuple[in
     return out
 
 
-def _stratum_value(cfg: FieldConfig, s: Fraction, digits: frozenset,
-                   alpha: Fraction, chi: Fraction, N: int, v: int) -> Tuple[int, int]:
+def _stratum_value(cfg: FieldConfig, s: Rat, digits: frozenset,
+                   alpha: Rat, chi: Rat, N: int, v: int) -> Tuple[int, int]:
     """Contribution q^v * meas{(a,b): val b = v, cell conditions} of one stratum,
     as (count, k): count q^-k.  `digits` are the leading digits of b the
     orbit admits on this stratum, rule.digits(v, cfg).
@@ -149,9 +150,8 @@ def _stratum_value(cfg: FieldConfig, s: Fraction, digits: frozenset,
     return sum(counts), k + N - e
 
 
-def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
-                        alpha: Fraction, beta: Fraction, chi: Fraction,
-                        N: int) -> Tuple[int, int]:
+def _bounded_cell_value(cfg: FieldConfig, s: Rat, rule: OrbitLabel,
+                        alpha: Rat, beta: Rat, chi: Rat, N: int) -> Tuple[int, int]:
     """Cell with val(beta) < N: a single stratum at v = val(beta), no tail;
     (count, k) as in _stratum_value."""
     p = cfg.p
@@ -167,7 +167,7 @@ def _bounded_cell_value(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
     return c, k - expo
 
 
-def _tail_start(cfg: FieldConfig, s: Fraction, chi: Fraction, N: int) -> int:
+def _tail_start(cfg: FieldConfig, s: Rat, chi: Rat, N: int) -> int:
     """Index v* from which the strata obey S(v+2) = rho S(v) exactly.
 
     Stratum v measures {a in alpha + p^N O : val(a^2 - theta) >= m}, times a
@@ -190,17 +190,16 @@ def _tail_start(cfg: FieldConfig, s: Fraction, chi: Fraction, N: int) -> int:
 
 
 @lru_cache(maxsize=1 << 14)
-def _cell_integral(cfg: FieldConfig, s: Fraction, rule: OrbitLabel,
-                   cell: Tuple[Fraction, Fraction, Fraction],
-                   N: int) -> Tuple[Fraction, int, str]:
+def _cell_integral(cfg: FieldConfig, s: Rat, rule: OrbitLabel,
+                   cell: Tuple[Rat, Rat, Rat], N: int) -> Tuple[Rat, int, str]:
     """Exact integral of one product cell: head sum plus closed-form tail.
 
     Past v* = _tail_start, S(v+2) = rho S(v) with rho = q^-j, j = 1
     (nilpotent) or 2 (split), or rho = 0 (elliptic), so the tail is
     B0/(1 - rho) with B0 = S(v*) + S(v*+1); the next block B1 re-checks rho.
     The strata are int counts over one power q^-K, so the check is an int
-    equality and the value is the one Fraction
-    (head (q^j - 1) + B0 q^j) / (q^K (q^j - 1)), or (head + B0) / q^K.
+    equality and the value is (head (q^j - 1) + B0 q^j) / (q^K (q^j - 1)), or
+    (head + B0) / q^K: an int when it divides, else the one Fraction.
     Memoised: a pure function of exact, value-hashed arguments, and the
     suites integrate the same cells against many X.
     """
@@ -239,8 +238,8 @@ class Orbit(Value):
     across all the functions they integrate.
     """
 
-    def __init__(self, cfg: FieldConfig, s: Fraction, rules: Tuple[OrbitLabel, OrbitLabel],
-                 prefactor: Fraction):
+    def __init__(self, cfg: FieldConfig, s: Rat, rules: Tuple[OrbitLabel, OrbitLabel],
+                 prefactor: Rat):
         self._freeze(cfg=cfg, s=s, rules=rules, prefactor=prefactor)
 
     @classmethod
@@ -255,10 +254,10 @@ class Orbit(Value):
     @classmethod
     def nilpotent(cls, cfg: FieldConfig, label: OrbitLabel) -> "Orbit":
         """A nilpotent orbit: the s = 0 fiber with b in the label's class."""
-        return cls(cfg, Fraction(0), (label, label.moved(cfg)), Fraction(1))
+        return cls(cfg, 0, (label, label.moved(cfg)), 1)
 
-    def cell_value(self, key: Tuple[Fraction, Fraction, Fraction], n: int,
-                   odd: int) -> Tuple[Fraction, int, str]:
+    def cell_value(self, key: Tuple[Rat, Rat, Rat], n: int,
+                   odd: int) -> Tuple[Rat, int, str]:
         """(value, v0, tail) of the base-vertex cell key + p^n sl2(O) moved
         from a vertex with m = odd mod 2, before the prefactor.
 
@@ -266,12 +265,12 @@ class Orbit(Value):
         reduced centre is 0.
         """
         if self.rules[odd].kind == "zero":
-            return Fraction(not any(key)), 0, "point"
+            return int(not any(key)), 0, "point"
         return _cell_integral(self.cfg, self.s, self.rules[odd], key, n)
 
     def integrate(self, f: LCFunction) -> IntegralResult:
         """Integral of f over the orbit, one cell value per term of f."""
-        total = Fraction(0)
+        total = 0
         v0_max = 0
         tails = set()
         for coeff, key, n, v in f.integration_cells():
@@ -283,7 +282,7 @@ class Orbit(Value):
             tail_desc = "point"
         else:
             tail_desc = "finite" if tails <= {"finite", "0"} else "geometric"
-        return IntegralResult(self.prefactor * total, v0_max, tail_desc)
+        return IntegralResult(exact(self.prefactor * total), v0_max, tail_desc)
 
 
 def ss_orbital(X: Sl2Element, f: LCFunction) -> IntegralResult:
@@ -296,7 +295,7 @@ def nilpotent_orbital(label: OrbitLabel, f: LCFunction) -> IntegralResult:
     return Orbit.nilpotent(f.cfg, label).integrate(f)
 
 
-def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Fraction]:
+def nilpotent_vector(f: LCFunction) -> Dict[OrbitLabel, Rat]:
     """All five nilpotent orbital integrals (I_Omega(f))_Omega of f."""
     return {om: nilpotent_orbital(om, f).value for om in ALL_ORBITS}
 
@@ -473,8 +472,7 @@ def tree_oracle_cases(cfg: FieldConfig):
     Xf = rep_elliptic(cfg, e * p**2, tag=False)
     cases.append(("unram-d1-F-n0", Xf, 0, 4))
     for j, levels in ((1, (0, -1)), (3, (0, 1))):
-        for nm, s in ((f"ramPi-d{j}of2", Fraction(p) ** j),
-                      (f"ramEpsPi-d{j}of2", Fraction(e) * Fraction(p) ** j)):
+        for nm, s in ((f"ramPi-d{j}of2", p**j), (f"ramEpsPi-d{j}of2", e * p**j)):
             X = rep_elliptic(cfg, s, tag=True)
             for n in levels:
                 cases.append((f"{nm}-n{n}", X, n, (j + 1) // 2 - n + 3))

@@ -1,6 +1,14 @@
 """p-adic facts about rationals viewed inside Q_p (p odd).
 
-Every number is an exact int or `Fraction`; this module reads its p-adic data:
+Every number is exact, by one rule: an int when it is an integer, and a
+`Fraction` with denominator > 1 otherwise, so that integer work runs at C
+speed.  Values are put in that form where they are built, by `exact` (any
+exact input; a float is refused) and `ratio` (a quotient, an int when it
+divides), and nothing branches on the type afterwards.  Python keeps
+Fraction(n) == n, hash(Fraction(n)) == hash(n) and str(Fraction(n)) ==
+str(n), so the rule changes no memo key, order or printed byte.
+
+This module reads the p-adic data of such a number:
 valuation, canonical reduction mod p^k, leading digit, Legendre symbol,
 Hensel square roots of units, and the four square classes of Q_p*, each the
 pair (val mod 2, unit Legendre symbol), with their Hilbert pairing.  The
@@ -22,6 +30,31 @@ from .value import Value
 INF = math.inf
 
 Rat = Union[int, Fraction]  # val_p and mod_pk read only .numerator, .denominator
+
+
+def exact(x) -> Rat:
+    """x as an exact value: an int when it is an integer, else a Fraction.
+
+    Takes an int, a Fraction or anything Fraction reads (a string "n/d").  A
+    float is refused: its binary value is not the rational it was written
+    as (0.1 would become 3602879701896397/2^55).
+    """
+    if isinstance(x, float):
+        raise TypeError(f"exact rational required, got float {x!r}")
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x if x.denominator > 1 else x.numerator
+
+
+def ratio(n: Rat, d: Rat) -> Rat:
+    """n / d for exact n and d != 0, as an exact value.
+
+    The quotient is tested with an int divmod first, so an integral one
+    builds no Fraction.
+    """
+    num, den = n.numerator * d.denominator, n.denominator * d.numerator
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _is_prime(n: int) -> bool:
@@ -75,15 +108,15 @@ def unit_mod_pk(x: Rat, p: int, k: int) -> int:
     return n % m * pow(d, -1, m) % m
 
 
-def mod_pk(x: Rat, p: int, k: int) -> Fraction:
+def mod_pk(x: Rat, p: int, k: int) -> Rat:
     """Canonical representative of x modulo p^k O (digits below position k)."""
     v = val_p(x, p)
     if v >= k:
-        return Fraction(0)
+        return 0
     j = max(0, -v)  # the denominator's p-part is p^j
     m, pj = p ** (k + j), p**j
     c = (x.numerator % m) * pow(x.denominator // pj, -1, m) % m
-    return Fraction(c, pj)
+    return Fraction(c, pj) if j else c  # for j > 0, c = x p^j mod p^(k+j) is a unit
 
 
 def leading_digit(x: Rat, p: int) -> int:
@@ -148,8 +181,8 @@ class SquareClass(Enum):
         sign = -1 if a and b and p % 4 == 3 else 1
         return sign * (self.unit_legendre if b else 1) * (other.unit_legendre if a else 1)
 
-    def representative(self, cfg: "FieldConfig") -> Fraction:
-        return Fraction((cfg.eps if self.unit_legendre < 0 else 1) * cfg.p**self.parity)
+    def representative(self, cfg: "FieldConfig") -> int:
+        return (cfg.eps if self.unit_legendre < 0 else 1) * cfg.p**self.parity
 
 
 _CLASS_BY_DATA = {(c.parity, c.unit_legendre): c for c in SquareClass}
@@ -193,14 +226,18 @@ class FieldConfig(Value):
         return self.p
 
     @property
-    def zeta(self) -> Fraction:
-        return Fraction(self.p)
+    def zeta(self) -> int:
+        return self.p
 
     @cached_property
     def eps(self) -> int:
         return smallest_nonsquare_unit(self.p)
 
-    def qpow(self, k) -> Fraction:
-        """q^k as an exact rational (k any integer)."""
+    def qpow(self, k) -> Rat:
+        """q^k as an exact value (k any integer): an int for k >= 0.
+
+        Use it for a power of p that can be negative: p ** k with int p and
+        k < 0 is a float.
+        """
         k = int(k)
-        return Fraction(self.p**k) if k >= 0 else Fraction(1, self.p ** (-k))
+        return self.p**k if k >= 0 else Fraction(1, self.p**-k)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import SpecMismatch
-from .padic import (INF, FieldConfig, SquareClass, legendre,
+from .padic import (INF, FieldConfig, Rat, SquareClass, exact, legendre, ratio,
                     square_class_of_rational, val_p)
 from .value import Value
 
@@ -127,22 +127,14 @@ def _digit_set(label: OrbitLabel, parity: int, cfg: FieldConfig) -> frozenset:
     return frozenset(d for d in range(1, p) if admitted[legendre(d, p)])
 
 
-def _exact(x) -> Fraction:
-    """x as a Fraction.  A float is refused: its binary value is not the
-    rational it was written as (0.1 would become 3602879701896397/2^55)."""
-    if isinstance(x, float):
-        raise TypeError(f"exact rational required, got float {x!r}")
-    return Fraction(x)
-
-
 class Sl2Element:
-    """Trace-zero 2x2 matrix ((a, b), (c, -a)) with exact rational entries."""
+    """Trace-zero 2x2 matrix ((a, b), (c, -a)) with exact entries (padic.exact)."""
 
     __slots__ = ("cfg", "a", "b", "c")
 
     def __init__(self, cfg: FieldConfig, a, b, c):
         self.cfg = cfg
-        self.a, self.b, self.c = _exact(a), _exact(b), _exact(c)
+        self.a, self.b, self.c = exact(a), exact(b), exact(c)
 
     @classmethod
     def from_rationals(cls, cfg: FieldConfig, a, b, c) -> "Sl2Element":
@@ -155,15 +147,18 @@ class Sl2Element:
     def exact_entries(self) -> tuple:
         return (self.a, self.b, self.c)
 
-    def det(self) -> Fraction:
+    def det(self) -> Rat:
         return -(self.a * self.a) - self.b * self.c
 
     def is_zero_elt(self) -> bool:
         return not (self.a or self.b or self.c)
 
     def scale(self, t) -> "Sl2Element":
-        s = _exact(t)
-        return Sl2Element(self.cfg, self.a * s, self.b * s, self.c * s)
+        """t X; each entry times t's numerator, over t's denominator (padic.ratio)."""
+        s = exact(t)
+        n, d = s.numerator, s.denominator
+        return Sl2Element(self.cfg, ratio(self.a * n, d), ratio(self.b * n, d),
+                          ratio(self.c * n, d))
 
     def __add__(self, other: "Sl2Element") -> "Sl2Element":
         return Sl2Element(self.cfg, self.a + other.a, self.b + other.b, self.c + other.c)
@@ -212,13 +207,13 @@ def parse_matrix(cfg: FieldConfig, text: str) -> Sl2Element:
 
 
 class GroupElement:
-    """2x2 matrix with exact rational entries and determinant 1 (checked on build)."""
+    """2x2 matrix with exact entries (padic.exact) and determinant 1 (checked on build)."""
 
     __slots__ = ("cfg", "m")
 
     def __init__(self, cfg: FieldConfig, entries):
         self.cfg = cfg
-        self.m = tuple(tuple(_exact(x) for x in row) for row in entries)
+        self.m = tuple(tuple(exact(x) for x in row) for row in entries)
         d = self.det()
         if d != 1:
             raise ValueError(f"determinant {d} != 1")
@@ -227,7 +222,7 @@ class GroupElement:
     def identity(cls, cfg: FieldConfig) -> "GroupElement":
         return cls(cfg, [[1, 0], [0, 1]])
 
-    def det(self) -> Fraction:
+    def det(self) -> Rat:
         (a, b), (c, d) = self.m
         return a * d - b * c
 
@@ -258,9 +253,9 @@ def classify(X: Sl2Element) -> OrbitLabel:
     return _classify(X)[0]
 
 
-def _classify(X: Sl2Element) -> Tuple[OrbitLabel, Fraction]:
+def _classify(X: Sl2Element) -> Tuple[OrbitLabel, Rat]:
     """classify(X) together with the s = -det X = a^2 + bc it reads."""
-    s = X.a * X.a + X.b * X.c
+    s = exact(X.a * X.a + X.b * X.c)
     if X.is_zero_elt():
         return ZERO_ORBIT, s
     p = X.cfg.p
@@ -277,7 +272,7 @@ def _classify(X: Sl2Element) -> Tuple[OrbitLabel, Fraction]:
 def depth(X: Sl2Element):
     """Moy-Prasad depth val(-det)/2; INF on the nilpotent cone (zero included)."""
     t = val_p(X.det(), X.cfg.p)
-    return INF if t == INF else Fraction(t, 2)
+    return INF if t == INF else ratio(t, 2)
 
 
 def in_g_nil_r(X: Sl2Element, r, strict: bool = False) -> bool:
@@ -306,7 +301,7 @@ def random_sl2(cfg: FieldConfig, rng: random.Random, size_bound: int = 1) -> Gro
     for _ in range(rng.randint(2, 4)):
         num = rng.randint(-cfg.p**size_bound, cfg.p**size_bound)
         den = cfg.p ** rng.randint(0, size_bound)
-        r = Fraction(num, den)
+        r = ratio(num, den)
         if rng.random() < 0.5:
             e = GroupElement(cfg, [[1, r], [0, 1]])
         else:
@@ -330,15 +325,15 @@ def rep_nilpotent(cfg: FieldConfig, label: OrbitLabel) -> Sl2Element:
 
 def rep_elliptic(cfg: FieldConfig, s, tag: bool = True) -> Sl2Element:
     """((0, b0), (s/b0, 0)) with -det = s; b0 picked to realize the norm tag."""
-    s = Fraction(s)
+    s = exact(s)
     cls = square_class_of_rational(s, cfg.p)
     if cls == SquareClass.ONE:
         raise SpecMismatch("-det is a square; this torus is split")
     if tag:
-        b0 = Fraction(1)
+        b0 = 1
     else:  # a non-norm: p for the unramified extension, eps for the ramified ones
-        b0 = Fraction(cfg.p if cls == SquareClass.EPS else cfg.eps)
-    X = Sl2Element.from_rationals(cfg, 0, b0, s / b0)
+        b0 = cfg.p if cls == SquareClass.EPS else cfg.eps
+    X = Sl2Element.from_rationals(cfg, 0, b0, ratio(s, b0))
     if classify(X) != OrbitLabel("elliptic", ext=cls, tag=tag):
         raise SpecMismatch("representative failed its classification round-trip")
     return X

@@ -34,13 +34,13 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import BallTooSmall, NotRegular
-from .padic import INF, FieldConfig, mod_pk, val_p
+from .padic import INF, FieldConfig, Rat, exact, mod_pk, ratio, val_p
 from .sl2 import GroupElement, Sl2Element, classify
 from .value import Value
 
 
 class TreeVertex(Value):
-    def __init__(self, m: int, x: Fraction):
+    def __init__(self, m: int, x: Rat):
         self._freeze(m=m, x=x)
 
     def __repr__(self):
@@ -48,14 +48,16 @@ class TreeVertex(Value):
 
 
 def make_vertex(cfg: FieldConfig, m: int, x) -> TreeVertex:
-    """Canonicalize the coordinate x modulo p^m O."""
-    return TreeVertex(m, mod_pk(Fraction(x), cfg.p, m))
+    """Canonicalize the coordinate x (padic.exact reads it) modulo p^m O."""
+    return TreeVertex(m, mod_pk(exact(x), cfg.p, m))
 
 
-BASE = TreeVertex(0, Fraction(0))
+BASE = TreeVertex(0, 0)
 
 
 def basis_matrix(cfg: FieldConfig, v: TreeVertex) -> Tuple[Tuple[Fraction, ...], ...]:
+    """g_v with Fraction entries, so that the quotients a caller forms from
+    them stay exact."""
     p = Fraction(cfg.p)
     return ((Fraction(1), Fraction(0)), (v.x, p**v.m))
 
@@ -63,7 +65,7 @@ def basis_matrix(cfg: FieldConfig, v: TreeVertex) -> Tuple[Tuple[Fraction, ...],
 def neighbors(cfg: FieldConfig, v: TreeVertex) -> List[TreeVertex]:
     """The q+1 adjacent vertices."""
     out = [make_vertex(cfg, v.m - 1, v.x)]
-    step = Fraction(cfg.p) ** v.m
+    step = cfg.qpow(v.m)
     for c in range(cfg.p):
         out.append(make_vertex(cfg, v.m + 1, v.x + c * step))
     return out
@@ -99,7 +101,8 @@ def distance(cfg: FieldConfig, v: TreeVertex, w: TreeVertex) -> int:
 def ad_to_base(cfg: FieldConfig, v: TreeVertex, a, b, c):
     """Entries (a', b', c') of Ad(g_v^{-1}) ((a, b), (c, -a)) = g_v^{-1} X g_v.
 
-    Takes exact rational entries.  It moves g_{v,n} onto p^n sl2(O); on the
+    Takes exact entries and divides by p^|m| with padic.ratio, so a quotient
+    is an int where it divides.  It moves g_{v,n} onto p^n sl2(O); on the
     chart of an orbit it reads (a, b) -> (a + b x, p^m b), which keeps det and
     the invariant measure da db/|b|.
     """
@@ -107,8 +110,8 @@ def ad_to_base(cfg: FieldConfig, v: TreeVertex, a, b, c):
     a2 = a + b * x
     c2 = c - x * (a + a2)
     if v.m >= 0:
-        return a2, b * pm, c2 / pm
-    return a2, Fraction(b, pm), c2 * pm
+        return a2, b * pm, ratio(c2, pm)
+    return a2, ratio(b, pm), c2 * pm
 
 
 def min_level(cfg: FieldConfig, v: TreeVertex, X: Sl2Element):
@@ -149,10 +152,10 @@ def _lattice_class(cfg: FieldConfig, cols) -> TreeVertex:
     if v2 < v1:
         c1, c2 = c2, c1
     if c2[0] != 0:
-        t = c2[0] / c1[0]
-        c2 = (Fraction(0), c2[1] - t * c1[1])
-    xq = c1[1] / c1[0]
-    delta = c2[1] / c1[0]
+        t = ratio(c2[0], c1[0])
+        c2 = (0, c2[1] - t * c1[1])
+    xq = ratio(c1[1], c1[0])
+    delta = ratio(c2[1], c1[0])
     return make_vertex(cfg, int(val_p(delta, p)), xq)
 
 
@@ -375,6 +378,7 @@ def cartan(cfg: FieldConfig, v: TreeVertex) -> Tuple[tuple, int, int]:
     if e == 0:
         triples = ((1, 0, 2 * x), (-x, 1, -x * x), (0, 0, 1))
     else:
-        y = 1 / x if x else Fraction(0)
-        triples = ((-1, 2 * y, 0), (y, -y * y, 1), (0, 1, 0))
+        y = ratio(1, x) if x else 0
+        # 2 y is an integer when y's denominator is 2
+        triples = ((-1, exact(2 * y), 0), (y, -y * y, 1), (0, 1, 0))
     return triples, e, m - e

@@ -20,9 +20,10 @@ from germlab import (ALL_ORBITS, FieldConfig, InconsistentSystem,
                      reports_to_csv, ss_orbital, unit_ball,
                      depth, verify_claim, verify_theorem)
 from germlab.cli import _standard_grid, _theorem_family
-from germlab.germs import ORBIT_ORDER, CellTable, GermBasis, nilpotent_center
+from germlab.germs import ORBIT_ORDER, CellTable, GermBasis, _deepening, nilpotent_center
 from germlab.linalg import RowReduction, nullspace, rank, solve_consistent
 from germlab.orbital import Orbit, _cell_integral
+from germlab.padic import ratio
 from germlab.tree import BASE
 
 CFG = FieldConfig(5)
@@ -399,13 +400,25 @@ class TestTheorem:
             t = extract_germs_auto(X, basis)
             for nv in nil:
                 rep = next(rows)
-                assert type(rep.rhs) is Fraction and rep.rhs == expansion_rhs(t, nv)
-            k = max(0, math.ceil((2 - depth(X)) / 2))
+                # an int, or a Fraction only when it is not an integer
+                assert type(rep.rhs) is (int if rep.rhs.denominator == 1 else Fraction)
+                assert rep.rhs == expansion_rhs(t, nv)
+            k = _deepening(depth(X))
             Xk = X.scale(cfg.zeta ** (2 * k))
             solved = extract_germs(Xk, basis)
             assert homogeneity_extend(solved, -k, cfg) == t
             for (_, f), nv in zip(basis.members, basis_nil):
                 assert sum(nv[om] * solved[om] for om in ORBIT_ORDER) == ss_orbital(Xk, f).value
+
+    def test_deepening_is_the_ceiling_at_every_half_integer_depth(self):
+        # k = ceil((2 - d) / 2), floored at 0, for every d in (1/2)Z in
+        # [-4, 4], given as a Fraction (integral or not) and in the form
+        # depth returns (an int when d is an integer)
+        for n in range(-8, 9):
+            want = max(0, math.ceil((2 - Fraction(n, 2)) / 2))
+            for d in (Fraction(n, 2), ratio(n, 2)):
+                k = _deepening(d)
+                assert type(k) is int and k == want, (d, k, want)
 
     def test_report_serialization(self):
         pool = default_pool(CFG, 0)

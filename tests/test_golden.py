@@ -11,8 +11,11 @@ an exact value or raises).  The oracles digests at p = 3 and p = 13 were
 recorded before the tree count moved to int coordinates, and the germs
 digest when the suite was added.  The germs digests at p = 3 and p = 13
 were recorded before germ tables became plain dicts and extraction's int
-solve folded into RowReduction.solve.  A change to any exact value, row order,
-verdict or exit code shows up here as a changed digest.
+solve folded into RowReduction.solve.  The nilpotent and orbital digests
+were recorded before integral exact values became ints; the last orbital
+one keeps non-integral entries and an off-base vertex covered.  A change to
+any exact value, row order, verdict or exit code shows up here as a changed
+digest.
 """
 
 import contextlib
@@ -54,6 +57,14 @@ GOLDEN = {
     ("--p", "7", "verify", "theorem", "--r", "0"): (0, {
         "theorem-r0.csv": "af3575e84a2395b9114d4b03d06a7f0d4e181dca60d8dcc2a2b52617e913bc7d",
         "theorem-r0.json": "b7ae31ece787eab7f9311df496efa4dd9fbb4c77024f7c03403898f6585a049f"}),
+    # the two commands no suite runs: a dilation and the five nilpotent
+    # integrals, and ss_orbital on cells off the base vertex
+    ("nilpotent", "--f", "nil:eps:2"): (0, {
+        "nilpotent.json": "ce9bf7d93bb5c0f215b071fe84ae9e7854ec70282a01e0b8e1217da2fc4b4c31"}),
+    ("orbital", "--X", "[[0,1],[10,0]]", "--f", "mp:(1,0):1"): (0, {
+        "orbital.json": "09e3251711255e3e94888a9363fb864c7b4464632d16b871dcb3637beb0fa7e8"}),
+    ("orbital", "--X", "[[1/3,2],[5/7,-1/3]]", "--f", "mp:(2,1/5):1"): (0, {
+        "orbital.json": "cda5b0bd6ef6cc2250d53057a870e9f42e3f9a40487dbb33ffc8a42f9360f75f"}),
 }
 
 
