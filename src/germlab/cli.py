@@ -4,22 +4,30 @@ The suites of `germlab verify`: claim and theorem on the standard grid at
 depth --r, germs (the closed-form germs against extraction) and oracles
 (the engine against its independent oracles).
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error (a bad flag,
---p, X spec or f spec, a file that cannot be opened, an --r that is
+The command line is parsed by `parse_args` from the grammar in
+`_COMMON_FLAGS` and `_COMMANDS`: the common flags go before or after the
+command (the later one wins), a command's own flags after it, every flag
+spelt in full as "--flag value" or "--flag=value".  `-h` or `--help`
+anywhere prints the help and exits 0.
+
+Exit codes: 0 pass, 1 verification failure, 2 usage error, reported on
+stderr as one "usage error: ..." line (an unknown or abbreviated flag, a
+flag without its value, a value that is not an int or not one of the
+choices, a missing command, suite or required flag, an extra argument, a
+bad --p, X spec or f spec, a file that cannot be opened, an --r that is
 negative or leaves the grid empty, or --r, --depth-strict or --format csv
-on a command that builds no grid), 3 computational
-error, a ValueError raised inside a computation included.  Identical
-configurations produce byte-identical output files; every emitted document
-embeds the run configuration and the measure fingerprint.
+on a command that builds no grid), 3 computational error, a ValueError
+raised inside a computation included.  Identical configurations produce
+byte-identical output files; every emitted document embeds the run
+configuration and the measure fingerprint.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import cache
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from .errors import GermlabError
@@ -283,57 +291,125 @@ SUITES = {"claim": _verify_claim, "theorem": _verify_theorem,
 GRID_SUITES = ("claim", "theorem")
 
 
-def _add_common(ap: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same flags are accepted before and after the subcommand; the
-    # subcommand copies use SUPPRESS so they never clobber parsed values
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    ap.add_argument("--p", type=int, default=d(5), help="odd prime (default 5)")
-    ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--format", dest="fmt", choices=("json", "csv"), default=d("json"),
-                    help="csv: the rows of verify claim and theorem (default json)")
-    ap.add_argument("--depth-strict", action="store_true",
-                    default=d(False),
-                    help="use depth(X) > r for grid membership instead of >=")
-    ap.add_argument("--out", default=d(None), help="directory for report files")
+# The grammar as data.  A flag maps to (attribute, kind, default), where kind
+# is int, str, a tuple of the values it accepts, or None for a switch that
+# takes no value.  The common flags are accepted before and after the
+# command, and the later one wins.
+_COMMON_FLAGS = {
+    "--p": ("p", int, 5),
+    "--seed": ("seed", int, 0),
+    "--format": ("fmt", ("json", "csv"), "json"),
+    "--depth-strict": ("depth_strict", None, False),
+    "--out": ("out", str, None),
+}
+# command -> (its own flags, accepted after it only; the ones it requires;
+# (attribute, choices) of its one positional argument, or None)
+_COMMANDS = {
+    "nilpotent": ({"--f": ("f", str, None)}, ("--f",), None),
+    "orbital": ({"--X": ("X", str, None), "--f": ("f", str, None)}, ("--X", "--f"), None),
+    "verify": ({"--r": ("r", int, None)}, (), ("suite", SUITES)),
+}
+
+_HELP = """\
+usage: germlab [FLAGS] COMMAND [ARGS] [FLAGS]
+
+Exact p-adic orbital integrals and germ verification for sl2.
+
+commands:
+  nilpotent --f F         the five nilpotent orbital integrals of f
+  orbital --X X --f F     the orbital integral of f at X
+  verify SUITE [--r R]    a verification suite: {suites}
+
+flags, before or after the command (the later one wins):
+  --p P                   odd prime (default 5; 3 is allowed and warns)
+  --seed N                seed of the grids' random conjugates (default 0)
+  --format json|csv       csv: the rows of verify claim and theorem (default json)
+  --depth-strict          grid points of depth > r instead of >= r
+  --out DIR               directory for the report files
+  -h, --help              print this help and exit
+
+--r (default 0), --depth-strict and --format csv apply to verify claim and
+theorem only.  A flag is spelt in full and takes its value as "--flag value"
+or "--flag=value".
+  F: unit-ball | zero | mp:(m,x):n | nil:one|eps|pi|epspi:k | JSON list or file
+  X: 0 | diag(u,-u) | [[a,b],[c,-a]], entries n or n/d
+
+exit codes: 0 pass, 1 verification failure, 2 usage error, 3 computational error
+"""
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `germlab` parser, built once per process and shared: do not modify it."""
-    ap = argparse.ArgumentParser(
-        prog="germlab",
-        description="Exact p-adic orbital integrals and germ verification for sl2")
-    _add_common(ap, suppress=False)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p_nil = sub.add_parser("nilpotent", help="five nilpotent orbital integrals")
-    _add_common(p_nil, suppress=True)
-    p_nil.add_argument("--f", required=True, help="f-spec (unit-ball|zero|mp:..|nil:..|JSON)")
-    p_nil.set_defaults(run=lambda rc, ns, got: cmd_nilpotent(rc, ns.f, got["f"]))
-
-    p_orb = sub.add_parser("orbital", help="semisimple orbital integral")
-    _add_common(p_orb, suppress=True)
-    p_orb.add_argument("--X", required=True, help='X-spec ("diag(1,-1)" or [[a,b],[c,-a]])')
-    p_orb.add_argument("--f", required=True)
-    p_orb.set_defaults(
-        run=lambda rc, ns, got: cmd_orbital(rc, ns.X, got["X"], ns.f, got["f"]))
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p_ver, suppress=True)
-    p_ver.add_argument("suite", choices=tuple(SUITES))
-    p_ver.add_argument("--r", type=int, help="depth of claim and theorem (default 0)")
-    p_ver.set_defaults(run=lambda rc, ns, got: SUITES[ns.suite](rc, **got))
-    return ap
+def _flag_value(flag: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise _UsageError(f"{flag} is one of {', '.join(kind)}, not {text!r}")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise _UsageError(f"{flag} takes an int, not {text!r}") from None
 
 
-def _parse_inputs(rc: RunConfig, ns: argparse.Namespace) -> dict:
-    """Check --p and parse the subcommand's --X and --f specs."""
+def parse_args(argv: List[str]) -> SimpleNamespace:
+    """The namespace of one `germlab` command line; a _UsageError if it is not one.
+
+    Every attribute the grammar names is set, to its default when not given.
+    """
+    ns = SimpleNamespace(command=None, suite=None)
+    for flags in (_COMMON_FLAGS, *(own for own, _, _ in _COMMANDS.values())):
+        for attr, _, default in flags.values():
+            setattr(ns, attr, default)
+    flags, required, positional = _COMMON_FLAGS, (), None
+    args = iter(argv)
+    for arg in args:
+        if arg.startswith("-"):
+            flag, eq, text = arg.partition("=")
+            if flag not in flags:
+                where = f"after {ns.command}" if ns.command else "before the command"
+                raise _UsageError(f"unknown flag {flag} {where}")
+            attr, kind, _ = flags[flag]
+            if kind is None:
+                if eq:
+                    raise _UsageError(f"{flag} takes no value")
+                value = True
+            else:
+                if not eq:
+                    text = next(args, None)
+                    if text is None or text.startswith("--"):
+                        raise _UsageError(f"{flag} needs a value")
+                value = _flag_value(flag, kind, text)
+            setattr(ns, attr, value)
+        elif ns.command is None:
+            if arg not in _COMMANDS:
+                raise _UsageError(f"unknown command {arg!r}; one of {', '.join(_COMMANDS)}")
+            ns.command = arg
+            own, required, positional = _COMMANDS[arg]
+            flags = {**_COMMON_FLAGS, **own}
+        elif positional and getattr(ns, positional[0]) is None:
+            if arg not in positional[1]:
+                raise _UsageError(f"unknown {positional[0]} {arg!r}; one of "
+                                  + ", ".join(positional[1]))
+            setattr(ns, positional[0], arg)
+        else:
+            raise _UsageError(f"unexpected argument {arg!r}")
+    if ns.command is None:
+        raise _UsageError(f"no command given; one of {', '.join(_COMMANDS)}")
+    if positional and getattr(ns, positional[0]) is None:
+        raise _UsageError(f"{ns.command} needs a {positional[0]}; one of "
+                          + ", ".join(positional[1]))
+    for flag in required:
+        if getattr(ns, flags[flag][0]) is None:
+            raise _UsageError(f"{ns.command} needs {flag}")
+    return ns
+
+
+def _parse_inputs(rc: RunConfig, ns: SimpleNamespace) -> dict:
+    """Check --p and parse the command's --X and --f specs."""
     try:
         cfg = rc.field()
         got = {}
-        if "X" in ns:
+        if ns.X is not None:
             got["X"] = parse_x_spec(cfg, ns.X)
-        if "f" in ns:
+        if ns.f is not None:
             got["f"] = parse_f_spec(cfg, ns.f)
         return got
     except (ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError,
@@ -344,26 +420,29 @@ def _parse_inputs(rc: RunConfig, ns: argparse.Namespace) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_HELP.format(suites=", ".join(SUITES)))
+        return 0
     try:
-        ns = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    r = getattr(ns, "r", None)
-    rc = RunConfig(p=ns.p, r=r or 0, seed=ns.seed, fmt=ns.fmt,
-                   depth_strict=ns.depth_strict, out=ns.out)
-    try:
+        ns = parse_args(argv)
+        rc = RunConfig(p=ns.p, r=ns.r or 0, seed=ns.seed, fmt=ns.fmt,
+                       depth_strict=ns.depth_strict, out=ns.out)
         if ns.p == 3:
             print("warning: p=3 is allowed but small residue characteristic is "
                   "outside the comfortable regime; default test prime is 5",
                   file=sys.stderr)
         got = _parse_inputs(rc, ns)
-        if getattr(ns, "suite", None) in GRID_SUITES:
+        if ns.suite in GRID_SUITES:
             got["grid"] = _standard_grid(rc.field(), rc.r, rc.seed, rc.depth_strict)
-        elif r is not None or rc.depth_strict or rc.fmt == "csv":
+        elif ns.r is not None or rc.depth_strict or rc.fmt == "csv":
             raise _UsageError("--r, --depth-strict and --format csv apply only to verify "
                               + ", ".join(GRID_SUITES))
-        return ns.run(rc, ns, got)
+        if ns.command == "nilpotent":
+            return cmd_nilpotent(rc, ns.f, got["f"])
+        if ns.command == "orbital":
+            return cmd_orbital(rc, ns.X, got["X"], ns.f, got["f"])
+        return SUITES[ns.suite](rc, **got)
     except (_UsageError, OSError) as exc:  # OSError here: --out cannot be written
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

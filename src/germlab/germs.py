@@ -60,8 +60,8 @@ from .tree import BASE, make_vertex
 ORBIT_ORDER = list(ALL_ORBITS)  # Zero, Regular(One), Regular(Eps), Regular(Pi), Regular(EpsPi)
 
 
-def expansion_rhs(germs: Dict[OrbitLabel, Fraction],
-                  nil_vec: Dict[OrbitLabel, Fraction]) -> Fraction:
+def expansion_rhs(germs: Dict[OrbitLabel, Rat],
+                  nil_vec: Dict[OrbitLabel, Rat]) -> Rat:
     """sum_Omega j_Omega(X) I_Omega(f) for germs j and f's nilpotent vector,
     as a plain Fraction sum."""
     return sum(germs[om] * nil_vec[om] for om in ORBIT_ORDER)
@@ -170,7 +170,7 @@ class GermBasis:
         self.rank = self.transpose_reduction.rank
 
     @property
-    def kernel(self) -> List[List[Fraction]]:
+    def kernel(self) -> List[List[Rat]]:
         """Coefficient vectors whose combinations have zero nilpotent vector."""
         return self.transpose_reduction.kernel
 
@@ -180,7 +180,7 @@ class GermBasis:
         return RowReduction(self.matrix)
 
 
-def _combination(coeffs: Sequence[Fraction], pool: GermBasis) -> Optional[LCFunction]:
+def _combination(coeffs: Sequence[Rat], pool: GermBasis) -> Optional[LCFunction]:
     """sum_i c_i f_i over the nonzero coefficients; None when all vanish."""
     f = None
     for c, (_, g) in zip(coeffs, pool.members):
@@ -199,7 +199,7 @@ def default_basis(cfg: FieldConfig) -> GermBasis:
     return GermBasis(out)
 
 
-def extract_germs(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Fraction]:
+def extract_germs(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Rat]:
     """Solve the five-orbit expansion over the basis with exact linear algebra.
 
     The basis integrals at X are solved against the basis's one reduction
@@ -216,8 +216,8 @@ def extract_germs(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Fraction]
     return dict(zip(ORBIT_ORDER, x))
 
 
-def homogeneity_extend(germs: Dict[OrbitLabel, Fraction], k: int,
-                       cfg: FieldConfig) -> Dict[OrbitLabel, Fraction]:
+def homogeneity_extend(germs: Dict[OrbitLabel, Rat], k: int,
+                       cfg: FieldConfig) -> Dict[OrbitLabel, Rat]:
     """The germs at zeta^(2k) X from those at X: j_Omega scales by q^(k dim Omega)."""
     return {om: germs[om] * cfg.qpow(k * om.dim) for om in ORBIT_ORDER}
 
@@ -228,7 +228,7 @@ def _deepening(d: Rat) -> int:
     return max(0, -((d - 2) // 2))
 
 
-def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Fraction]:
+def extract_germs_auto(X: Sl2Element, basis: GermBasis) -> Dict[OrbitLabel, Rat]:
     """Extraction with deepening: extract at zeta^(2k) X, extend back.
 
     k is the smallest with depth(X) + 2k >= 2, which moves X into the

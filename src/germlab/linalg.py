@@ -11,19 +11,22 @@ y by applying E to y.  E is kept as one int matrix over one denominator and
 M as one int matrix over another, so a solve clears y to ints once and is
 then int dot products and an int substitution check.  The reduced form is
 unique and fixed by the pivots and the kernel, so those are what a Fraction
-Gauss-Jordan gives.  rank, solve_consistent and nullspace are one-shot
+Gauss-Jordan gives.  Kernel vectors and solutions follow the int rule of
+padic: an entry is an int when it is integral, else a Fraction (padic.ratio
+forms each quotient).  rank, solve_consistent and nullspace are one-shot
 wrappers.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
+from .padic import Rat, ratio
 
-def clear_denominators(row: Sequence[Fraction]) -> Tuple[int, List[int]]:
+
+def clear_denominators(row: Sequence[Rat]) -> Tuple[int, List[int]]:
     """(d, ints) with row = ints / d for a row of Fractions or ints: d > 0 is
     the lcm of the entries' denominators."""
     d = math.lcm(*(x.denominator for x in row))
@@ -74,7 +77,7 @@ class RowReduction:
     E y vanishes past the rank.
     """
 
-    def __init__(self, M: Sequence[Sequence[Fraction]]):
+    def __init__(self, M: Sequence[Sequence[Rat]]):
         rows = len(M)
         self.cols = len(M[0]) if rows else 0
         self.matrix_den = math.lcm(*(x.denominator for row in M for x in row))
@@ -95,20 +98,20 @@ class RowReduction:
         self.ops_ints += [row[self.cols:] for row in aug[self.rank:]]
 
     @cached_property
-    def kernel(self) -> List[List[Fraction]]:
+    def kernel(self) -> List[List[Rat]]:
         """Basis of the exact kernel of M, one vector per free column."""
         basis = []
         for fc in range(self.cols):
             if fc in self.pivots:
                 continue
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
+            v = [0] * self.cols
+            v[fc] = 1
             for row, lead, pc in zip(self._left, self._leads, self.pivots):
-                v[pc] = Fraction(-row[fc], lead)
+                v[pc] = ratio(-row[fc], lead)
             basis.append(v)
         return basis
 
-    def solve(self, y: Sequence[Fraction]) -> Optional[List[Fraction]]:
+    def solve(self, y: Sequence[Rat]) -> Optional[List[Rat]]:
         """One exact solution of M x = y, or None when the system is inconsistent.
 
         y (Fractions or ints) is cleared to ints over D, E is applied in
@@ -128,18 +131,18 @@ class RowReduction:
             if sum(a * b for a, b in zip(row, x) if a) != scale * t:
                 return None
         den = self.ops_den * D
-        return [Fraction(t, den) for t in x]
+        return [ratio(t, den) for t in x]
 
 
-def rank(M: Sequence[Sequence[Fraction]]) -> int:
+def rank(M: Sequence[Sequence[Rat]]) -> int:
     return RowReduction(M).rank
 
 
-def solve_consistent(M: Sequence[Sequence[Fraction]], y: Sequence[Fraction]) -> Optional[List[Fraction]]:
+def solve_consistent(M: Sequence[Sequence[Rat]], y: Sequence[Rat]) -> Optional[List[Rat]]:
     """One exact solution of M x = y (free variables zero), or None when inconsistent."""
     return RowReduction(M).solve(y)
 
 
-def nullspace(M: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+def nullspace(M: Sequence[Sequence[Rat]]) -> List[List[Rat]]:
     """Basis of the exact kernel of M."""
     return RowReduction(M).kernel

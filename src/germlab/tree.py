@@ -23,7 +23,7 @@ apartment columns -1 and 2 and finds only the part it counts.  Both walk
 the int chart of _Chart, which reads min_level exactly at BASE only.
 Everywhere else a walk asks whether X lies in one lattice g_{v,n}, two int
 divisibility tests: adjacent levels differ by at most one, so the ascent's
-next vertex is the first neighbour at the next level.  The Fraction
+next vertex is the first neighbour at the next level.  The exact
 primitives below are the public interface and the chart's test oracle.
 """
 
@@ -55,11 +55,9 @@ def make_vertex(cfg: FieldConfig, m: int, x) -> TreeVertex:
 BASE = TreeVertex(0, 0)
 
 
-def basis_matrix(cfg: FieldConfig, v: TreeVertex) -> Tuple[Tuple[Fraction, ...], ...]:
-    """g_v with Fraction entries, so that the quotients a caller forms from
-    them stay exact."""
-    p = Fraction(cfg.p)
-    return ((Fraction(1), Fraction(0)), (v.x, p**v.m))
+def basis_matrix(cfg: FieldConfig, v: TreeVertex) -> Tuple[Tuple[Rat, ...], ...]:
+    """g_v with exact entries on the int rule; divide them with padic.ratio."""
+    return ((1, 0), (v.x, cfg.qpow(v.m)))
 
 
 def neighbors(cfg: FieldConfig, v: TreeVertex) -> List[TreeVertex]:

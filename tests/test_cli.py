@@ -36,12 +36,116 @@ def test_python_dash_m_germlab_runs_the_cli():
         assert proc.returncode == code, (argv, proc.stderr)
 
 
-class TestOneParser:
-    def test_the_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-        # the shared parser prints the help a fresh one prints
-        assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
+def test_a_run_imports_no_argparse_gettext_or_locale(tmp_path):
+    # the CLI parses its own argv: a whole run loads none of the three
+    src = os.path.dirname(os.path.dirname(germlab.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from germlab import cli; "
+            "code = cli.main(['verify', 'oracles', '--out', sys.argv[2]]); "
+            "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
+
+DEFAULT = {"p": 5, "r": 0, "seed": 0, "fmt": "json", "depth_strict": False}
+ORBITAL = ["orbital", "--X", "diag(1,-1)", "--f", "unit-ball"]
+
+
+class TestGrammar:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        # every command records the configuration it was given instead of running
+        seen = []
+
+        def record(rc, *args, **kwargs):
+            seen.append(rc.as_dict())
+            return 0
+        for suite in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, suite, record)
+        monkeypatch.setattr(cli, "cmd_nilpotent", record)
+        monkeypatch.setattr(cli, "cmd_orbital", record)
+        return seen
+
+    @pytest.mark.parametrize("argv, config", [
+        (["verify", "claim"], {}),
+        (["verify", "claim", "--r", "1"], {"r": 1}),
+        (["verify", "claim", "--r=1"], {"r": 1}),
+        (["verify", "--r", "2", "theorem"], {"r": 2}),
+        (["verify", "claim", "--r", "-1"], None),   # parsed; the grid refuses it
+        (["--p", "7", "verify", "claim"], {"p": 7}),
+        (["--p=7", "verify", "claim"], {"p": 7}),
+        (["verify", "claim", "--p", "7"], {"p": 7}),
+        (["--p", "3", "verify", "claim", "--p", "7"], {"p": 7}),
+        (["verify", "claim", "--p", "7", "--p=11"], {"p": 11}),
+        (["--seed", "3", "verify", "germs", "--seed", "4"], {"seed": 4}),
+        (["--format", "csv", "verify", "theorem", "--depth-strict"],
+         {"fmt": "csv", "depth_strict": True}),
+        (["--depth-strict", "--format=csv", "verify", "claim", "--format", "json"],
+         {"depth_strict": True}),
+        (["--out", "reports", "verify", "oracles", "--out=elsewhere"], {}),
+        (["nilpotent", "--f", "zero", "--p", "7"], {"p": 7}),
+        (["--p", "3", "nilpotent", "--f=zero"], {"p": 3}),
+        (["orbital", "--f", "unit-ball", "--X=diag(1,-1)", "--seed", "2"], {"seed": 2}),
+        # rejected: an unknown flag
+        (["--precision", "3", "verify", "oracles"], None),
+        (["verify", "oracles", "--precision", "3"], None),
+        # a command's own flag before the command, or after another command
+        (["--r", "1", "verify", "claim"], None),
+        (["--X", "diag(1,-1)", "orbital", "--f", "unit-ball"], None),
+        (["verify", "claim", "--f", "zero"], None),
+        (["nilpotent", "--f", "zero", "--r", "0"], None),
+        # an abbreviation, even a unique one
+        (["verify", "claim", "--f", "csv"], None),
+        (["--f", "csv", "verify", "claim"], None),
+        (["verify", "claim", "--dep"], None),
+        (["--form", "csv", "verify", "claim"], None),
+        # a missing value
+        (["verify", "claim", "--r"], None),
+        (["verify", "claim", "--out"], None),
+        (["verify", "claim", "--out", "--r", "0"], None),
+        (["nilpotent", "--f"], None),
+        # a bad int or choice, or a value given to a switch
+        (["verify", "claim", "--r", "x"], None),
+        (["--p", "five", "verify", "claim"], None),
+        (["--seed=1.5", "verify", "claim"], None),
+        (["--format", "xml", "verify", "claim"], None),
+        (["--depth-strict=yes", "verify", "claim"], None),
+        # a missing or unknown command or suite
+        ([], None),
+        (["--p", "7"], None),
+        (["frobnicate"], None),
+        (["verify"], None),
+        (["verify", "--r", "0"], None),
+        (["verify", "nope"], None),
+        # a missing required flag
+        (["nilpotent"], None),
+        (["orbital", "--X", "diag(1,-1)"], None),
+        (["orbital", "--f", "unit-ball"], None),
+        # an extra positional argument
+        (["verify", "claim", "theorem"], None),
+        (["nilpotent", "--f", "zero", "extra"], None),
+        ([*ORBITAL, "extra"], None),
+    ], ids=lambda v: " ".join(v) or "(none)" if isinstance(v, list) else None)
+    def test_argv_to_exit_code_and_config(self, capsys, seen, argv, config):
+        code, out, err = run(capsys, *argv)
+        if config is None:
+            assert (code, out, seen) == (2, "", [])
+            assert err.startswith("usage error:") and err.count("\n") == 1, err
+        else:
+            assert (code, seen) == (0, [{**DEFAULT, **config}])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "claim", "-h"],
+                                      ["--precision", "3", "--help"], ["nilpotent", "--f", "--help"]],
+                             ids=" ".join)
+    def test_help_anywhere_prints_the_help(self, capsys, seen, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err, seen) == (0, "", [])
+        assert out.startswith("usage: germlab ")
+        assert all(suite in out for suite in cli.SUITES)
+
+
+class TestOneParser:
     def test_consecutive_runs_keep_no_state(self, capsys, monkeypatch):
         seen = []
         for suite in cli.GRID_SUITES:

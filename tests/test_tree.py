@@ -10,7 +10,7 @@ from germlab import (BallTooSmall, FieldConfig, GroupElement,
                      indicator_lattice, make_vertex, neighbors,
                      random_sl2, rep_elliptic, ss_orbital, tree_count_oracle)
 from germlab.orbital import tree_oracle_cases, tree_oracle_compare
-from germlab.padic import INF, val_p
+from germlab.padic import INF, ratio, val_p
 from germlab.sl2 import classify, random_conjugate
 from germlab.tree import (BASE, _Chart, _lattice_class, act, ad_to_base, basis_matrix,
                           cartan, min_level)
@@ -123,8 +123,10 @@ class TestMpLattice:
         for _ in range(20):
             v = make_vertex(cfg, m, rat())
             (g00, g01), (g10, g11) = basis_matrix(cfg, v)
+            # the entries follow the int rule, so they are divided with ratio
+            assert all(type(t) is int or t.denominator > 1 for t in (g00, g01, g10, g11))
             det = g00 * g11 - g01 * g10
-            g_inv = [[g11 / det, -g01 / det], [-g10 / det, g00 / det]]
+            g_inv = [[ratio(g11, det), ratio(-g01, det)], [ratio(-g10, det), ratio(g00, det)]]
             a, b, c = rat(), rat(), rat()
             (a2, b2), (c2, d2) = mul(mul(g_inv, [[a, b], [c, -a]]), basis_matrix(cfg, v))
             assert d2 == -a2
