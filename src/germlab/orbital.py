@@ -39,6 +39,7 @@ int (padic.ratio).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -314,54 +315,59 @@ def _oracle_rule(target):
     return a * a + b * c, label
 
 
-def _interval_ameas(cfg: FieldConfig, alpha: Fraction, N: int,
-                    theta: Fraction, m: int) -> Fraction:
-    """meas{a in alpha + p^N O : val(a^2 - theta) >= m} by coset subdivision.
+def _interval_ameas(cfg: FieldConfig, alpha: Rat, N: int, theta: Rat,
+                    m_lo: int, m_hi: int) -> list:
+    """[meas{a in alpha + p^N O : val(a^2 - theta) >= m} for m in m_lo..m_hi],
+    each as (count, k): count q^-k, by one coset subdivision.
 
-    Pure interval logic: a coset (gamma, l) is fully inside when both the
-    center value and every perturbation term reach valuation m, fully outside
-    when the center value is pinned strictly below every perturbation, and is
-    subdivided otherwise.  Terminates by level m + max(0, -val(gamma)).
+    Pure interval logic: a coset (gamma, l) is fully inside for a target
+    when both the centre value and every perturbation term reach its
+    valuation, fully outside when the centre value is pinned strictly below
+    every perturbation, and is subdivided otherwise.  A single target is
+    the range m..m.
 
     It runs on ints.  With a = p^-e a' and
     e = max(0, -N, -val alpha, ceil(-val theta / 2)), alpha and theta are
     p-integral, levels are >= 0 and every valuation above shifts by 2e: the
-    target is M = m + 2e, each branch decision is unchanged and the measure
-    gains a factor q^e.  No decision tells valuations >= M apart, so centres
-    are ints mod p^M and no level >= M is subdivided.  If M <= 0 the whole
-    coset qualifies.
+    targets are M = m + 2e, each branch decision is unchanged and the measure
+    gains a factor q^e.  No decision tells valuations >= M_hi apart, so
+    centres are ints mod p^M_hi and no level >= M_hi is subdivided.  A
+    target M <= 0 takes the whole coset.
 
-    Each decision is a divisibility test of the centre value
-    phi = theta - gamma^2 mod p^M.  The perturbation 2 gamma p^l d + p^2l d^2
-    of a coset of level l has valuation pert = min(l + val gamma, 2l) (p is
-    odd), and p^min(M, pert) = p^l gcd(gamma, p^t) with t = min(M - l, l).
-    When pert >= M the coset is inside if phi = 0 and outside otherwise; when
-    pert < M it is outside if p^pert does not divide phi, and is subdivided
-    otherwise.
+    The perturbation 2 gamma p^l d + p^2l d^2 of a coset of level l has
+    valuation pi = min(l + val gamma, 2l) (p is odd), here capped at M_hi,
+    and pi grows from a coset to its children.  The targets M <= pi are
+    decided on the coset itself: inside when M <= val(theta - gamma^2).
+    Its parent, of perturbation pi', decided those up to pi', so the coset
+    adds its measure to the targets pi' < M <= min(val(theta - gamma^2), pi)
+    and is subdivided for the targets above pi when pi < M_hi and p^pi
+    divides theta - gamma^2; else it is outside for all of them.  Both
+    valuations are read off a gcd with a power of p.
     """
     p = cfg.p
     e = max(0, -N, -val_p(alpha, p), -(val_p(theta, p) // 2) if theta else 0)
-    M = m + 2 * e
-    if M <= 0:
-        return cfg.qpow(-N)
-    K = max(M, N + e)  # every coset level lies in N + e..K
+    lo, hi = m_lo + 2 * e, m_hi + 2 * e
+    if hi <= 0:
+        return [(1, N)] * (m_hi - m_lo + 1)
+    K = max(hi, N + e)  # every coset level lies in N + e..K
     pw = [p**k for k in range(K + 1)]
-    pM = pw[M]
-    theta = int(mod_pk(theta * p ** (2 * e), p, M))
-    count = 0  # in units of q^-K
-    stack = [(int(mod_pk(alpha * p**e, p, M)), N + e)]
+    log = {x: k for k, x in enumerate(pw)}
+    pH = pw[hi]
+    theta = int(mod_pk(theta * p ** (2 * e), p, hi))
+    diff = [0] * (hi - lo + 2)  # counts in units of q^-K, as differences over M
+    stack = [(int(mod_pk(alpha * p**e, p, hi)), N + e, lo)]  # (gamma, l, least open M)
     while stack:
-        gamma, l = stack.pop()
-        phi = (theta - gamma * gamma) % pM
-        t = min(M - l, l)
-        cut = pw[l] * math.gcd(gamma, pw[t]) if t > 0 else pw[l + t]  # p^min(M, pert)
-        if cut == pM:
-            if not phi:
-                count += pw[K - l]
-        elif phi % cut == 0:
-            step = pw[l]
-            stack.extend((gamma + i * step, l + 1) for i in range(p))
-    return Fraction(count * p**e, p**K)
+        gamma, l, first = stack.pop()
+        t = min(hi - l, l)
+        pert = l + log[math.gcd(gamma, pw[t])] if t > 0 else l + t
+        top = min(log[math.gcd(theta - gamma * gamma, pH)], pert)
+        if top >= first:
+            diff[first - lo] += pw[K - l]
+            diff[top - lo + 1] -= pw[K - l]
+        if pert < hi and top == pert:
+            step, nxt = pw[l], max(lo, pert + 1)
+            stack.extend((gamma + i * step, l + 1, nxt) for i in range(p))
+    return [(count, K - e) for count in itertools.accumulate(diff[:-1])]
 
 
 _ORACLE_BUDGET = 60_000  # b-cosets times cells times strata, at most
@@ -383,10 +389,15 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
     only mod p^(N + v), are cleared once to one p-power denominator D, and
     every b-coset centre b has b p^M an int.  So b matches the cells with
     beta D p^M = b p^M D mod p^(N + M) D, and theta = s - b chi, times
-    D p^M, is the int s D p^M - b p^M (chi D).  The a-measure reads theta
-    only mod p^(N + v), that is this int mod p^(N + v) D p^M: the measures
-    are memoised per call on (alpha, that residue, v), and each stratum is
-    summed as int counts over powers of q, one Fraction per stratum.
+    D p^M, is the int s D p^M - b p^M (chi D).  Stratum v asks for
+    val(a^2 - theta) >= N + v.  canonical_cells reduces centres mod p^N,
+    so chi = 0 is val chi >= N: then theta = s on every b-coset of every
+    stratum, and one subdivision per alpha gives the a-measures of all
+    strata at once.  Any other cell reads theta only mod p^(N + v), that is
+    the int above mod p^(N + v) D p^M, and its single-target measures are
+    memoised per call on (alpha, that residue, v).  Measures and strata
+    are int counts over powers of q, so the tail test compares ints, and
+    the value is the one Fraction of the call.
     """
     cfg = f.cfg
     p = cfg.p
@@ -420,10 +431,11 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
         by_beta.setdefault(int(be * DpM) % mod_beta, []).append(
             (al, int(al * D), int(ch * D), int(coeff * den)))
     S = int(s * DpM)
-    memo: Dict[tuple, Tuple[int, int]] = {}
-    strata = []
+    ranges: Dict[int, list] = {}                # chi = 0: alpha -> measures of strata lo..v_max
+    memo: Dict[tuple, Tuple[int, int]] = {}     # chi != 0: (alpha, theta residue, v) -> measure
+    rows = []  # per stratum, coeff times measure count by the measure's power k of q^-1
     for v in range(lo, v_max + 1):
-        acc: Dict[int, int] = {}  # coeff times measure, by the measure's denominator
+        row: Dict[int, int] = {}
         digits = rule.digits(v, cfg)
         if digits:
             mod_theta = p ** max(0, N + v + E)  # theta mod p^(N + v), times p^E
@@ -433,28 +445,40 @@ def brute_force_cell_oracle(target, f: LCFunction) -> Fraction:
                     bM = (d0 + p * ib) * pv  # b p^M
                     for al, A, X, C in by_beta.get(bM * D % mod_beta, ()):
                         # a-condition: val(s - a^2 - b*chi) >= N + v
-                        R = (S - bM * X) % mod_theta
-                        key = (A, R, v)
-                        am = memo.get(key)
-                        if am is None:
-                            am = _interval_ameas(cfg, al, N, Fraction(R, DpM), N + v)
-                            am = memo[key] = am.numerator, am.denominator
-                        if am[0]:
-                            acc[am[1]] = acc.get(am[1], 0) + C * am[0]
-        # q^v * vol_b * sum = q^-n_b * sum, vol_b = q^-(v + n_b)
-        L = max(acc, default=1)
-        strata.append(Fraction(sum(c * (L // d) for d, c in acc.items()), den * p**n_b * L))
-    prefactor = cfg.qpow(vs // 2)
+                        if X == 0:
+                            am = ranges.get(A)
+                            if am is None:
+                                am = ranges[A] = _interval_ameas(cfg, al, N, s, N + lo, N + v_max)
+                            c, k = am[v - lo]
+                        else:
+                            R = (S - bM * X) % mod_theta
+                            am = memo.get((A, R, v))
+                            if am is None:
+                                am = memo[A, R, v] = _interval_ameas(
+                                    cfg, al, N, Fraction(R, DpM), N + v, N + v)[0]
+                            c, k = am
+                        if c:
+                            row[k] = row.get(k, 0) + C * c
+        rows.append(row)
+    # stratum v is strata[v - lo] / (den q^(n_b + K)): q^v vol_b sum, vol_b = q^-(v + n_b)
+    K = max((k for row in rows for k in row), default=0)
+    strata = [sum(c * p ** (K - k) for k, c in row.items()) for row in rows]
     if rule.kind == "elliptic":
-        return prefactor * sum(strata, Fraction(0))
-    # observed-block geometric tail over the last six strata; with B0 = 0
-    # the ratio is 0 and both later blocks must vanish
-    B0, B1, B2 = (strata[i] + strata[i + 1] for i in (-6, -4, -2))
-    ratio = B1 / B0 if B0 else Fraction(0)
-    geometric = B1 == ratio * B0 and B2 == ratio * B1
-    if geometric and ratio in (0, Fraction(1, p), Fraction(1, p * p)):
-        return prefactor * (sum(strata[:-6], Fraction(0)) + B0 / (1 - ratio))
-    raise GridTooLarge(f"strata {v_max - 5}..{v_max} show no geometric tail")
+        num, dd = sum(strata), 1
+    else:
+        # observed-block geometric tail over the last six strata, ratio 0,
+        # 1/q or 1/q^2: B1 = rho B0 and B2 = rho B1, summed as B0 / (1 - rho)
+        B0, B1, B2 = (strata[i] + strata[i + 1] for i in (-6, -4, -2))
+        head = sum(strata[:-6])
+        if B1 == 0 == B2:
+            num, dd = head + B0, 1
+        else:
+            qj = next((qj for qj in (p, p * p) if B1 * qj == B0 and B2 * qj == B1), None)
+            if qj is None:
+                raise GridTooLarge(f"strata {v_max - 5}..{v_max} show no geometric tail")
+            num, dd = head * (qj - 1) + B0 * qj, qj - 1
+    x = vs // 2 - n_b - K  # the prefactor q^floor(val s / 2) over q^(n_b + K)
+    return Fraction(num * p ** max(x, 0), dd * den * p ** max(-x, 0))
 
 
 def tree_oracle_cases(cfg: FieldConfig):

@@ -124,21 +124,47 @@ def leading_digit(x: Rat, p: int) -> int:
     return unit_mod_pk(x, p, 1)
 
 
+def _sqrt_mod_p(u: int, p: int) -> int:
+    """A root of u mod p in O(log p) multiplications by Tonelli-Shanks (Cohen,
+    GTM 138, Algorithm 1.5.1): with p - 1 = q 2^e (q odd), the power of a
+    non-square and at most e further pows.  When p = 3 mod 4 (e = 1) that is
+    the one pow u^((p+1)/4).
+    """
+    u %= p
+    if p % 4 == 3:
+        r = pow(u, (p + 1) // 4, p)
+    elif pow(u, (p - 1) // 2, p) != 1:  # Tonelli-Shanks runs only on a square
+        raise ValueError("not a square mod p")
+    else:
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        c = pow(smallest_nonsquare_unit(p), q, p)  # of order 2^e
+        r, t = pow(u, (q + 1) // 2, p), pow(u, q, p)  # r^2 = u t, t of order 2^i < 2^e
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (e - i - 1), p)
+            c, e = b * b % p, i
+            r, t = r * b % p, t * c % p
+    if not u or r * r % p != u:
+        raise ValueError("not a square mod p")
+    return r
+
+
 def hensel_sqrt(u: int, p: int, k: int) -> int:
     """Square root of the unit u modulo p^k, canonical residue in 1..(p-1)/2.
 
-    Requires legendre(u, p) == 1 and k >= 1.  The start root lies in
-    1..(p-1)/2 and each Newton step changes r by a multiple of the modulus
-    already reached, so r mod p, and with it the canonical choice, never
-    changes.
+    Requires legendre(u, p) == 1 and k >= 1.  The start root is the root mod
+    p in 1..(p-1)/2, and each Newton step changes r by a multiple of the
+    modulus already reached, so r mod p, and with it the canonical choice,
+    never changes.
     """
-    r = None
-    for d in range(1, (p - 1) // 2 + 1):
-        if (d * d - u) % p == 0:
-            r = d
-            break
-    if r is None:
-        raise ValueError("not a square mod p")
+    r = _sqrt_mod_p(u, p)
+    r = min(r, p - r)
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)

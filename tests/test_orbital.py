@@ -269,14 +269,34 @@ class TestOracleTriangle:
     def test_raises_without_a_geometric_tail(self, monkeypatch):
         # an a-measure that stops shrinking leaves the strata without a tail;
         # the oracle must raise rather than return a partial sum
+        # (every target above 2 reads the measure at 2)
         real = orbital._interval_ameas
 
-        def broken(cfg, alpha, N, theta, m):
-            return real(cfg, alpha, N, theta, min(m, 2))
+        def broken(cfg, alpha, N, theta, m_lo, m_hi):
+            return [real(cfg, alpha, N, theta, min(m, 2), min(m, 2))[0]
+                    for m in range(m_lo, m_hi + 1)]
         monkeypatch.setattr(orbital, "_interval_ameas", broken)
         for target in (M(1, 0, 0), REG_ONE):
             with pytest.raises(GridTooLarge, match="no geometric tail"):
                 brute_force_cell_oracle(target, unit_ball(CFG))
+
+    def test_raises_when_the_last_block_breaks_the_ratio(self, monkeypatch):
+        # one more point of measure in the last stratum only: B0 and B1 keep
+        # their ratio (1/q^2 on the unit ball, 0 on a cell that misses the
+        # roots +-1) and B2 alone breaks it
+        real = orbital._interval_ameas
+
+        def last_target_off(cfg, alpha, N, theta, m_lo, m_hi):
+            out = real(cfg, alpha, N, theta, m_lo, m_hi)
+            count, k = out[-1]
+            return out[:-1] + [(count + 1, k)]
+        away = indicator_lattice(CFG, BASE, 1, center=M(2, 0, 0))
+        X = M(1, 0, 0)
+        assert brute_force_cell_oracle(X, unit_ball(CFG)) != 0 == brute_force_cell_oracle(X, away)
+        monkeypatch.setattr(orbital, "_interval_ameas", last_target_off)
+        for f in (unit_ball(CFG), away):
+            with pytest.raises(GridTooLarge, match="no geometric tail"):
+                brute_force_cell_oracle(X, f)
 
     def test_tree_oracle_calibration(self):
         rows, ok = tree_oracle_compare(CFG)
@@ -349,6 +369,30 @@ class TestPinnedBOracle:
                     nonzero += eng != 0
         assert nonzero > 0
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_one_function_with_both_kinds_of_cell(self, p):
+        # the unit ball minus a pinned-b cell: the oracle reads the chi = 0
+        # cell through one subdivision for all strata and the chi != 0 cell
+        # through its per-stratum memo, in the same call
+        cfg = FieldConfig(p)
+        f = unit_ball(cfg) + 2 * indicator_lattice(cfg, BASE, 1, center=M(1, 0, 1, cfg))
+        chis = [key[2] for key in f.canonical_cells(f.level())]
+        assert 0 in chis and any(chis)
+        targets = [M(1, 0, 0, cfg), M(p, 0, 0, cfg), rep_elliptic(cfg, cfg.eps, tag=True),
+                   rep_elliptic(cfg, p, tag=False), REG_ONE, REG_EPS]
+        for target in targets:
+            if isinstance(target, Sl2Element):
+                eng = ss_orbital(target, f).value
+            else:
+                eng = nilpotent_orbital(target, f).value
+            assert brute_force_cell_oracle(target, f) == eng, target
+
+
+def _ameas_at(cfg, alpha, N, theta, m):
+    """The oracle's a-measure at the single target m, as a Fraction."""
+    (count, k), = orbital._interval_ameas(cfg, alpha, N, theta, m, m)
+    return count * Fraction(cfg.p) ** -k
+
 
 def _residue_ameas(p, alpha, N, theta, m):
     """meas{a in alpha + p^N O : val(a^2 - theta) >= m} by counting t mod p^L.
@@ -401,10 +445,10 @@ class TestIntervalAmeas:
         kinds = set()
         for alpha, N, theta, m in _ameas_cases(p, 70 + p, 60):
             want = _residue_ameas(p, alpha, N, theta, m)
-            got = orbital._interval_ameas(cfg, alpha, N, theta, m)
+            got = _ameas_at(cfg, alpha, N, theta, m)
             assert got == want, (alpha, N, theta, m, got, want)
             reduced = mod_pk(theta, p, m)
-            assert orbital._interval_ameas(cfg, alpha, N, reduced, m) == want, (alpha, N, theta, m)
+            assert _ameas_at(cfg, alpha, N, reduced, m) == want, (alpha, N, theta, m)
             nonzero += 0 < want < Fraction(p) ** -N
             t = val_p(theta, p)
             kinds.add("deep" if t >= m else "negative" if t < 0 else "shallow")
@@ -418,7 +462,43 @@ class TestIntervalAmeas:
                                    (Fraction(1, 2), 0, Fraction(5), -1)):
             want = Fraction(1, 5**N)
             assert _residue_ameas(5, alpha, N, theta, m) == want
-            assert orbital._interval_ameas(CFG, alpha, N, theta, m) == want
+            assert _ameas_at(CFG, alpha, N, theta, m) == want
+
+
+class TestAmeasRange:
+    """One subdivision for a range of targets against residue counting at
+    each target, and against the range's own single-target calls."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_every_target_agrees_with_residue_counting(self, p):
+        cfg = FieldConfig(p)
+        rng = random.Random(80 + p)
+        kinds = set()
+        for alpha, N, theta, m in _ameas_cases(p, 60 + p, 40):
+            m_lo = m - rng.randint(0, 4)   # reaches M <= 0 at N <= 0
+            m_hi = max(m, min(m + rng.randint(0, 3), N + 5))  # the counting is p^L
+            got = orbital._interval_ameas(cfg, alpha, N, theta, m_lo, m_hi)
+            assert len(got) == m_hi - m_lo + 1
+            for target, (count, k) in zip(range(m_lo, m_hi + 1), got):
+                want = _residue_ameas(p, alpha, N, theta, target)
+                assert count * Fraction(p) ** -k == want, (alpha, N, theta, target)
+                t = val_p(theta, p)
+                kinds.add("deep" if t >= target else "negative" if t < 0 else "shallow")
+                kinds.add("nonpositive" if target <= 0 else "positive")
+            kinds.add("theta zero" if theta == 0 else "theta nonzero")
+        assert kinds == {"deep", "negative", "shallow", "nonpositive", "positive",
+                         "theta zero", "theta nonzero"}
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_range_equals_single_targets(self, p):
+        cfg = FieldConfig(p)
+        rng = random.Random(50 + p)
+        for kind, alpha, N, theta, m in _sqmeas_cases(cfg, 40 + p, 150):
+            m_lo, m_hi = m - rng.randint(0, 3), m + rng.randint(0, 6)
+            got = orbital._interval_ameas(cfg, alpha, N, theta, m_lo, m_hi)
+            singles = [_ameas_at(cfg, alpha, N, theta, target)
+                       for target in range(m_lo, m_hi + 1)]
+            assert [c * Fraction(p) ** -k for c, k in got] == singles, (alpha, N, theta)
 
 
 def _sqmeas_cases(cfg, seed, count):
@@ -462,7 +542,7 @@ class TestSqmeas:
         branches = set()         # counts of branch cosets that meet the cell
         for kind, alpha, N, theta, m in _sqmeas_cases(cfg, 90 + p, 400):
             count, k = orbital.sqmeas(p, alpha, N, theta, m)
-            want = orbital._interval_ameas(cfg, alpha, N, theta, m)
+            want = _ameas_at(cfg, alpha, N, theta, m)
             assert count * Fraction(p) ** -k == want, (alpha, N, theta, m, count, k)
             nonzero[kind] += want != 0
             if kind == 3 and val_p(theta, p) < m:

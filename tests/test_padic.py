@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,58 @@ class TestSqrt:
                 continue
             r = self.check_root(y * y % m, p, k)
             assert r in (y, m - y)
+
+
+def _scan_sqrt(u: int, p: int, k: int) -> int:
+    """Oracle: the start root by scanning d = 1 .. (p-1)/2 for d^2 = u mod p,
+    then the same Newton lift as hensel_sqrt."""
+    r = next((d for d in range(1, (p - 1) // 2 + 1) if (d * d - u) % p == 0), None)
+    if r is None:
+        raise ValueError("not a square mod p")
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        m = p**prec
+        r = (r + u % m * pow(r, -1, m)) * pow(2, -1, m) % m
+    return r
+
+
+class TestStartRoot:
+    """hensel_sqrt finds its start root in O(log p): the same roots as the
+    linear scan, and canonical at primes the scan cannot reach."""
+
+    ODD_PRIMES = [p for p in range(3, 62) if all(p % d for d in range(2, p))]
+
+    def test_every_unit_equals_the_scan(self):
+        assert len(self.ODD_PRIMES) == 17 and 61 in self.ODD_PRIMES
+        for p in self.ODD_PRIMES:
+            for u in range(1, p * p):
+                if u % p == 0:
+                    continue
+                for k in range(1, 5):
+                    try:
+                        want = _scan_sqrt(u, p, k)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="not a square mod p"):
+                            hensel_sqrt(u, p, k)
+                        continue
+                    assert hensel_sqrt(u, p, k) == want, (u, p, k)
+
+    @pytest.mark.parametrize("p", [10007, 100003, 10037, 10009, 65537])
+    def test_large_primes(self, p):
+        # 10007 and 100003 are 3 mod 4 (one pow); 10037 = 5 mod 8,
+        # 10009 = 1 mod 8 and 65537 = 1 + 2^16 run the Tonelli-Shanks loop
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        rng = random.Random(p)
+        for _ in range(100):
+            k = rng.randint(1, 6)
+            y = rng.randrange(1, p**k)
+            if y % p == 0:
+                continue
+            u = y * y % p**k
+            r = hensel_sqrt(u, p, k)
+            assert (r * r - u) % p**k == 0
+            assert 1 <= r % p <= (p - 1) // 2
 
 
 def _norm_witness(d: int, x: Fraction, p: int) -> bool:

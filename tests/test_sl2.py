@@ -307,6 +307,21 @@ class TestRepresentatives:
                 assert k.tag is tag
                 assert -X.det() == s
 
+    @pytest.mark.parametrize("p, eps", [(23, 5), (71, 7)])
+    def test_eps_past_three(self, p, eps):
+        # 2 and 3 are squares mod 23 and mod 71, so eps is neither of the two
+        # values every prime 3..13 gets; the squares come from squaring, not
+        # from the Legendre symbol eps is found with
+        cfg = FieldConfig(p)
+        squares = {x * x % p for x in range(1, p)}
+        assert cfg.eps == min(u for u in range(1, p) if u not in squares) == eps
+        for s in (cfg.eps, p, cfg.eps * p):
+            cls = square_class_of_rational(s, p)
+            for tag in (True, False):
+                X = rep_elliptic(cfg, s, tag=tag)
+                assert -X.det() == s
+                assert classify(X) == OrbitLabel("elliptic", ext=cls, tag=tag)
+
     def test_elliptic_rejects_square(self):
         with pytest.raises(SpecMismatch):
             rep_elliptic(CFG, 4)
