@@ -509,19 +509,23 @@ def tree_oracle_compare(cfg: FieldConfig):
     Returns (rows, ok); every case, the first of its torus type included,
     must give engine = constant * count, with the constants (q+1)/q for
     split X, (q-1)/q for unramified X and (q^2-1)/(2q^2) for ramified X: a
-    measured fit in closed form until ROADMAP direction P derives it.
+    measured fit in closed form until ROADMAP direction P derives it.  Each
+    X is classified once, as one Orbit, for all its levels n.
     """
     q = Fraction(cfg.q)
     ramified = (q * q - 1) / (2 * q * q)
     constants = {"split": (q + 1) / q, "unramified": (q - 1) / q,
                  "ramified-Pi": ramified, "ramified-EpsPi": ramified}
+    orbits = {}
     rows = []
     ok = True
     for name, X, n, R in tree_oracle_cases(cfg):
-        f = indicator_lattice(cfg, BASE, n)
-        eng = ss_orbital(X, f).value
+        if X not in orbits:
+            orbits[X] = Orbit.of(X)
+        orbit = orbits[X]
+        eng = orbit.integrate(indicator_lattice(cfg, BASE, n)).value
         cnt = tree_count_oracle(cfg, X, n, R)
-        kind = classify(X).torus_kind()
+        kind = orbit.rules[0].torus_kind()
         good = eng == constants[kind] * cnt
         ok = ok and good
         rows.append({"case": name, "torus": kind, "engine": str(eng),

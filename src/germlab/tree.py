@@ -17,10 +17,9 @@ has convex superlevel sets.  For X != 0, a vertex of F_n outside F_{n+1} is
 adjacent to F_{n+1} whenever F_{n+1} is nonempty.  So min_level rises by one
 at each step toward a nonempty F_n, and every local maximum is a global one.
 The count oracle uses this: greedy ascent of min_level from BASE walks the
-geodesic to the projection of BASE onto F_n, and a flood fill from there
-finds F_n within any ball about BASE; for split X the fill stops at
-apartment columns -1 and 2 and finds only the part it counts.  Both walk
-the int chart of _Chart, which reads min_level exactly at BASE only.
+geodesic to the projection of BASE onto F_n, and _Chart.fill walks from
+there over the part of F_n within any ball about BASE that it counts.  Both
+walk the int chart of _Chart, which reads min_level exactly at BASE only.
 Everywhere else a walk asks whether X lies in one lattice g_{v,n}, two int
 divisibility tests: adjacent levels differ by at most one, so the ascent's
 next vertex is the first neighbour at the next level.  The exact
@@ -186,11 +185,11 @@ class _Chart:
     above lev + 1, and the neighbour that a greedy ascent moves to is the
     first one in `neighbors` order that meets lev + 1.
 
-    The neighbours of (m, xi) are (m - 1, xi mod p^(m-1+S)) and
-    (m + 1, xi + c p^(m+S)) for c = 0..p-1, in `neighbors` order.  The fill
-    carries each vertex's distance from BASE to its neighbours
-    (neighbors_at) instead of reading it off a valuation (from_base), and
-    never enters the vertices that window returns.
+    The neighbours of (m, xi) are its parent (m - 1, xi mod p^(m-1+S)) and
+    its children (m + 1, xi + c p^(m+S)) for c = 0..p-1, in `neighbors`
+    order.  The fill carries each vertex's distance d from BASE to the next:
+    a step changes it by one, and only the parent (when x != 0 or m > 0) or
+    else the child c = 0 (when m < 0) is nearer BASE.
     """
 
     def __init__(self, cfg: FieldConfig, X: Sl2Element, R: int):
@@ -199,10 +198,10 @@ class _Chart:
         D = math.lcm(a.denominator, b.denominator, c.denominator)
         A, B, C = (t.numerator * (D // t.denominator) for t in (a, b, c))
         vD, pS = val_p(D, p), p**S
-        self.p, self.S, self.R, self.B = p, S, R, B
+        self.p, self.S, self.R, self.B, self.vB = p, S, R, B, val_p(B, p)
         self.pw = [p**k for k in range(2 * S + 1)]  # p^(m+S) at index m + S
         self.A1, self.A2, self.C2 = A * pS, 2 * A * pS, C * pS * pS
-        self.off1, self.off2, self.off3 = S + vD, val_p(B, p) - vD, 2 * S + vD
+        self.off1, self.off2, self.off3 = S + vD, self.vB - vD, 2 * S + vD
 
     def min_level(self, v) -> int:
         """min_level(cfg, v, X) on the chart: the exact level, read at BASE."""
@@ -226,21 +225,6 @@ class _Chart:
         k = m + self.S
         step = self.pw[k]
         return [(m - 1, xi % self.pw[k - 1])] + [(m + 1, xi + c * step) for c in range(self.p)]
-
-    def neighbors_at(self, v, d: int) -> list:
-        """The neighbours of v, d = distance(BASE, v), each with its distance from BASE.
-
-        Exactly one neighbour of v != BASE is nearer BASE.  With
-        d = m - 2 min(0, m, val x), it is (m - 1, x mod p^(m-1)) when x != 0
-        or m > 0, and (m + 1, x) (c = 0) when x = 0 and m < 0.
-        """
-        out = [(w, d + 1) for w in self.neighbors(v)]
-        m, xi = v
-        if xi or m > 0:
-            out[0] = (out[0][0], d - 1)
-        elif m < 0:
-            out[1] = (out[1][0], d - 1)
-        return out
 
     def from_base(self, v) -> int:
         """distance(BASE, v)."""
@@ -276,26 +260,56 @@ class _Chart:
                 proj = v
         return lev, v, proj
 
-    def fill(self, v, n: int, avoid) -> list:
-        """Distances from BASE of the vertices of F_n within distance R of
-        BASE that the flood fill from v reaches without entering avoid.
+    def digits(self, v, n: int):
+        """Candidate digits c of the children (m + 1, xi + c P), P = p^(m+S),
+        of a vertex v that meets n.
 
-        v is in F_n and not in avoid.  F_n within the ball is convex, and so
-        is the component of the tree minus avoid that holds v; their meet is
-        connected, so the fill reaches all of it, testing only its vertices
-        and their neighbours.
+        A child keeps v's pass of val B + m >= n and of the first test, so it
+        meets n when p^K | h(xi + c P) = h(xi) - c t1 - c^2 t2, where
+        K = n + off3 + m + 1, h(x) = C2 - x(A2 + B x), t1 = (A2 + 2 B xi) P,
+        t2 = B P^2, and p^(K-1) | h(xi).  If p^K | t2 that is c t1 = h(xi)
+        mod p^K: all digits or none if p^K | t1, else c = (h(xi)/p^g)
+        (t1/p^g)^-1 mod p with p^g || t1 (g < K, so p^g | h(xi)).  Otherwise
+        all digits.
         """
-        d = self.from_base(v)
-        dists, todo, seen = [d], [(v, d)], {v, *avoid}
+        m, xi = v
+        p, B, k = self.p, self.B, m + self.S
+        K = n + self.off3 + m + 1
+        if K <= 0 or self.vB + 2 * k < K:
+            return range(p)
+        pK = p**K
+        h = self.C2 - xi * (self.A2 + B * xi)
+        t1 = (self.A2 + 2 * B * xi) * self.pw[k]
+        if t1 % pK == 0:
+            return range(p) if h % pK == 0 else ()
+        pg = p ** val_p(t1, p)
+        return (h // pg * pow(t1 // pg, -1, p) % p,)
+
+    def fill(self, v, n: int, avoid) -> list:
+        """Distances from BASE of the vertices of K, the part of F_n within
+        distance R of BASE that holds v and enters no vertex of avoid.
+
+        K is convex, so it has one vertex of least m, its top, and the path
+        from any vertex of K to the top goes up only.  The walk climbs from
+        v to the top, then goes down through K, each vertex once, testing
+        only the children that `digits` leaves.
+        """
+        R, S, pw = self.R, self.S, self.pw
+        (m, xi), d = v, self.from_base(v)
+        while True:
+            up, du = (m - 1, xi % pw[m - 1 + S]), d - 1 if xi or m > 0 else d + 1
+            if du > R or up in avoid or not self.meets(up, n):
+                break
+            (m, xi), d = up, du
+        dists, todo = [d], [(m, xi, d)]
         while todo:
-            u, du = todo.pop()
-            for w, d in self.neighbors_at(u, du):
-                if w in seen:
-                    continue
-                seen.add(w)
-                if d <= self.R and self.meets(w, n):
-                    dists.append(d)
-                    todo.append((w, d))
+            m, xi, d = todo.pop()
+            step, near = pw[m + S], m < 0 and not xi
+            for c in self.digits((m, xi), n):
+                w, dw = (m + 1, xi + c * step), d - 1 if near and not c else d + 1
+                if dw <= R and w not in avoid and self.meets(w, n):
+                    dists.append(dw)
+                    todo.append((*w, dw))
         return dists
 
     def window(self, lev, a0, top: int) -> tuple:
@@ -333,8 +347,8 @@ def tree_count_oracle(cfg: FieldConfig, X: Sl2Element, n: int, R: int) -> Fracti
 
     The fixed set F_n is the set of lattices stable under p^{-n} X, so it is
     convex, and min_level has convex superlevel sets: greedy ascent of
-    min_level from BASE reaches proj, the projection of BASE onto F_n, and a
-    flood fill from proj finds F_n within the R-ball.  For split X the
+    min_level from BASE reaches proj, the projection of BASE onto F_n, and
+    _Chart.fill from proj finds F_n within the R-ball.  For split X the
     ascent goes on to a0, so proj lies on the geodesic from BASE to a0: it
     is neither a_-1 nor a2 (_Chart.window) and projects to a0.  Removing
     those two leaves one component holding a0, a1 and every vertex

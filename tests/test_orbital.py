@@ -316,10 +316,11 @@ def _names(code):
 
 class TestOracleIndependence:
     """The independent oracles name no part of the engine's Hensel-branch
-    path or its cell memo.  The guard lets OrbitLabel.digits and classify
-    through: the cell oracle still reads the engine's digit sets."""
+    path, its square-class test (legendre) or its cell memo.  The guard lets
+    OrbitLabel.digits and classify through: the cell oracle still reads the
+    engine's digit sets."""
 
-    ENGINE = {"sqmeas", "hensel_sqrt", "_tail_start", "_cell_integral",
+    ENGINE = {"sqmeas", "hensel_sqrt", "legendre", "_tail_start", "_cell_integral",
               "_stratum_value", "_bounded_cell_value"}
 
     def test_no_oracle_names_the_engine(self):

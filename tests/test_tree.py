@@ -260,6 +260,15 @@ def _eigen_apartment(cfg, X, k_range):
     return [_lattice_class(cfg, (w_plus, (w_minus[0] * t, w_minus[1] * t))) for t in pk]
 
 
+def _nearest_columns(cfg, apt):
+    """Indices into apt of the column nearest BASE and of its first
+    apartment neighbour in `neighbors` order."""
+    j0 = min(range(len(apt)), key=lambda j: distance(cfg, BASE, apt[j]))
+    assert 0 < j0 < len(apt) - 1, "nearest column at the end of the span"
+    j1 = min((j0 - 1, j0 + 1), key=lambda j: neighbors(cfg, apt[j0]).index(apt[j]))
+    return j0, j1
+
+
 def _scan_window(cfg, X, n, R, window="nearest"):
     """For split X: the two apartment columns the count keeps, column 0
     first, and K, the fixed vertices of the R-ball projecting to them.
@@ -269,13 +278,7 @@ def _scan_window(cfg, X, n, R, window="nearest"):
     with window="eigen" the lattices (w+, w-) and (w+, p w-)."""
     span = 2 * R + 2
     apt = _eigen_apartment(cfg, X, range(-span, span + 1))
-    if window == "eigen":
-        cols = (span, span + 1)
-    else:
-        j0 = min(range(len(apt)), key=lambda j: distance(cfg, BASE, apt[j]))
-        assert 0 < j0 < len(apt) - 1, "nearest column at the end of the span"
-        j1 = min((j0 - 1, j0 + 1), key=lambda j: neighbors(cfg, apt[j0]).index(apt[j]))
-        cols = (j0, j1)
+    cols = (span, span + 1) if window == "eigen" else _nearest_columns(cfg, apt)
     kept = []
     for v in _scan_fixed(cfg, X, n, R):
         dists = [distance(cfg, v, av) for av in apt]
@@ -485,8 +488,9 @@ class TestFloodFill:
 
     def test_work_is_bounded_by_the_fixed_set(self, lattice_tests):
         # the ascent walks the geodesic from BASE to the nearest fixed vertex,
-        # testing the q + 1 neighbours of each vertex it leaves; the fill tests
-        # the neighbours of each fixed vertex of the ball
+        # testing the q + 1 neighbours of each vertex it leaves; the fill
+        # tests each vertex it counts once, and only the children of each
+        # that its congruence leaves
         cfg = FieldConfig(5)
         for name, X, n, R in tree_oracle_cases(cfg):
             fixed = _scan_fixed(cfg, X, n, R)
@@ -494,10 +498,15 @@ class TestFloodFill:
             steps = min(distance(cfg, BASE, v) for v in fixed)
             bound = (cfg.p + 1) * (len(fixed) + steps + 1)
             lattice_tests.run(bound, tree_count_oracle, cfg, X, n, R)
-            # the fill tests each fixed vertex it reaches; for split X that is
-            # only the window's part of the tube, but the neighbour tests
-            # outnumber the whole tube
-            assert lattice_tests.calls >= len(fixed), name
+            counted = _scan_window(cfg, X, n, R)[1] if classify(X).is_split else fixed
+            assert lattice_tests.calls >= len(counted), name
+        # at p = 23 the walk made 34,365 tests when it tried all q + 1
+        # neighbours of each vertex
+        cfg, calls = FieldConfig(23), 0
+        for name, X, n, R in tree_oracle_cases(cfg):
+            lattice_tests.run(_ball_budget(cfg.p, R), tree_count_oracle, cfg, X, n, R)
+            calls += lattice_tests.calls
+        assert calls <= 2500
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_split_fill_stays_in_the_window(self, lattice_tests, p):
@@ -514,6 +523,86 @@ class TestFloodFill:
                 bound = (p + 1) * (len(kept) + distance(cfg, BASE, a0) + 3)
                 lattice_tests.run(bound, _outcome, tree_count_oracle, cfg, Y, n, R)
                 assert lattice_tests.calls >= len(kept), (name, seed)
+
+
+def _public_fill(cfg, X, n, R):
+    """tree_count_oracle by a flood fill over the public exact primitives,
+    for balls too big to scan.
+
+    The fill keeps a seen set and tests every neighbour of each vertex it
+    keeps.  For split X it starts at column 0 of the eigenvector apartment
+    and never enters columns -1 and 2; otherwise it starts where a greedy
+    ascent of min_level from BASE, reading the level of every neighbour,
+    first reaches level n within R steps.
+    """
+    def level(v):
+        return min_level(cfg, v, X)
+
+    avoid = set()
+    if classify(X).is_split:
+        span = 2 * R + 2
+        apt = _eigen_apartment(cfg, X, range(-span, span + 1))
+        j0, j1 = _nearest_columns(cfg, apt)
+        if any(distance(cfg, BASE, apt[j]) >= R for j in (j0, j1)):
+            raise BallTooSmall("fundamental-domain columns not inside the ball")
+        outside = (2 * j0 - j1, 2 * j1 - j0)  # columns -1 and 2
+        assert 0 <= min(outside) and max(outside) < len(apt), "window at the end of the span"
+        start, avoid = apt[j0], {apt[j] for j in outside}
+    else:
+        start = BASE
+        for _ in range(R):
+            if level(start) >= n:
+                break
+            start = max(neighbors(cfg, start), key=level)
+    if level(start) < n:
+        return Fraction(0)
+    dists, todo, seen = [], [start], {start} | avoid
+    while todo:
+        v = todo.pop()
+        dists.append(distance(cfg, BASE, v))
+        for w in neighbors(cfg, v):
+            if w not in seen:
+                seen.add(w)
+                if distance(cfg, BASE, w) <= R and level(w) >= n:
+                    todo.append(w)
+    if R in dists:
+        raise BallTooSmall(f"fixed set reaches the R={R} boundary")
+    return Fraction(sum(1 for d in dists if d % 2 == 0))
+
+
+class TestDownWalk:
+    """The fill's climb and down-walk, whose candidate children come from
+    one congruence, against _public_fill on balls too big to scan."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 23])
+    def test_agrees_with_a_public_flood_fill(self, monkeypatch, p):
+        # each case and two seeded conjugates, at the suite's R and at R - 1;
+        # every branch of _Chart.digits is taken
+        cfg = FieldConfig(p)
+        branches = set()
+        digits = _Chart.digits
+
+        def recorded(chart, v, n):
+            out = digits(chart, v, n)
+            m, xi = v
+            K, P = n + chart.off3 + m + 1, chart.pw[m + chart.S]
+            trial = K <= 0 or chart.B * P * P % p**K != 0
+            branches.add("trial" if trial else {0: "none", 1: "one", p: "all"}[len(out)])
+            return out
+
+        monkeypatch.setattr(_Chart, "digits", recorded)
+        seen = set()
+        for i, (name, X, n, R) in enumerate(tree_oracle_cases(cfg)):
+            xs = [X] + [random_conjugate(X, seed=2 * i + j) for j in (1, 2)]
+            for j, Y in enumerate(xs):
+                for r in (R, R - 1):
+                    got = _outcome(tree_count_oracle, cfg, Y, n, r)
+                    want = _outcome(_public_fill, cfg, Y, n, r)
+                    assert got == want, f"{name} conjugate {j} R={r}: walk {got}, fill {want}"
+                    seen.add("raises" if want is BallTooSmall else "zero" if want == 0
+                             else "count")
+        assert seen == {"raises", "zero", "count"}
+        assert branches == {"trial", "none", "one", "all"}
 
 
 class TestDepthAscent:
@@ -593,8 +682,6 @@ class TestIntChart:
             assert chart.from_base(u) == d, v
             if d <= R:  # the walk's neighbours stay in the (R + 1)-ball
                 assert chart.neighbors(u) == [coords[w] for w in neighbors(cfg, v)], v
-                assert chart.neighbors_at(u, d) == [(coords[w], distance(cfg, BASE, w))
-                                                    for w in neighbors(cfg, v)], v
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_meets_is_the_level_threshold(self, p):
